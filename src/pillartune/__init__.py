@@ -33,11 +33,8 @@ from .solver import (
     SheetSystem,
     SolverConfig,
     SolverError,
-    assemble_system,
     classify_regime,
     diode_current_density,
-    solve_bias_point,
-    terminal_currents,
 )
 from .spectro import (
     FitError,

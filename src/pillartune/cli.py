@@ -36,7 +36,10 @@ from .spectro import (
     synth_polarization_scan,
 )
 from .tuner import (
+    _FLOATING,
     SweepResult,
+    TunerError,
+    _parse_vc,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
@@ -72,12 +75,6 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, write)
 
 
-def _parse_bias_value(text: str) -> float | None:
-    if text.strip().lower() == "floating":
-        return None
-    return float(text)
-
-
 def _load(args) -> RunConfig:
     return load_run_config(args.config)
 
@@ -110,7 +107,7 @@ def cmd_solve(args) -> int:
         ("config_hash", cfg.config_hash),
         ("va_v", bias.v_a),
         ("vb_v", bias.v_b),
-        ("vc_v", "floating" if bias.v_c is None else bias.v_c),
+        ("vc_v", _FLOATING if bias.v_c is None else bias.v_c),
         ("ex_v_per_m", sol.e_inplane[0]),
         ("ey_v_per_m", sol.e_inplane[1]),
         ("ez_v_per_m", sol.e_z),
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one bias point")
     p.add_argument("--va", type=float, required=True)
     p.add_argument("--vb", type=float, required=True)
-    p.add_argument("--vc", type=_parse_bias_value, default=None,
+    p.add_argument("--vc", type=_parse_vc, default=None,
                    help="voltage or 'floating' (default: sweep section)")
     p.add_argument("--phi-out", help="write the full node potential as CSV")
     p.set_defaults(func=cmd_solve)
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-scan", help="synthesize a polarization scan")
     p.add_argument("--va", type=float, required=True)
     p.add_argument("--vb", type=float, required=True)
-    p.add_argument("--vc", type=_parse_bias_value, default=None)
+    p.add_argument("--vc", type=_parse_vc, default=None)
     p.add_argument("--linewidth", type=float, default=60.0, help="FWHM in ueV")
     p.add_argument("--noise", type=float, default=0.3, help="noise sigma in ueV")
     p.add_argument("--n-angles", type=int, default=36)
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1.5, help="target fss in ueV")
     p.add_argument("--va", type=float, default=0.0, help="start V_A")
     p.add_argument("--vb", type=float, default=0.0, help="start V_B")
-    p.add_argument("--vc", type=_parse_bias_value, default=None)
+    p.add_argument("--vc", type=_parse_vc, default=None)
     p.add_argument("--free", default="A,B", help="free terminals, e.g. A,B")
     p.add_argument("--out", help="output JSON path")
     p.set_defaults(func=cmd_tune)
@@ -339,12 +336,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, MeshError, ScanInputError, ValueError) as exc:
+    except (
+        ConfigError,
+        GeometryError,
+        MeshError,
+        ScanInputError,
+        TunerError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

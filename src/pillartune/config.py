@@ -3,7 +3,8 @@
 Files are INI-style sections of ``key = value`` pairs.  Parsing is strict:
 unknown sections or keys abort with a message naming the offender, so a
 typo in a calibration file cannot silently fall back to defaults.  Missing
-keys take the documented defaults.  Every output produced from a config
+keys take their values from the packaged ``configs/default.cfg``, the one
+place the defaults are written down.  Every output produced from a config
 carries a short hash of the fully resolved values.
 """
 
@@ -15,11 +16,12 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from .device import DeviceGeometry, MaterialParams
 from .exciton import ExcitonParams
 from .solver import SolverConfig
-from .tuner import ALL_OUTPUTS, SweepSpec
+from .tuner import ALL_OUTPUTS, SweepSpec, _parse_vc
 
 
 class ConfigError(ValueError):
@@ -41,12 +43,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in text.split(","))
 
 
-def _parse_vc(text: str) -> float | None:
-    if text.strip().lower() == "floating":
-        return None
-    return _parse_float(text)
-
-
 def _parse_outputs(text: str) -> tuple[str, ...]:
     items = tuple(p.strip() for p in text.split(",") if p.strip())
     unknown = set(items) - set(ALL_OUTPUTS)
@@ -55,59 +51,56 @@ def _parse_outputs(text: str) -> tuple[str, ...]:
     return items
 
 
-# section -> key -> (parser, default)
-SCHEMA: dict[str, dict[str, tuple]] = {
+# section -> key -> parser; every default lives in configs/default.cfg
+SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "run": {
-        "seed": (_parse_int, 20260401),
+        "seed": _parse_int,
     },
     "device": {
-        "pillar_diameter_um": (_parse_float, 10.0),
-        "ridge_width_um": (_parse_float, 3.0),
-        "ridge_length_um": (_parse_float, 50.0),
-        "ridge_angles_deg": (_parse_float_list, (0.0, 130.0, 65.0)),
-        "pad_size_um": (_parse_float, 20.0),
-        "intrinsic_thickness_nm": (_parse_float, 270.0),
-        "built_in_voltage_v": (_parse_float, 1.4),
-        "disc_segments": (_parse_int, 64),
-        "mesh_edge_um": (_parse_float, 1.0),
+        "pillar_diameter_um": _parse_float,
+        "ridge_width_um": _parse_float,
+        "ridge_length_um": _parse_float,
+        "ridge_angles_deg": _parse_float_list,
+        "pad_size_um": _parse_float,
+        "intrinsic_thickness_nm": _parse_float,
+        "built_in_voltage_v": _parse_float,
+        "disc_segments": _parse_int,
+        "mesh_edge_um": _parse_float,
     },
     "materials": {
-        "sheet_conductance_s": (_parse_float, 2.0e-3),
-        "saturation_current_a_per_um2": (_parse_float, 1.3e-18),
-        "ideality": (_parse_float, 2.0),
-        "thermal_voltage_v": (_parse_float, 0.02585),
-        "contact_resistance_a_ohm": (_parse_float, 9.0e5),
-        "contact_resistance_b_ohm": (_parse_float, 1.4e6),
-        "contact_resistance_c_ohm": (_parse_float, 9.0e5),
+        "sheet_conductance_s": _parse_float,
+        "saturation_current_a_per_um2": _parse_float,
+        "ideality": _parse_float,
+        "thermal_voltage_v": _parse_float,
+        "contact_resistance_a_ohm": _parse_float,
+        "contact_resistance_b_ohm": _parse_float,
+        "contact_resistance_c_ohm": _parse_float,
     },
     "exciton": {
-        "zero_field_energy_ev": (_parse_float, 1.34),
-        "zero_field_splitting_uev": (_parse_float_list, (7.38, 3.06)),
-        "inplane_coupling_uev_m_per_v": (
-            _parse_float_list,
-            (5.0e-2, 0.0, 0.0, 5.0e-2),
-        ),
-        "vertical_coupling_uev_m_per_v": (_parse_float_list, (-2.05e-6, -8.5e-7)),
-        "dipole_uev_m_per_v": (_parse_float, 0.0),
-        "polarizability_uev_m2_per_v2": (_parse_float, 1.0e-12),
+        "zero_field_energy_ev": _parse_float,
+        "zero_field_splitting_uev": _parse_float_list,
+        "inplane_coupling_uev_m_per_v": _parse_float_list,
+        "vertical_coupling_uev_m_per_v": _parse_float_list,
+        "dipole_uev_m_per_v": _parse_float,
+        "polarizability_uev_m2_per_v2": _parse_float,
     },
     "solver": {
-        "newton_tol": (_parse_float, 1e-11),
-        "max_iters": (_parse_int, 80),
-        "damping": (_parse_float, 1.0),
-        "continuation_steps": (_parse_int, 8),
-        "current_floor_a": (_parse_float, 1e-6),
-        "regime_threshold_a": (_parse_float, 5.2e-7),
+        "newton_tol": _parse_float,
+        "max_iters": _parse_int,
+        "damping": _parse_float,
+        "continuation_steps": _parse_int,
+        "current_floor_a": _parse_float,
+        "regime_threshold_a": _parse_float,
     },
     "sweep": {
-        "va_start_v": (_parse_float, -1.0),
-        "va_stop_v": (_parse_float, 6.0),
-        "va_step_v": (_parse_float, 0.175),
-        "vb_start_v": (_parse_float, -1.0),
-        "vb_stop_v": (_parse_float, 6.0),
-        "vb_step_v": (_parse_float, 0.175),
-        "vc_v": (_parse_vc, None),
-        "outputs": (_parse_outputs, ALL_OUTPUTS),
+        "va_start_v": _parse_float,
+        "va_stop_v": _parse_float,
+        "va_step_v": _parse_float,
+        "vb_start_v": _parse_float,
+        "vb_stop_v": _parse_float,
+        "vb_step_v": _parse_float,
+        "vc_v": _parse_vc,
+        "outputs": _parse_outputs,
     },
 }
 
@@ -126,6 +119,7 @@ class RunConfig:
 
 
 def _resolve(parser: configparser.ConfigParser, source: str) -> dict:
+    """Parse every schema key; ``parser`` holds the defaults under the user text."""
     resolved: dict[str, dict] = {}
     for section in parser.sections():
         if section not in SCHEMA:
@@ -137,17 +131,13 @@ def _resolve(parser: configparser.ConfigParser, source: str) -> dict:
                 )
     for section, keys in SCHEMA.items():
         resolved[section] = {}
-        for key, (parse, default) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    resolved[section][key] = parse(raw)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(
-                        f"{source}: bad value for '{key}' in [{section}]: {exc}"
-                    ) from exc
-            else:
-                resolved[section][key] = default
+        for key, parse in keys.items():
+            try:
+                resolved[section][key] = parse(parser.get(section, key))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"{source}: bad value for '{key}' in [{section}]: {exc}"
+                ) from exc
     return resolved
 
 
@@ -251,8 +241,10 @@ def _build(resolved: dict) -> RunConfig:
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
+    """Resolve ``text`` on top of the packaged default calibration."""
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive
+    parser.read_string(default_config_text(), source="<default>")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
@@ -269,7 +261,7 @@ def default_config_text() -> str:
 def load_run_config(path: str | None = None) -> RunConfig:
     """Load a config file, or the packaged default calibration when ``path`` is None."""
     if path is None:
-        return parse_config_text(default_config_text(), source="<default>")
+        return parse_config_text("", source="<default>")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -456,50 +458,42 @@ def _stitch_rows(cells: list, rows: list[list[int]]) -> None:
             cells.append((lo[j], hi[j + 1], hi[j]))
 
 
-def _orient_ccw(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _signed_area2(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle, positive when counter-clockwise."""
     p0 = nodes[cells[:, 0]]
     p1 = nodes[cells[:, 1]]
     p2 = nodes[cells[:, 2]]
-    area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
+    return (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
         p2[:, 0] - p0[:, 0]
     ) * (p1[:, 1] - p0[:, 1])
-    flip = area2 < 0.0
+
+
+def _orient_ccw(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    flip = _signed_area2(nodes, cells) < 0.0
     out = cells.copy()
     out[flip, 1], out[flip, 2] = cells[flip, 2], cells[flip, 1]
     return out
 
 
 def cell_areas(mesh: Mesh) -> np.ndarray:
-    p0 = mesh.nodes[mesh.cells[:, 0]]
-    p1 = mesh.nodes[mesh.cells[:, 1]]
-    p2 = mesh.nodes[mesh.cells[:, 2]]
-    return 0.5 * (
-        (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-        - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    )
+    return 0.5 * _signed_area2(mesh.nodes, mesh.cells)
+
+
+def _edges(mesh: Mesh) -> np.ndarray:
+    """The three edges of every cell as (low, high) node pairs, (3M, 2)."""
+    c = mesh.cells
+    return np.sort(np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]]), axis=1)
 
 
 def _boundary_nodes(mesh: Mesh) -> np.ndarray:
-    """Nodes on edges that belong to exactly one triangle."""
-    edges = {}
-    for tri in mesh.cells:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    out = set()
-    for (a, b), count in edges.items():
-        if count == 1:
-            out.add(int(a))
-            out.add(int(b))
-    return np.array(sorted(out), dtype=np.int32)
+    """Nodes on edges that belong to exactly one triangle, ascending."""
+    edges, counts = np.unique(_edges(mesh), axis=0, return_counts=True)
+    return np.unique(edges[counts == 1]).astype(np.int32)
 
 
 def _free_boundary(mesh: Mesh) -> np.ndarray:
-    tagged = set()
-    for tag in PAD_TAGS:
-        tagged.update(int(i) for i in mesh.boundary_tags.get(tag, ()))
-    free = [int(i) for i in _boundary_nodes(mesh) if int(i) not in tagged]
-    return np.array(free, dtype=np.int32)
+    tagged = np.concatenate([mesh.pad_nodes(tag) for tag in PAD_TAGS])
+    return np.setdiff1d(_boundary_nodes(mesh), tagged).astype(np.int32)
 
 
 def validate_mesh(mesh: Mesh, require_all_pads: bool = True) -> None:
@@ -517,23 +511,13 @@ def validate_mesh(mesh: Mesh, require_all_pads: bool = True) -> None:
             if lengths.max() > 2.0 * mesh.target_edge + 1e-9:
                 raise MeshError("mesh edge exceeds twice the target edge length")
 
-    # Connectivity by union-find over cell edges.
-    parent = np.arange(mesh.n_nodes)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for tri in mesh.cells:
-        ra = find(int(tri[0]))
-        for b in (int(tri[1]), int(tri[2])):
-            rb = find(b)
-            if ra != rb:
-                parent[rb] = ra
-    roots = {find(i) for i in range(mesh.n_nodes)}
-    if len(roots) != 1:
+    edges = _edges(mesh)
+    graph = sp.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+        shape=(mesh.n_nodes, mesh.n_nodes),
+    )
+    n_components, _ = connected_components(graph, directed=False)
+    if n_components != 1:
         raise MeshError("mesh is not connected")
 
     present = [tag for tag in PAD_TAGS if len(mesh.pad_nodes(tag)) > 0]

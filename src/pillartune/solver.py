@@ -175,10 +175,8 @@ class SheetSystem:
     def _build_stiffness(self) -> None:
         nodes, cells = self.mesh.nodes, self.mesh.cells
         p0, p1, p2 = nodes[cells[:, 0]], nodes[cells[:, 1]], nodes[cells[:, 2]]
-        area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-            p2[:, 0] - p0[:, 0]
-        ) * (p1[:, 1] - p0[:, 1])
-        area = 0.5 * area2
+        area = cell_areas(self.mesh)
+        area2 = 2.0 * area  # exact: undoes the halving in cell_areas
         # P1 gradients: grad N_i = (b_i, c_i)
         b = np.stack(
             [
@@ -211,7 +209,7 @@ class SheetSystem:
         self._grad_b, self._grad_c, self._cell_area = b, c, area
 
     def _build_node_areas(self) -> None:
-        area = cell_areas(self.mesh)
+        area = self._cell_area
         node_area = np.zeros(self.n)
         for i in range(3):
             np.add.at(node_area, self.mesh.cells[:, i], area / 3.0)
@@ -402,34 +400,6 @@ class SheetSystem:
             newton_iters=iters,
             residual=history[-1] if history else 0.0,
         )
-
-
-def assemble_system(
-    mesh: Mesh, materials: MaterialParams, bias: BiasPoint, phi: np.ndarray
-):
-    """One-shot residual and Jacobian at ``phi`` (for testing and inspection)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"phi has length {phi.shape}, expected ({mesh.n_nodes},)"
-        )
-    system = SheetSystem(mesh, materials)
-    return system.residual(phi, bias), system.jacobian(phi, bias)
-
-
-def solve_bias_point(
-    mesh: Mesh,
-    materials: MaterialParams,
-    bias: BiasPoint,
-    cfg: SolverConfig,
-    phi0: np.ndarray | None = None,
-) -> FieldSolution:
-    """Solve one bias point on a fresh system (see ``SheetSystem`` for reuse)."""
-    return SheetSystem(mesh, materials).solve(bias, cfg, phi0)
-
-
-def terminal_currents(solution: FieldSolution):
-    return solution.i_a, solution.i_b, solution.i_c, solution.i_junction
 
 
 def classify_regime(solution: FieldSolution, i_threshold: float) -> int:

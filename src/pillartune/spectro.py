@@ -337,7 +337,11 @@ def scan_from_csv(path: str) -> PolarizationScan:
     import csv
 
     angles, energies, sigmas = [], [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ScanInputError(f"cannot read scan {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != [

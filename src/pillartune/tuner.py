@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,19 +32,62 @@ from .solver import (
 )
 from .spectro import algebraic_fss
 
-OUTPUT_GROUPS = {
-    "fields": ("ex", "ey", "ez"),
-    "currents": ("ia", "ib", "ic", "i_junction"),
-    "regime": ("region",),
-    "fss": ("fss",),
-    "theta0": ("theta0",),
-    "algebraic_fss": ("algebraic_fss",),
-    "stark": ("mean_energy", "stark"),
-}
+_FLOATING = "floating"  # spelling of a floating V_C in configs, CSVs and reports
 
-ALL_OUTPUTS = tuple(OUTPUT_GROUPS)
 
-_BASE_COLUMNS = ("va", "vb", "vc", "status", "iters", "residual")
+def _parse_vc(text: str) -> float | None:
+    """A finite V_C voltage, or None for a floating terminal."""
+    if text.strip().lower() == _FLOATING:
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
+def _format_vc(vc: float | None) -> str:
+    return _FLOATING if vc is None else repr(float(vc))
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # builtin repr even for numpy scalars
+    return str(value)
+
+
+_FLOAT = (float, _fmt)
+_INT = (int, _fmt)
+
+# Sweep CSV columns in file order: (CellRecord field, output group, (parse,
+# format) of one cell).  Group None is always written; the other groups
+# follow in this order whatever order ``SweepSpec.outputs`` names them in.
+COLUMNS = (
+    ("va", None, _FLOAT),
+    ("vb", None, _FLOAT),
+    ("vc", None, (_parse_vc, _format_vc)),
+    ("status", None, (str, _fmt)),
+    ("iters", None, _INT),
+    ("residual", None, _FLOAT),
+    ("ex", "fields", _FLOAT),
+    ("ey", "fields", _FLOAT),
+    ("ez", "fields", _FLOAT),
+    ("ia", "currents", _FLOAT),
+    ("ib", "currents", _FLOAT),
+    ("ic", "currents", _FLOAT),
+    ("i_junction", "currents", _FLOAT),
+    ("region", "regime", _INT),
+    ("fss", "fss", _FLOAT),
+    ("theta0", "theta0", _FLOAT),
+    ("algebraic_fss", "algebraic_fss", _FLOAT),
+    ("mean_energy", "stark", _FLOAT),
+    ("stark", "stark", _FLOAT),
+)
+
+ALL_OUTPUTS = tuple(dict.fromkeys(group for _, group, _ in COLUMNS if group))
+
+_CODECS = {name: codec for name, _, codec in COLUMNS}
 
 
 class TunerError(RuntimeError):
@@ -89,11 +132,9 @@ class SweepSpec:
         return self._axis(self.vb_start, self.vb_stop, self.vb_step)
 
     def columns(self) -> tuple[str, ...]:
-        cols = list(_BASE_COLUMNS)
-        for group in ALL_OUTPUTS:  # fixed order, independent of request order
-            if group in self.outputs:
-                cols.extend(OUTPUT_GROUPS[group])
-        return tuple(cols)
+        return tuple(
+            name for name, group, _ in COLUMNS if group is None or group in self.outputs
+        )
 
 
 @dataclass
@@ -158,7 +199,7 @@ class TuneResult:
         return {
             "va": va,
             "vb": vb,
-            "vc": "floating" if vc is None else vc,
+            "vc": _FLOATING if vc is None else vc,
             "achieved_fss_uev": self.achieved_fss,
             "theta_before_rad": self.theta_before,
             "theta_after_rad": self.theta_after,
@@ -189,7 +230,7 @@ class IsoFssPair:
 
     def to_dict(self) -> dict:
         def b(t):
-            return {"va": t[0], "vb": t[1], "vc": "floating" if t[2] is None else t[2]}
+            return {"va": t[0], "vb": t[1], "vc": _FLOATING if t[2] is None else t[2]}
 
         return {
             "index_a": self.index_a,
@@ -305,76 +346,47 @@ def run_bias_sweep(
 # -- CSV round trip ----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # builtin repr even for numpy scalars
-    return str(value)
-
-
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     cols = result.spec.columns()
+    formats = [_CODECS[col][1] for col in cols]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(cols)
         for rec in result.records:
-            row = []
-            for col in cols:
-                if col == "vc":
-                    row.append("floating" if rec.vc is None else repr(float(rec.vc)))
-                else:
-                    row.append(_fmt(getattr(rec, col)))
-            out.writerow(row)
+            out.writerow([f(getattr(rec, col)) for f, col in zip(formats, cols)])
 
 
 def read_sweep_csv(path: str) -> list[CellRecord]:
+    """Read a sweep CSV; empty cells keep the ``CellRecord`` default."""
     records = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise TunerError(f"cannot read sweep CSV {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise TunerError(f"{path}: empty sweep CSV")
-        known = set(_BASE_COLUMNS) | {
-            c for cols in OUTPUT_GROUPS.values() for c in cols
-        }
-        bad = [h for h in header if h not in known]
+        bad = [h for h in header if h not in _CODECS]
         if bad:
             raise TunerError(f"{path}: unknown sweep columns {bad}")
-        for row in reader:
+        missing = [
+            f.name
+            for f in fields(CellRecord)
+            if f.default is MISSING and f.name not in header
+        ]
+        if missing:
+            raise TunerError(f"{path}: missing sweep columns {missing}")
+        parsers = [_CODECS[h][0] for h in header]
+        for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            data = dict(zip(header, row))
-            rec = CellRecord(
-                va=float(data["va"]),
-                vb=float(data["vb"]),
-                vc=None if data["vc"] == "floating" else float(data["vc"]),
-                status=data.get("status", "ok"),
-            )
-            for name in ("iters",):
-                if data.get(name):
-                    rec.iters = int(data[name])
-            for name in (
-                "residual",
-                "ex",
-                "ey",
-                "ez",
-                "ia",
-                "ib",
-                "ic",
-                "i_junction",
-                "fss",
-                "mean_energy",
-                "stark",
-                "algebraic_fss",
-            ):
-                if data.get(name):
-                    setattr(rec, name, float(data[name]))
-            if data.get("region"):
-                rec.region = int(data["region"])
-            if data.get("theta0"):
-                rec.theta0 = float(data["theta0"])
-            records.append(rec)
+            try:
+                values = {h: p(v) for h, p, v in zip(header, parsers, row) if v}
+                records.append(CellRecord(**values))
+            except (TypeError, ValueError) as exc:
+                raise TunerError(f"{path}: row {row_no}: {exc}") from exc
     return records
 
 

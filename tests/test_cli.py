@@ -189,6 +189,34 @@ def test_fit_rejects_short_scan(fast_config, tmp_path, capsys):
     assert "6" in capsys.readouterr().err
 
 
+def test_fit_missing_scan_exits_2(fast_config, capsys):
+    assert main(["--config", fast_config, "fit", "nope.csv"]) == 2
+    assert "nope.csv" in capsys.readouterr().err
+
+
+def test_iso_fss_missing_sweep_csv_exits_2(fast_config, capsys):
+    code = main(["--config", fast_config, "iso-fss", "--target", "5.0",
+                 "--min-separation", "1.0", "--sweep-csv", "nope.csv"])
+    assert code == 2
+    assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("va,vb,status\n0.0,0.0,ok\n", "vc"),
+        ("va,vb,vc,bogus\n0.0,0.0,floating,1\n", "bogus"),
+    ],
+)
+def test_iso_fss_bad_sweep_csv_exits_2(fast_config, tmp_path, capsys, text, message):
+    path = tmp_path / "bad_sweep.csv"
+    path.write_text(text)
+    code = main(["--config", fast_config, "iso-fss", "--target", "5.0",
+                 "--min-separation", "1.0", "--sweep-csv", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tune_constructed_zero_converges(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "zero.cfg"

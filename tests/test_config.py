@@ -3,12 +3,17 @@ import math
 import pytest
 
 from pillartune.config import (
+    SCHEMA,
     ConfigError,
     config_hash,
     default_config_text,
     load_run_config,
     parse_config_text,
 )
+from pillartune.device import DeviceGeometry, MaterialParams
+from pillartune.exciton import ExcitonParams
+from pillartune.solver import SolverConfig
+from pillartune.tuner import SweepSpec
 
 
 def test_default_config_loads():
@@ -25,6 +30,45 @@ def test_default_text_round_trips_to_same_hash():
     b = load_run_config()
     assert a.config_hash == b.config_hash
     assert a.resolved == b.resolved
+
+
+def test_config_hashes_are_pinned():
+    # a changed hash orphans every artifact written under the old one
+    assert load_run_config().config_hash == "66dd857cd5b4"
+    assert parse_config_text("").config_hash == "66dd857cd5b4"
+    cfg = parse_config_text("[device]\npillar_diameter_um = 12.0\n")
+    assert cfg.config_hash == "5f2e2bbac5c7"
+
+
+def test_schema_holds_parsers_only():
+    # the defaults live in default.cfg alone
+    parsers = [p for keys in SCHEMA.values() for p in keys.values()]
+    assert len(parsers) == 37
+    assert all(callable(p) for p in parsers)
+
+
+def test_default_config_matches_dataclass_defaults():
+    cfg = load_run_config()
+    assert cfg.geometry == DeviceGeometry()
+    assert cfg.materials == MaterialParams()
+    assert cfg.exciton == ExcitonParams()
+    assert cfg.solver == SolverConfig()
+    assert cfg.sweep == SweepSpec()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[mystery]\nx = 1\n",
+        "[device]\nbogus_key = 3\n",
+        "[materials]\nideality = banana\n",
+        "not a section\n",
+        "[run]\nseed = 1\nseed = 2\n",
+    ],
+)
+def test_errors_name_the_user_source(text):
+    with pytest.raises(ConfigError, match="user.cfg"):
+        parse_config_text(text, source="user.cfg")
 
 
 def test_unknown_key_is_fatal_and_named():

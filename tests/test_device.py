@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pillartune.device import (
+    PAD_TAGS,
     DeviceGeometry,
     GeometryError,
     MaterialParams,
+    Mesh,
     MeshError,
     build_geometry,
     cell_areas,
@@ -125,6 +127,43 @@ def test_strip_mesh_tags_and_probe():
     assert len(mesh.pad_nodes("PAD_C")) == 0
     x, y = mesh.nodes[mesh.qd_node]
     assert abs(x - 25.0) <= 0.5 and abs(y - 5.0) <= 0.5
+
+
+def _boundary_nodes_by_loop(mesh):
+    """Reference: nodes on edges that one cell alone uses, by counting."""
+    counts = {}
+    for tri in mesh.cells.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return sorted({n for edge, c in counts.items() if c == 1 for n in edge})
+
+
+def test_free_boundary_matches_loop_reference():
+    for mesh in (
+        generate_mesh(build_geometry(DeviceGeometry()), 2.0),
+        make_strip_mesh(20.0, 6.0, 1.0),
+    ):
+        pads = {int(i) for tag in PAD_TAGS for i in mesh.pad_nodes(tag)}
+        expected = [n for n in _boundary_nodes_by_loop(mesh) if n not in pads]
+        free = mesh.boundary_tags["FREE"]
+        assert free.dtype == np.int32
+        assert free.tolist() == expected
+
+
+def test_disconnected_mesh_rejected():
+    strip = make_strip_mesh(4.0, 2.0, 1.0)
+    island = np.array([[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]])
+    n = strip.n_nodes
+    mesh = Mesh(
+        nodes=np.vstack([strip.nodes, island]),
+        cells=np.vstack([strip.cells, [[n, n + 1, n + 2]]]).astype(np.int32),
+        boundary_tags=strip.boundary_tags,
+        qd_node=strip.qd_node,
+    )
+    with pytest.raises(MeshError, match="not connected"):
+        validate_mesh(mesh, require_all_pads=False)
+    validate_mesh(strip, require_all_pads=False)
 
 
 def test_mesh_csv_export(tmp_path):

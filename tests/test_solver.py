@@ -18,13 +18,10 @@ from pillartune.solver import (
     BiasPoint,
     SheetSystem,
     SolverConfig,
-    assemble_system,
     classify_regime,
     diode_current_density,
     kirchhoff_bound,
     kirchhoff_error,
-    solve_bias_point,
-    terminal_currents,
 )
 
 CFG = SolverConfig()
@@ -88,22 +85,15 @@ def test_diode_clamp_is_linear_beyond_threshold():
 # -- assembly ----------------------------------------------------------------
 
 
-def test_equilibrium_residual_is_zero(coarse_mesh, default_config):
-    phi = np.zeros(coarse_mesh.n_nodes)
-    f, _ = assemble_system(
-        coarse_mesh, default_config.materials, BiasPoint(0.0, 0.0, None), phi
-    )
+def test_equilibrium_residual_is_zero(coarse_system):
+    phi = np.zeros(coarse_system.n)
+    f = coarse_system.residual(phi, BiasPoint(0.0, 0.0, None))
     assert np.all(f == 0.0)
 
 
-def test_dimension_mismatch_rejected(coarse_mesh, default_config):
+def test_dimension_mismatch_rejected(coarse_system):
     with pytest.raises(ValueError):
-        assemble_system(
-            coarse_mesh,
-            default_config.materials,
-            BiasPoint(0.0, 0.0, None),
-            np.zeros(3),
-        )
+        coarse_system.residual(np.zeros(3), BiasPoint(0.0, 0.0, None))
 
 
 def test_linear_phi_is_discretely_harmonic():
@@ -111,7 +101,7 @@ def test_linear_phi_is_discretely_harmonic():
     mesh = make_strip_mesh(20.0, 6.0, 1.0)
     materials = MaterialParams(saturation_current_density=0.0)
     phi = 0.05 * mesh.nodes[:, 0] + 0.3
-    f, _ = assemble_system(mesh, materials, BiasPoint(0.0, 0.0, None), phi)
+    f = SheetSystem(mesh, materials).residual(phi, BiasPoint(0.0, 0.0, None))
     contact = set(map(int, mesh.pad_nodes("PAD_A"))) | set(
         map(int, mesh.pad_nodes("PAD_B"))
     )
@@ -131,15 +121,15 @@ def test_jacobian_matches_finite_differences():
     bias = BiasPoint(0.4, -0.2, None)
     rng = np.random.default_rng(7)
     phi = 0.3 * rng.standard_normal(mesh.n_nodes)
-    f0, jac = assemble_system(mesh, materials, bias, phi)
-    jac = jac.toarray()
+    system = SheetSystem(mesh, materials)
+    jac = system.jacobian(phi, bias).toarray()
     fd = np.zeros_like(jac)
     h = 1e-7
     for k in range(mesh.n_nodes):
         dphi = np.zeros(mesh.n_nodes)
         dphi[k] = h
-        fp, _ = assemble_system(mesh, materials, bias, phi + dphi)
-        fm, _ = assemble_system(mesh, materials, bias, phi - dphi)
+        fp = system.residual(phi + dphi, bias)
+        fm = system.residual(phi - dphi, bias)
         fd[:, k] = (fp - fm) / (2.0 * h)
     scale = np.max(np.abs(jac))
     assert np.max(np.abs(jac - fd)) <= 1e-6 * scale
@@ -243,15 +233,10 @@ def test_floating_terminal_carries_no_current(coarse_system):
     assert sol.i_c == 0.0
 
 
-def test_terminal_currents_accessor(coarse_system):
-    sol = coarse_system.solve(BiasPoint(1.0, 1.0, None), CFG)
-    assert terminal_currents(sol) == (sol.i_a, sol.i_b, sol.i_c, sol.i_junction)
-
-
-def test_deep_reverse_junction_is_saturation_times_area(coarse_mesh, default_config):
-    sol = solve_bias_point(
-        coarse_mesh, default_config.materials, BiasPoint(-3.0, -3.0, -3.0), CFG
-    )
+def test_deep_reverse_junction_is_saturation_times_area(
+    coarse_system, coarse_mesh, default_config
+):
+    sol = coarse_system.solve(BiasPoint(-3.0, -3.0, -3.0), CFG)
     expected = -default_config.materials.saturation_current_density * float(
         cell_areas(coarse_mesh).sum()
     )

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from pillartune.device import MaterialParams
 from pillartune.exciton import ExcitonParams, exciton_state
 from pillartune.solver import BiasPoint, SheetSystem, SolverConfig
 from pillartune.tuner import (
+    COLUMNS,
     CellRecord,
     SweepResult,
     SweepSpec,
+    TunerError,
     eigenaxis_rotation_check,
     find_zero_fss,
     iso_fss_points,
@@ -103,6 +108,61 @@ def test_sweep_csv_round_trip(tmp_path, coarse_mesh, default_config):
         assert a.fss == b.fss or (math.isnan(a.fss) and math.isnan(b.fss))
         assert a.mean_energy == b.mean_energy
         assert (a.theta0 == b.theta0) or (a.theta0 is None and b.theta0 is None)
+
+
+def test_column_table_covers_cell_record():
+    names = [name for name, _, _ in COLUMNS]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(CellRecord))
+    assert SweepSpec().columns() == tuple(names)
+
+
+def test_formats_doc_lists_sweep_columns_in_file_order():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    table = doc.split("## Sweep CSV", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            documented += re.findall(r"`([a-z_0-9]+)`", line.split("|")[1])
+    assert tuple(documented) == SweepSpec().columns()
+
+
+def test_sweep_csv_keeps_failed_cells_and_fixed_vc(tmp_path):
+    records = [
+        CellRecord(va=0.0, vb=1.0, vc=0.5, status="error:ConvergenceError"),
+        CellRecord(va=1.0, vb=1.0, vc=0.5, iters=3, residual=1e-12, ex=2.0,
+                   region=2, fss=3.5, theta0=None, stark=-1.0),
+    ]
+    spec = SweepSpec(outputs=("stark", "fields", "regime", "theta0"))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(SweepResult(spec=spec, records=records), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        "va,vb,vc,status,iters,residual,ex,ey,ez,region,theta0,mean_energy,stark"
+    )
+    assert lines[1] == "0.0,1.0,0.5,error:ConvergenceError,0,nan,nan,nan,nan,,,nan,nan"
+    back = read_sweep_csv(str(path))
+    assert back[0].status == "error:ConvergenceError"
+    assert math.isnan(back[0].ex) and back[0].region is None
+    assert (back[1].iters, back[1].ex, back[1].region) == (3, 2.0, 2)
+    assert back[1].theta0 is None and back[1].stark == -1.0
+    assert math.isnan(back[1].fss)  # column not written: default kept
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read"),
+        ("va,vb,status\n0.0,0.0,ok\n", "missing sweep columns \\['vc'\\]"),
+        ("va,vb,vc,bogus\n0.0,0.0,floating,1\n", "unknown sweep columns"),
+        ("va,vb,vc\n0.0,zero,floating\n", "row 2"),
+    ],
+)
+def test_read_sweep_csv_rejects_bad_input(tmp_path, text, message):
+    path = tmp_path / "sweep.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(TunerError, match=message):
+        read_sweep_csv(str(path))
 
 
 def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
