@@ -77,7 +77,7 @@ def main() -> int:
     )
     scan = synth_polarization_scan(
         cfg.exciton,
-        (sol.e_inplane[0], sol.e_inplane[1], sol.e_z),
+        sol.field,
         linewidth=60.0,
         noise_sigma=0.3,
         n_angles=36,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -101,7 +100,7 @@ def cmd_solve(args) -> int:
         print(f"residual history (tail): {history}", file=sys.stderr)
         return EXIT_SOLVER
 
-    state = exciton_state(cfg.exciton, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z))
+    state = exciton_state(cfg.exciton, sol.field)
     region = classify_regime(sol, cfg.solver.regime_threshold)
     lines = [
         ("config_hash", cfg.config_hash),
@@ -192,13 +191,13 @@ def cmd_synth_scan(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     scan = synth_polarization_scan(
         cfg.exciton,
-        (sol.e_inplane[0], sol.e_inplane[1], sol.e_z),
+        sol.field,
         linewidth=args.linewidth,
         noise_sigma=args.noise,
         n_angles=args.n_angles,
         seed=seed,
     )
-    state = exciton_state(cfg.exciton, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z))
+    state = exciton_state(cfg.exciton, sol.field)
     out = args.out or f"scan_{cfg.config_hash}.csv"
     _atomic_write(out, lambda tmp: scan_to_csv(scan, tmp))
     theta = "undefined" if state.theta0 is None else f"{state.theta0:.6g}"
@@ -249,7 +248,13 @@ def cmd_iso_fss(args) -> int:
     cfg = _load(args)
     if args.sweep_csv:
         records = read_sweep_csv(args.sweep_csv)
-        sweep = SweepResult(spec=cfg.sweep, records=records, metadata={})
+        spec = cfg.sweep
+        grid = [(va, vb, spec.vc) for vb in spec.vb_values() for va in spec.va_values()]
+        if [(r.va, r.vb, r.vc) for r in records] != grid:
+            raise TunerError(
+                f"{args.sweep_csv}: cells are not the [sweep] grid of the loaded config"
+            )
+        sweep = SweepResult(spec=spec, records=records, metadata={})
     else:
         mesh = _mesh(cfg)
         sweep = run_bias_sweep(
@@ -311,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="search for a zero-splitting bias point")
     p.add_argument("--tol", type=float, default=1.5, help="target fss in ueV")
-    p.add_argument("--va", type=float, default=0.0, help="start V_A")
-    p.add_argument("--vb", type=float, default=0.0, help="start V_B")
+    p.add_argument("--va", type=float, default=0.0, help="V_A when A is not free")
+    p.add_argument("--vb", type=float, default=0.0, help="V_B when B is not free")
     p.add_argument("--vc", type=_parse_vc, default=None)
     p.add_argument("--free", default="A,B", help="free terminals, e.g. A,B")
     p.add_argument("--out", help="output JSON path")

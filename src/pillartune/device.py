@@ -20,7 +20,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp

@@ -32,6 +32,10 @@ _E_CLAMP = math.exp(EXP_CLAMP)
 # 1e-8 * max(|I|, current_floor) satisfiable with margin.
 _KIRCHHOFF_FRACTION = 1e-9
 
+# Newton calls one bias continuation may spend before it gives up; a cold
+# solve of the default calibration needs 4-5.
+_MAX_CONTINUATION_STEPS = 64
+
 TERMINALS = ("A", "B", "C")
 
 FLOATING = None
@@ -122,6 +126,11 @@ class FieldSolution:
     @property
     def currents(self) -> tuple[float, float, float]:
         return (self.i_a, self.i_b, self.i_c)
+
+    @property
+    def field(self) -> tuple[float, float, float]:
+        """(E_x, E_y, E_z) in V/m at the QD node."""
+        return (self.e_inplane[0], self.e_inplane[1], self.e_z)
 
 
 def _exp_clamped(u: np.ndarray) -> np.ndarray:
@@ -359,7 +368,16 @@ class SheetSystem:
         phi = np.zeros(self.n)
         s_done = 0.0
         ds = 1.0 / cfg.continuation_steps
+        steps = 0
         while s_done < 1.0 - 1e-12:
+            if ds < 2.0**-16 or steps == _MAX_CONTINUATION_STEPS:
+                raise ConvergenceError(
+                    f"no convergence at bias {bias} "
+                    f"(continuation stalled at s={s_done:.4f} after {steps} steps, "
+                    f"last residual {history_all[-1]:.3e})",
+                    history_all,
+                )
+            steps += 1
             s_try = min(1.0, s_done + ds)
             phi_new, ok, iters, history = self._newton(bias.scaled(s_try), phi, cfg)
             history_all += history
@@ -370,13 +388,6 @@ class SheetSystem:
                 ds = min(2.0 * ds, 1.0)
             else:
                 ds *= 0.5
-                if ds < 2.0**-16:
-                    raise ConvergenceError(
-                        f"no convergence at bias {bias} "
-                        f"(continuation stalled at s={s_done:.4f}, "
-                        f"last residual {history_all[-1]:.3e})",
-                        history_all,
-                    )
         return self._finalize(bias, phi, total_iters, history_all)
 
     def _finalize(

@@ -3,27 +3,28 @@
 Sweeps walk the (V_A, V_B) grid row by row; inside a row each solve warm
 starts from its neighbour (serpentine direction alternates per row), and
 rows are independent of each other, so row-parallel execution produces
-byte-identical output to a serial run.  The zero-splitting search is a
-multi-start simplex minimisation of the splitting norm, which is non-smooth
-exactly at the sought point.
+byte-identical output to a serial run.  The zero-splitting search solves
+the smooth splitting vector delta(V) = 0 by bounded least squares
+(trust-region reflective), started from the best points of a coarse grid;
+its norm, the observable splitting, is not differentiable at the zero.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .device import MaterialParams, Mesh
-from .exciton import ExcitonParams, ExcitonState, exciton_state, stark_shift
+from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, stark_shift
 from .solver import (
     BiasPoint,
-    ConvergenceError,
     FieldSolution,
     SheetSystem,
     SolverConfig,
@@ -253,8 +254,7 @@ def _fill_record(
 ) -> None:
     rec.iters = sol.newton_iters
     rec.residual = sol.residual
-    rec.ex, rec.ey = sol.e_inplane
-    rec.ez = sol.e_z
+    rec.ex, rec.ey, rec.ez = sol.field
     rec.ia, rec.ib, rec.ic = sol.i_a, sol.i_b, sol.i_c
     rec.i_junction = sol.i_junction
     rec.region = classify_regime(sol, i_threshold)
@@ -276,9 +276,7 @@ def zero_bias_reference(
     """Eigenaxis at V_A = V_B = 0, used as the fixed algebraic basis."""
     bias = BiasPoint(0.0, 0.0, None if vc is None else 0.0)
     sol = system.solve(bias, cfg)
-    state = exciton_state(
-        exciton_params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z)
-    )
+    state = exciton_state(exciton_params, sol.field)
     theta_ref = state.theta0 if state.theta0 is not None else 0.0
     return theta_ref, state
 
@@ -308,9 +306,7 @@ def run_bias_sweep(
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
                 sol = system.solve(bias, cfg, phi0=phi_prev)
-                state = exciton_state(
-                    exciton_params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z)
-                )
+                state = exciton_state(exciton_params, sol.field)
                 _fill_record(
                     rec, sol, state, exciton_params, theta_ref, cfg.regime_threshold
                 )
@@ -392,14 +388,24 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 
 # -- zero-splitting search ---------------------------------------------------
 
+_GRID_POINTS = 5     # seed grid points per free terminal, spanning the bounds
+_N_STARTS = 3        # best seeds refined by least squares
+_PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 
-def _fold_rotation(theta_a: float, theta_b: float) -> float:
+
+def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationCheck:
+    """Eigenaxis rotation folded to [0, pi/2]; a crossing reaches pi/2 - 0.1 rad."""
+    if theta_a is None or theta_b is None:
+        return RotationCheck(rotation=None, crossing=False, status="indeterminate")
     d = abs(theta_a - theta_b) % math.pi
-    return min(d, math.pi - d)
+    rotation = min(d, math.pi - d)
+    return RotationCheck(
+        rotation=rotation, crossing=rotation >= 0.5 * math.pi - 0.1, status="ok"
+    )
 
 
-class _Objective:
-    """Splitting norm versus free terminal voltages, with warm-started solves."""
+class _Splitting:
+    """Splitting vector versus free terminal voltages, with warm-started solves."""
 
     def __init__(
         self,
@@ -408,44 +414,34 @@ class _Objective:
         cfg: SolverConfig,
         start: BiasPoint,
         free: tuple[str, ...],
-        bounds: tuple[float, float],
     ):
         self.system = system
         self.params = exciton_params
         self.cfg = cfg
         self.start = start
         self.free = free
-        self.bounds = bounds
         self.phi_prev: np.ndarray | None = None
         self.evals = 0
 
     def bias_at(self, x) -> BiasPoint:
-        values = {
-            "A": self.start.v_a,
-            "B": self.start.v_b,
-            "C": self.start.v_c,
-        }
-        for name, v in zip(self.free, x):
-            values[name] = float(v)
-        return BiasPoint(values["A"], values["B"], values["C"])
+        values = dict(zip(self.free, map(float, x)))
+        return BiasPoint(*(values.get(t, self.start.terminal(t)) for t in "ABC"))
 
-    def state_at(self, x) -> ExcitonState:
-        sol = self.system.solve(self.bias_at(x), self.cfg, phi0=self.phi_prev)
-        self.phi_prev = sol.phi
-        return exciton_state(
-            self.params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z)
-        )
-
-    def __call__(self, x) -> float:
-        self.evals += 1
-        lo, hi = self.bounds
-        clipped = np.clip(x, lo, hi)
-        penalty = 1e3 * float(np.sum(np.abs(np.asarray(x) - clipped)))
+    def solve_at(self, x) -> FieldSolution:
         try:
-            return self.state_at(clipped).fss + penalty
+            sol = self.system.solve(self.bias_at(x), self.cfg, phi0=self.phi_prev)
         except SolverError:
             self.phi_prev = None
-            return 1e9 + penalty
+            raise
+        self.phi_prev = sol.phi
+        return sol
+
+    def state_at(self, x) -> ExcitonState:
+        return exciton_state(self.params, self.solve_at(x).field)
+
+    def __call__(self, x) -> np.ndarray:
+        self.evals += 1
+        return np.array(fss_vector(self.params, self.solve_at(x).field))
 
 
 def find_zero_fss(
@@ -457,17 +453,18 @@ def find_zero_fss(
     exciton_params: ExcitonParams,
     cfg: SolverConfig | None = None,
     bounds: tuple[float, float] = (-1.0, 6.0),
-    grid_points: int = 5,
-    n_starts: int = 3,
-    probe_step: float = 0.05,
 ) -> TuneResult:
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
-    Derivative-free simplex minimisation restarted from the best points of a
-    coarse grid over ``bounds``.  The eigenaxis swap is verified by probing
-    one ``probe_step`` either side of the optimum along the approach
-    direction.  A failed search returns the best candidate with
-    ``converged=False``.
+    Bounded least squares (trust-region reflective, finite-difference
+    Jacobian) on the smooth splitting vector delta(V), started in turn from
+    the best points of a 5-per-axis grid over ``bounds`` until one lands
+    below ``tol / 4``; seeds and starts whose solve fails are skipped.
+    ``start`` gives the voltages of the terminals that are not free.  The
+    eigenaxis swap is verified by probing 0.05 V either side of the optimum
+    along the approach direction.  A failed search returns the best
+    candidate with ``converged=False``; ``iterations`` counts the splitting
+    evaluations of the search.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -479,81 +476,61 @@ def find_zero_fss(
             raise ValueError(f"free terminal {t} is floating in the start bias")
     cfg = cfg or SolverConfig()
 
-    system = SheetSystem(mesh, materials)
-    objective = _Objective(system, exciton_params, cfg, start, free, bounds)
+    splitting = _Splitting(
+        SheetSystem(mesh, materials), exciton_params, cfg, start, free
+    )
 
-    grid_axis = np.linspace(bounds[0], bounds[1], grid_points)
-    if len(free) == 1:
-        seeds = [(v,) for v in grid_axis]
-    else:
-        mesh_axes = np.meshgrid(*[grid_axis] * len(free), indexing="ij")
-        seeds = list(zip(*(ax.ravel() for ax in mesh_axes)))
-    seed_scores = [(objective(np.array(s)), s) for s in seeds]
-    seed_scores.sort(key=lambda t: t[0])
-
-    best_x = np.array(seed_scores[0][1], dtype=float)
-    best_f = seed_scores[0][0]
-    spacing = (bounds[1] - bounds[0]) / (grid_points - 1)
-
-    approach = None
-    for score, seed in seed_scores[:n_starts]:
-        if score >= 1e9:
+    grid_axis = np.linspace(bounds[0], bounds[1], _GRID_POINTS)
+    scored = []
+    for seed in itertools.product(grid_axis, repeat=len(free)):
+        x = np.array(seed)
+        try:
+            scored.append((math.hypot(*splitting(x)), x))
+        except SolverError:
             continue
-        x0 = np.array(seed, dtype=float)
-        simplex = [x0]
-        for k in range(len(free)):
-            vertex = x0.copy()
-            vertex[k] += 0.5 * spacing
-            simplex.append(vertex)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": np.array(simplex),
-                "xatol": 1e-4,
-                "fatol": min(1e-3, 0.01 * tol),
-                "maxfev": 600,
-            },
-        )
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            best_x = np.array(res.x, dtype=float)
-            approach = best_x - x0
+    scored.sort(key=lambda t: t[0])
+
+    # With every seed failed, the final solve at the first seed raises.
+    best_f, best_x = (
+        scored[0] if scored else (math.inf, np.full(len(free), bounds[0]))
+    )
+    approach = None
+    for _, x0 in scored[:_N_STARTS]:
+        try:
+            res = least_squares(splitting, x0, bounds=bounds)
+        except SolverError:
+            continue
+        f = math.hypot(*res.fun)
+        if f < best_f:
+            best_f, best_x, approach = f, res.x, res.x - x0
         if best_f < 0.25 * tol:
             break
 
-    best_x = np.clip(best_x, bounds[0], bounds[1])
-    best_state = objective.state_at(best_x)
+    best_state = splitting.state_at(best_x)
     achieved = best_state.fss
 
     if approach is None or not np.any(np.abs(approach) > 1e-12):
         approach = np.ones(len(free))
     direction = approach / np.linalg.norm(approach)
 
-    theta_before = theta_after = None
-    rotation = None
-    crossing = False
     try:
-        state_lo = objective.state_at(best_x - probe_step * direction)
-        state_hi = objective.state_at(best_x + probe_step * direction)
+        state_lo = splitting.state_at(best_x - _PROBE_STEP * direction)
+        state_hi = splitting.state_at(best_x + _PROBE_STEP * direction)
         theta_before, theta_after = state_lo.theta0, state_hi.theta0
-        if theta_before is not None and theta_after is not None:
-            rotation = _fold_rotation(theta_before, theta_after)
-            crossing = rotation >= 0.5 * math.pi - 0.1
     except SolverError:
-        pass
+        theta_before = theta_after = None
+    check = _rotation_check(theta_before, theta_after)
 
-    bias = objective.bias_at(best_x)
+    bias = splitting.bias_at(best_x)
     return TuneResult(
         bias=(bias.v_a, bias.v_b, bias.v_c),
         achieved_fss=achieved,
         theta_before=theta_before,
         theta_after=theta_after,
-        rotation=rotation,
-        crossing_verified=crossing,
+        rotation=check.rotation,
+        crossing_verified=check.crossing,
         mean_energy=best_state.mean_energy,
-        iterations=objective.evals,
+        iterations=splitting.evals,
         converged=achieved <= tol,
     )
 
@@ -573,22 +550,11 @@ def eigenaxis_rotation_check(
     """
     cfg = cfg or SolverConfig()
     system = SheetSystem(mesh, materials)
-    states = []
-    for bias in path:
-        sol = system.solve(bias, cfg)
-        states.append(
-            exciton_state(
-                exciton_params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z)
-            )
-        )
-    if any(s.theta0 is None for s in states):
-        return RotationCheck(rotation=None, crossing=False, status="indeterminate")
-    rotation = _fold_rotation(states[0].theta0, states[1].theta0)
-    return RotationCheck(
-        rotation=rotation,
-        crossing=rotation >= 0.5 * math.pi - 0.1,
-        status="ok",
+    theta_a, theta_b = (
+        exciton_state(exciton_params, system.solve(bias, cfg).field).theta0
+        for bias in path
     )
+    return _rotation_check(theta_a, theta_b)
 
 
 def iso_fss_points(

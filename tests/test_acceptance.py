@@ -277,9 +277,7 @@ def test_criterion_08_cancellation(cfg, mesh, tuned):
 
     def delta(va, vb, params):
         sol = system.solve(BiasPoint(va, vb, None), cfg.solver)
-        return np.array(
-            fss_vector(params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z))
-        )
+        return np.array(fss_vector(params, sol.field))
 
     d00 = delta(0.0, 0.0, probe)
     jac = np.column_stack(

@@ -258,6 +258,22 @@ def test_iso_fss_from_sweep_csv(fast_config, tmp_path, capsys):
     assert payload["n_pairs"] == len(payload["pairs"])
 
 
+def test_iso_fss_rejects_sweep_csv_from_another_grid(fast_config, tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text(FAST_DEVICE.replace("vb_stop_v = 3.0", "vb_stop_v = 2.0"))
+    assert main(["--config", str(other), "sweep", "--out", "other"]) == 0
+    sweep_csv = tmp_path / f"other_{load_run_config(str(other)).config_hash}.csv"
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "[sweep] grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     scan_path = tmp_path / "s.csv"
     assert main([

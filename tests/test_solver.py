@@ -14,8 +14,10 @@ from pillartune.device import (
     make_strip_mesh,
 )
 from pillartune.solver import (
+    _MAX_CONTINUATION_STEPS,
     EXP_CLAMP,
     BiasPoint,
+    ConvergenceError,
     SheetSystem,
     SolverConfig,
     classify_regime,
@@ -315,6 +317,24 @@ def test_warm_start_agrees_with_cold_start(coarse_system):
     warm = coarse_system.solve(bias, CFG, phi0=neighbour.phi)
     v_scale = max(1.0, bias.max_drive())
     assert np.max(np.abs(warm.phi - cold.phi)) <= 10.0 * CFG.newton_tol * v_scale
+
+
+def test_starved_continuation_gives_up_after_step_cap(coarse_system, monkeypatch):
+    calls = []
+    newton = coarse_system._newton
+
+    def counted(*args):
+        calls.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(coarse_system, "_newton", counted)
+    starved = SolverConfig(max_iters=1, continuation_steps=1)
+    match = f"after {_MAX_CONTINUATION_STEPS} steps"
+    with pytest.raises(ConvergenceError, match=match):
+        coarse_system.solve(
+            BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(coarse_system.n)
+        )
+    assert len(calls) <= _MAX_CONTINUATION_STEPS + 1
 
 
 def test_driven_terminal_without_contact_nodes_fails():

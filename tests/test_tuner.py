@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pillartune.device import MaterialParams
-from pillartune.exciton import ExcitonParams, exciton_state
+from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import BiasPoint, SheetSystem, SolverConfig
 from pillartune.tuner import (
     COLUMNS,
@@ -213,49 +213,46 @@ def test_constructed_zero_found(coarse_mesh):
     assert result.achieved_fss < 0.05
 
 
+AFFINE_COUPLING = ExcitonParams(
+    zero_field_energy=1.34,
+    zero_field_splitting=(0.0, 0.0),
+    inplane_coupling=((4e-2, 1e-2), (-5e-3, 3e-2)),
+    vertical_coupling=(-1.2e-6, 5e-7),
+    dipole=0.0,
+    polarizability=0.0,
+)
+
+
+def _delta_at(system, params, va, vb):
+    sol = system.solve(BiasPoint(va, vb, None), CFG)
+    return np.array(fss_vector(params, sol.field))
+
+
+def _affine_chain(system):
+    """(c, J) of the splitting map delta(V) = c + J (V_A, V_B) under
+    ``AFFINE_COUPLING``, sampled at three biases (junction off)."""
+    d00 = _delta_at(system, AFFINE_COUPLING, 0.0, 0.0)
+    d10 = _delta_at(system, AFFINE_COUPLING, 1.0, 0.0)
+    d01 = _delta_at(system, AFFINE_COUPLING, 0.0, 1.0)
+    return d00, np.column_stack([d10 - d00, d01 - d00])
+
+
 def test_affine_chain_matches_inversion_oracle(coarse_mesh):
     """With the junction off the field is affine in (V_A, V_B); the zero of
     the composed affine map is computed by direct inversion and the tuner
     must find it."""
     materials = laplace_materials()
     system = SheetSystem(coarse_mesh, materials)
-    params0 = ExcitonParams(
-        zero_field_energy=1.34,
-        zero_field_splitting=(0.0, 0.0),
-        inplane_coupling=((4e-2, 1e-2), (-5e-3, 3e-2)),
-        vertical_coupling=(-1.2e-6, 5e-7),
-        dipole=0.0,
-        polarizability=0.0,
-    )
-
-    def delta_at(va, vb, params):
-        sol = system.solve(BiasPoint(va, vb, None), CFG)
-        state = exciton_state(params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z))
-        from pillartune.exciton import fss_vector
-
-        return np.array(
-            fss_vector(params, (sol.e_inplane[0], sol.e_inplane[1], sol.e_z))
-        )
-
-    # sample the affine map delta(V) = c + J V
-    d00 = delta_at(0.0, 0.0, params0)
-    d10 = delta_at(1.0, 0.0, params0)
-    d01 = delta_at(0.0, 1.0, params0)
-    jac = np.column_stack([d10 - d00, d01 - d00])
+    d00, jac = _affine_chain(system)
     target = np.array([1.8, 2.6])
     offset = -(d00 + jac @ target)  # choose delta0 so the zero sits at target
-    params = ExcitonParams(
-        zero_field_energy=1.34,
-        zero_field_splitting=(offset[0], offset[1]),
-        inplane_coupling=params0.inplane_coupling,
-        vertical_coupling=params0.vertical_coupling,
-        dipole=0.0,
-        polarizability=0.0,
+    params = dataclasses.replace(
+        AFFINE_COUPLING, zero_field_splitting=(offset[0], offset[1])
     )
     # oracle: invert the sampled affine map for the new zero-field splitting
     v_star = np.linalg.solve(jac, -(d00 + offset))
     assert np.allclose(v_star, target, atol=1e-8)
-    assert np.linalg.norm(delta_at(*v_star, params)) < 1e-9
+    assert np.linalg.norm(_delta_at(system, params, *v_star)) < 1e-9
 
     result = find_zero_fss(
         BiasPoint(0.0, 0.0, None),
@@ -271,6 +268,31 @@ def test_affine_chain_matches_inversion_oracle(coarse_mesh):
     assert result.achieved_fss < 0.1
     assert abs(result.bias[0] - v_star[0]) < 0.1
     assert abs(result.bias[1] - v_star[1]) < 0.1
+
+
+def test_single_free_terminal_reaches_least_squares_minimum(coarse_mesh):
+    """One free terminal cannot cancel both splitting components: the search
+    must stop at the closed-form minimiser of |c + J0 V_A + J1 V_B|."""
+    materials = laplace_materials()
+    c, jac = _affine_chain(SheetSystem(coarse_mesh, materials))
+    j0, j1 = jac[:, 0], jac[:, 1]
+    vb = 2.0
+    va_star = -j0 @ (c + j1 * vb) / (j0 @ j0)
+    result = find_zero_fss(
+        BiasPoint(0.0, vb, None),
+        ("A",),
+        tol=0.05,
+        mesh=coarse_mesh,
+        materials=materials,
+        exciton_params=AFFINE_COUPLING,
+        cfg=CFG,
+        bounds=(-1.0, 4.0),
+    )
+    assert result.bias[1] == vb
+    assert abs(result.bias[0] - va_star) < 0.05
+    residual = np.linalg.norm(c + j0 * va_star + j1 * vb)
+    assert result.achieved_fss == pytest.approx(residual, abs=1e-3)
+    assert not result.converged
 
 
 def test_tuner_never_claims_convergence_above_tol(coarse_mesh):
@@ -292,8 +314,6 @@ def test_tuner_never_claims_convergence_above_tol(coarse_mesh):
         exciton_params=params,
         cfg=CFG,
         bounds=(-1.0, 3.0),
-        grid_points=3,
-        n_starts=1,
     )
     assert not result.converged
     assert result.achieved_fss == pytest.approx(40.0, rel=1e-6)
