@@ -44,7 +44,7 @@ def main() -> int:
         materials=cfg.materials,
         exciton_params=cfg.exciton,
         cfg=cfg.solver,
-        bounds=(cfg.sweep.va_start, cfg.sweep.va_stop),
+        bounds=cfg.sweep.tune_bounds(),
     )
     print(
         f"zero search: fss = {result.achieved_fss:.4f} ueV at "

@@ -211,10 +211,6 @@ def cmd_tune(args) -> int:
     mesh = _mesh(cfg)
     start = BiasPoint(args.va, args.vb, args.vc if args.vc is not None else cfg.sweep.vc)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
-    bounds = (
-        min(cfg.sweep.va_start, cfg.sweep.vb_start),
-        max(cfg.sweep.va_stop, cfg.sweep.vb_stop),
-    )
     result = find_zero_fss(
         start,
         free,
@@ -223,7 +219,7 @@ def cmd_tune(args) -> int:
         cfg.materials,
         cfg.exciton,
         cfg.solver,
-        bounds=bounds,
+        bounds=cfg.sweep.tune_bounds(),
     )
     payload = result.to_dict()
     payload["config_hash"] = cfg.config_hash

@@ -4,17 +4,18 @@ A doublet narrower than the spectrometer resolution shows up as a single
 line whose apparent peak slides sinusoidally with the detection angle: the
 two lines are equal-width Lorentzians weighted by Malus's law, and the peak
 of their sum moves between the low and high line.  The fit recovers the
-shift law  offset + delta * (cos(2*(theta - theta0)) + 1) / 2  with
-Jacobian-based uncertainties.
+shift law  offset + delta * (cos(2*(theta - theta0)) + 1) / 2  in closed
+form, as a weighted linear fit of its 2-theta harmonic, with Jacobian-based
+uncertainties.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .exciton import ExcitonParams, ExcitonState, exciton_state
 
@@ -24,7 +25,7 @@ class ScanInputError(ValueError):
 
 
 class FitError(RuntimeError):
-    """The sinusoid fit failed to converge."""
+    """The scan does not determine the peak-shift law."""
 
 
 @dataclass
@@ -207,11 +208,13 @@ def synth_polarization_scan(
 def fit_fss_sine(scan: PolarizationScan) -> FitResult:
     """Fit the peak-shift law; returns amplitude, axis angle and offset.
 
-    Initialisation comes from the discrete second harmonic of the angle
-    series; the refined fit is nonlinear least squares with an analytic
-    Jacobian.  The covariance is the Jacobian-based estimate scaled by the
-    residual RMS; the amplitude is reported non-negative with the axis
-    folded accordingly.
+    The law is linear in (offset + delta/2, (delta/2) cos 2 theta0,
+    (delta/2) sin 2 theta0), so one weighted linear least-squares solve over
+    the columns [1, cos 2 theta, sin 2 theta] gives the fit, with delta >= 0
+    by construction.  The covariance is the Jacobian-based estimate in
+    (delta, theta0, offset) scaled by the residual variance.  Raises
+    ``FitError`` when the angles do not determine the 2-theta harmonic or
+    the covariance is singular.
     """
     th = scan.angles
     y = scan.peak_energies
@@ -219,58 +222,27 @@ def fit_fss_sine(scan: PolarizationScan) -> FitResult:
     use_weights = bool(np.all(scan.sigma > 0.0))
     w = 1.0 / scan.sigma if use_weights else np.ones(n)
 
-    # Discrete harmonic at frequency 2 for the starting point.
-    a2 = 2.0 / n * float(np.sum(y * np.cos(2.0 * th)))
-    b2 = 2.0 / n * float(np.sum(y * np.sin(2.0 * th)))
-    delta0 = 2.0 * math.hypot(a2, b2)
-    theta0_init = 0.5 * math.atan2(b2, a2)
-    offset0 = float(np.mean(y)) - 0.5 * delta0
+    design = np.column_stack([np.ones(n), np.cos(2.0 * th), np.sin(2.0 * th)])
+    coef, _, rank, _ = np.linalg.lstsq(w[:, None] * design, w * y, rcond=None)
+    if rank < 3:
+        raise FitError("scan angles do not determine the 2-theta harmonic")
+    c, a, b = (float(v) for v in coef)
+    delta = 2.0 * math.hypot(a, b)
+    theta0 = (0.5 * math.atan2(b, a)) % math.pi
+    offset = c - 0.5 * delta
 
-    def resid(p):
-        return w * (shift_law(th, *p) - y)
-
-    def jac(p):
-        delta, theta0, _ = p
-        arg = 2.0 * (th - theta0)
-        return np.column_stack(
-            [
-                w * 0.5 * (np.cos(arg) + 1.0),
-                w * delta * np.sin(arg),
-                w * np.ones(n),
-            ]
-        )
-
-    result = least_squares(
-        resid,
-        x0=[delta0, theta0_init, offset0],
-        jac=jac,
-        method="lm",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        max_nfev=2000,
+    model = shift_law(th, delta, theta0, offset)
+    r = w * (model - y)
+    arg = 2.0 * (th - theta0)
+    j = w[:, None] * np.column_stack(
+        [0.5 * (np.cos(arg) + 1.0), delta * np.sin(arg), np.ones(n)]
     )
-    if not result.success:
-        raise FitError(f"sinusoid fit did not converge: {result.message}")
-
-    delta, theta0, offset = (float(v) for v in result.x)
-    if delta < 0.0:
-        delta = -delta
-        theta0 += 0.5 * math.pi
-        offset -= delta  # offset tracks the low line: flipping swaps the lines
-    theta0 %= math.pi
-
-    params = (delta, theta0, offset)
-    j = jac(params)
-    r = resid(params)
     dof = max(n - 3, 1)
-    jtj = j.T @ j
     try:
-        cov = np.linalg.inv(jtj) * (float(r @ r) / dof)
+        cov = np.linalg.inv(j.T @ j) * (float(r @ r) / dof)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular Jacobian in covariance estimate: {exc}") from exc
     cov = 0.5 * (cov + cov.T)
-    model = shift_law(th, *params)
     rms = float(np.sqrt(np.mean((model - y) ** 2)))
     sig = tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(cov))
     return FitResult(
@@ -324,8 +296,6 @@ def _scan_value_at(scan: PolarizationScan, theta: float) -> float:
 
 
 def scan_to_csv(scan: PolarizationScan, path: str) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["angle_rad", "energy_ueV", "sigma_ueV"])
@@ -334,8 +304,6 @@ def scan_to_csv(scan: PolarizationScan, path: str) -> None:
 
 
 def scan_from_csv(path: str) -> PolarizationScan:
-    import csv
-
     angles, energies, sigmas = [], [], []
     try:
         fh = open(path, newline="")

@@ -132,6 +132,10 @@ class SweepSpec:
     def vb_values(self) -> np.ndarray:
         return self._axis(self.vb_start, self.vb_stop, self.vb_step)
 
+    def tune_bounds(self) -> tuple[float, float]:
+        """Voltage window of the zero search: the span of both sweep axes."""
+        return (min(self.va_start, self.vb_start), max(self.va_stop, self.vb_stop))
+
     def columns(self) -> tuple[str, ...]:
         return tuple(
             name for name, group, _ in COLUMNS if group is None or group in self.outputs
@@ -567,36 +571,40 @@ def iso_fss_points(
 
     Both members must lie within 10 % of ``target_fss``; the pair qualifies
     when the mean transition energies differ by at least
-    ``min_energy_separation`` (ueV).  An empty list is a valid outcome.
+    ``min_energy_separation`` (ueV).  Pairs come widest separation first,
+    ties by index; at most ``max_pairs`` are kept.  An empty list is a valid
+    outcome.
     """
     if not (target_fss > 0.0):
         raise ValueError("target_fss must be positive")
-    candidates = [
-        (i, rec)
-        for i, rec in enumerate(sweep.records)
-        if rec.ok
-        and math.isfinite(rec.fss)
-        and abs(rec.fss - target_fss) <= 0.1 * target_fss
-    ]
+    cand = np.array(
+        [
+            i
+            for i, rec in enumerate(sweep.records)
+            if rec.ok
+            and math.isfinite(rec.fss)
+            and abs(rec.fss - target_fss) <= 0.1 * target_fss
+        ],
+        dtype=int,
+    )
+    energy = np.array([sweep.records[i].mean_energy for i in cand], dtype=float)
+    a, b = np.triu_indices(len(cand), k=1)
+    sep = np.abs(energy[a] - energy[b]) * 1e6
+    keep = sep >= min_energy_separation
+    ia, ib, sep = cand[a[keep]], cand[b[keep]], sep[keep]
+    order = np.lexsort((ib, ia, -sep))[:max_pairs]
     pairs = []
-    for a in range(len(candidates)):
-        ia, ra = candidates[a]
-        for b in range(a + 1, len(candidates)):
-            ib, rb = candidates[b]
-            sep = abs(ra.mean_energy - rb.mean_energy) * 1e6
-            if sep >= min_energy_separation:
-                pairs.append(
-                    IsoFssPair(
-                        index_a=ia,
-                        index_b=ib,
-                        bias_a=(ra.va, ra.vb, ra.vc),
-                        bias_b=(rb.va, rb.vb, rb.vc),
-                        fss_a=ra.fss,
-                        fss_b=rb.fss,
-                        energy_separation_uev=sep,
-                    )
-                )
-    pairs.sort(key=lambda p: (-p.energy_separation_uev, p.index_a, p.index_b))
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
+    for i, j, s in zip(ia[order].tolist(), ib[order].tolist(), sep[order].tolist()):
+        ra, rb = sweep.records[i], sweep.records[j]
+        pairs.append(
+            IsoFssPair(
+                index_a=i,
+                index_b=j,
+                bias_a=(ra.va, ra.vb, ra.vc),
+                bias_b=(rb.va, rb.vb, rb.vc),
+                fss_a=ra.fss,
+                fss_b=rb.fss,
+                energy_separation_uev=s,
+            )
+        )
     return pairs

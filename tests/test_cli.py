@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from pillartune import cli
 from pillartune.cli import main
 from pillartune.config import load_run_config
 from pillartune.spectro import scan_from_csv, shift_law
+from pillartune.tuner import TunerError
 
 FAST_DEVICE = """
 [device]
@@ -189,6 +191,19 @@ def test_fit_rejects_short_scan(fast_config, tmp_path, capsys):
     assert "6" in capsys.readouterr().err
 
 
+def test_fit_two_angle_scan_exits_4(fast_config, tmp_path, capsys):
+    path = tmp_path / "two_angles.csv"
+    with open(path, "w") as fh:
+        fh.write("angle_rad,energy_ueV,sigma_ueV\n")
+        for a, e in zip([0.0] * 5 + [5.0 * math.pi / 6.0], [1, 1.1, 0.9, 1, 1, 3]):
+            fh.write(f"{a!r},{e!r},0.0\n")
+    code = main(["--config", fast_config, "fit", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "fit error" in err
+    assert "Traceback" not in err
+
+
 def test_fit_missing_scan_exits_2(fast_config, capsys):
     assert main(["--config", fast_config, "fit", "nope.csv"]) == 2
     assert "nope.csv" in capsys.readouterr().err
@@ -241,6 +256,25 @@ def test_tune_nonconvergence_exits_5_with_report(tmp_path, monkeypatch, capsys):
     payload = json.loads(out.read_text())
     assert payload["converged"] is False
     assert payload["achieved_fss_uev"] == pytest.approx(40.0, rel=1e-6)
+
+
+def test_tune_searches_the_span_of_both_sweep_axes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "window.cfg"
+    cfg_path.write_text(
+        FAST_DEVICE.replace("va_start_v = 0.0", "va_start_v = -0.5").replace(
+            "vb_stop_v = 3.0", "vb_stop_v = 4.0"
+        )
+    )
+    seen = {}
+
+    def spy(*args, bounds, **kwargs):
+        seen["bounds"] = bounds
+        raise TunerError("stop after the bounds are seen")
+
+    monkeypatch.setattr(cli, "find_zero_fss", spy)
+    assert main(["--config", str(cfg_path), "tune"]) == 2
+    assert seen["bounds"] == (-0.5, 4.0)
 
 
 def test_iso_fss_from_sweep_csv(fast_config, tmp_path, capsys):

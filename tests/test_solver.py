@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -185,6 +186,31 @@ def test_bias_permutation_rotates_field(default_config):
     e2 = np.array(sol2.e_inplane)
     assert np.linalg.norm(e2) == pytest.approx(np.linalg.norm(e1), rel=1e-6)
     assert np.linalg.norm(e2 - expected) <= 1e-6 * np.linalg.norm(e1)
+
+
+@pytest.mark.parametrize("va, vb", [(1.0, 0.3), (-0.5, 2.0), (3.0, 4.5)])
+def test_swapping_a_and_b_mirrors_about_the_c_arm(
+    coarse_mesh, default_config, va, vb
+):
+    # the default layout is mirror-symmetric about arm C; with equal contact
+    # resistances, swapping V_A and V_B mirrors the solution
+    materials = dataclasses.replace(
+        default_config.materials, contact_resistance=(9e5,) * 3
+    )
+    system = SheetSystem(coarse_mesh, materials)
+    sol = system.solve(BiasPoint(va, vb, None), CFG)
+    swapped = system.solve(BiasPoint(vb, va, None), CFG)
+    assert swapped.i_a == pytest.approx(sol.i_b, rel=1e-6)
+    assert swapped.i_b == pytest.approx(sol.i_a, rel=1e-6)
+    assert swapped.e_z == pytest.approx(sol.e_z, rel=1e-5)
+    assert swapped.i_junction == pytest.approx(sol.i_junction, rel=1e-5)
+    alpha = default_config.geometry.ridge_angles[2]
+    uc = np.array([math.cos(alpha), math.sin(alpha)])
+    e = np.array(sol.e_inplane)
+    mirrored = 2.0 * float(e @ uc) * uc - e
+    # quad diagonals of the mesh are not mirror images: about 5e-3 at 2 um
+    gap = np.linalg.norm(np.array(swapped.e_inplane) - mirrored)
+    assert gap <= 1e-2 * np.linalg.norm(e)
 
 
 def test_reverse_bias_raises_vertical_field(coarse_system, default_config):

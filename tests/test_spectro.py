@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from pillartune.exciton import ExcitonParams, exciton_state
 from pillartune.spectro import (
@@ -182,6 +183,62 @@ def test_fit_consistency_over_parameter_grid(delta, theta0):
     assert fit.delta_fss == pytest.approx(delta, rel=1e-6)
     diff = abs(fit.theta0 - theta0) % math.pi
     assert min(diff, math.pi - diff) <= 1e-6
+
+
+def _iterative_fit(scan):
+    """Levenberg-Marquardt fit of the shift law, started from the discrete
+    second harmonic, with the amplitude folded non-negative."""
+    th, y, w = scan.angles, scan.peak_energies, 1.0 / scan.sigma
+    a2 = 2.0 / len(th) * float(np.sum(y * np.cos(2.0 * th)))
+    b2 = 2.0 / len(th) * float(np.sum(y * np.sin(2.0 * th)))
+    delta0 = 2.0 * math.hypot(a2, b2)
+    x0 = [delta0, 0.5 * math.atan2(b2, a2), float(np.mean(y)) - 0.5 * delta0]
+    res = least_squares(
+        lambda p: w * (shift_law(th, *p) - y),
+        x0,
+        method="lm",
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+        max_nfev=2000,
+    )
+    assert res.success
+    delta, theta0, offset = res.x
+    if delta < 0.0:
+        delta, theta0, offset = -delta, theta0 + 0.5 * math.pi, offset + delta
+    return delta, theta0 % math.pi, offset
+
+
+def test_fit_matches_iterative_fit_on_irregular_weighted_scans():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n = int(rng.integers(6, 40))
+        angles = np.sort(rng.uniform(0.0, math.pi, n))
+        angles[0], angles[-1] = 0.0, rng.uniform(math.pi * (1 - 1 / n), math.pi)
+        sigma = rng.uniform(0.05, 1.0, n)
+        # splittings of at least 1 ueV: near zero the iterative fit leaves
+        # theta0 loosely converged
+        energies = shift_law(
+            angles, rng.uniform(1.0, 20.0), rng.uniform(0.0, math.pi),
+            rng.uniform(-5.0, 5.0),
+        ) + sigma * rng.normal(size=n)
+        scan = PolarizationScan(angles=angles, peak_energies=energies, sigma=sigma)
+        delta, theta0, offset = _iterative_fit(scan)
+        fit = fit_fss_sine(scan)
+        assert fit.delta_fss == pytest.approx(delta, abs=1e-6)
+        diff = abs(fit.theta0 - theta0) % math.pi
+        assert min(diff, math.pi - diff) <= 1e-6
+        assert fit.offset == pytest.approx(offset, abs=1e-6)
+
+
+def test_fit_rejects_angles_that_miss_the_second_harmonic():
+    # valid span, but only two distinct angles: three unknowns, rank 2
+    angles = np.array([0.0] * 5 + [5.0 * math.pi / 6.0])
+    scan = PolarizationScan(
+        angles=angles, peak_energies=np.array([1.0, 1.1, 0.9, 1.0, 1.0, 3.0])
+    )
+    with pytest.raises(FitError, match="2-theta harmonic"):
+        fit_fss_sine(scan)
 
 
 def test_fit_rejects_short_scans():

@@ -12,6 +12,7 @@ from pillartune.solver import BiasPoint, SheetSystem, SolverConfig
 from pillartune.tuner import (
     COLUMNS,
     CellRecord,
+    IsoFssPair,
     SweepResult,
     SweepSpec,
     TunerError,
@@ -44,6 +45,11 @@ def test_sweep_spec_validation():
         SweepSpec(outputs=("fields", "bogus"))
     spec = SweepSpec(va_start=0.0, va_stop=1.0, va_step=0.5)
     assert list(spec.va_values()) == [0.0, 0.5, 1.0]
+
+
+def test_tune_bounds_span_both_sweep_axes():
+    spec = SweepSpec(va_start=-1.0, va_stop=2.0, vb_start=0.5, vb_stop=4.0)
+    assert spec.tune_bounds() == (-1.0, 4.0)
 
 
 def test_single_cell_sweep_is_equilibrium(coarse_mesh, default_config):
@@ -408,3 +414,55 @@ def test_iso_fss_pairs_on_synthetic_sweep():
     )
     assert len(iso_fss_points(flat, 5.0, 50.0)) == 10
     assert iso_fss_points(flat, 5.0, 1e6) == []
+
+
+def _iso_pairs_reference(sweep, target_fss, min_energy_separation, max_pairs):
+    """Every qualifying pair by a double loop, sorted, then truncated."""
+    candidates = [
+        (i, rec)
+        for i, rec in enumerate(sweep.records)
+        if rec.ok
+        and math.isfinite(rec.fss)
+        and abs(rec.fss - target_fss) <= 0.1 * target_fss
+    ]
+    pairs = []
+    for a in range(len(candidates)):
+        ia, ra = candidates[a]
+        for b in range(a + 1, len(candidates)):
+            ib, rb = candidates[b]
+            sep = abs(ra.mean_energy - rb.mean_energy) * 1e6
+            if sep >= min_energy_separation:
+                pairs.append(
+                    IsoFssPair(
+                        index_a=ia,
+                        index_b=ib,
+                        bias_a=(ra.va, ra.vb, ra.vc),
+                        bias_b=(rb.va, rb.vb, rb.vc),
+                        fss_a=ra.fss,
+                        fss_b=rb.fss,
+                        energy_separation_uev=sep,
+                    )
+                )
+    pairs.sort(key=lambda p: (-p.energy_separation_uev, p.index_a, p.index_b))
+    return pairs if max_pairs is None else pairs[:max_pairs]
+
+
+@pytest.mark.parametrize("max_pairs", [None, 0, 3])
+def test_iso_fss_pairs_match_double_loop_reference(max_pairs):
+    spec = SweepSpec(
+        va_start=0.0, va_stop=11.0, va_step=1.0,
+        vb_start=0.0, vb_stop=0.0, vb_step=1.0,
+    )
+    # energies on a 40 ueV ladder with repeats give tied separations;
+    # off-target, non-finite and failed cells are skipped
+    fss = [5.0, 5.2, 4.9, 9.0, 5.1, 5.0, float("nan"), 4.6, 5.0, 5.3, 5.0, 4.8]
+    energy = [1.34, 1.34004, 1.34008, 1.34, 1.34004, 1.34, 1.34,
+              1.34012, 1.34008, 1.34004, 1.34012, 1.34]
+    records = [_record(i, f, e) for i, (f, e) in enumerate(zip(fss, energy))]
+    records[10].status = "error:ConvergenceError"
+    sweep = SweepResult(spec=spec, records=records)
+    expected = _iso_pairs_reference(sweep, 5.0, 40.0, max_pairs)
+    assert iso_fss_points(sweep, 5.0, 40.0, max_pairs) == expected
+    if max_pairs is None:
+        seps = [p.energy_separation_uev for p in expected]
+        assert len(set(seps)) < len(seps)
