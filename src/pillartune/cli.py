@@ -19,13 +19,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_run_config
 from .device import GeometryError, MeshError, build_geometry, generate_mesh
 from .exciton import exciton_state
-from .solver import (
-    BiasPoint,
-    ConvergenceError,
-    SheetSystem,
-    SolverError,
-    classify_regime,
-)
+from .solver import BiasPoint, SheetSystem, SolverError, classify_regime
 from .spectro import (
     FitError,
     ScanInputError,
@@ -92,14 +86,7 @@ def cmd_solve(args) -> int:
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
     bias = _bias_from_args(args, cfg)
-    try:
-        sol = system.solve(bias, cfg.solver)
-    except ConvergenceError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        history = ", ".join(f"{r:.3e}" for r in exc.residual_history[-12:])
-        print(f"residual history (tail): {history}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    sol = system.solve(bias, cfg.solver)
     state = exciton_state(cfg.exciton, sol.field)
     region = classify_regime(sol, cfg.solver.regime_threshold)
     lines = [
@@ -349,6 +336,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        history = getattr(exc, "residual_history", None)
+        if history:
+            tail = ", ".join(f"{r:.3e}" for r in history[-12:])
+            print(f"residual history (tail): {tail}", file=sys.stderr)
         return EXIT_SOLVER
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)

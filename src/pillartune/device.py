@@ -5,13 +5,15 @@ three remote contact pads.  The vertical layer stack is collapsed into two
 scalar parameters carried by the geometry (intrinsic thickness and built-in
 voltage); everything else here is purely two-dimensional.
 
-The mesh is built block-structured: a polar disc mesh for the pillar, a
-rectangular grid per ridge and per pad, joined node-by-node at shared rows.
-Each ridge attaches to the pillar on a flat chord whose half-width equals
-half the ridge width, so the attachment geometry does not depend on mesh
-resolution.  All blocks are generated in a ridge-local frame and rotated
-into place, which keeps a 120-degree-symmetric layout symmetric to floating
-point rounding.
+The mesh starts from one list of rim points round the pillar: the flat
+chord where each ridge attaches (half-width equal to half the ridge width,
+so the attachment geometry does not depend on mesh resolution) and the arcs
+between them.  Concentric rings scale that rim towards the centre; each
+ridge grows rows outward from its chord's slice of the outermost ring, and
+each pad widens the ridge's last row.  One stitcher splits every quad
+between consecutive rows into two triangles.  Ridge and pad nodes are
+placed in a ridge-local frame, which keeps a 120-degree-symmetric layout
+symmetric to floating point rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DeviceGeometry:
 
     ``intrinsic_thickness_nm`` and ``built_in_voltage`` describe the
     collapsed vertical junction; they feed the vertical-field readout only.
+    ``disc_segments`` only sets the vertex count of ``Footprint.pillar``;
+    the mesh does not use it.
     """
 
     # Default ridge placement keeps the driven arms A and B mirror-symmetric
@@ -301,6 +305,13 @@ def _subdiv(length: float, edge: float) -> int:
 def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
     """Triangulate the footprint with a block-structured conforming mesh.
 
+    One list of rim points runs counter-clockwise round the pillar: the flat
+    chord of each ridge, then the arc to the next ridge.  The pillar is that
+    rim scaled onto concentric rings round the centre node.  Each ridge
+    continues its chord's slice of the outermost ring as a grid of rows, and
+    each pad widens the ridge's last row to the pad width.  ``_stitch_rows``
+    splits every quad of rings, ridges and pads into two triangles.
+
     Maximum element edge stays below twice ``target_edge_length``.  The
     pillar-centre node is index 0 and becomes ``qd_node``.
     """
@@ -316,122 +327,67 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
 
     order = sorted(range(3), key=lambda k: g.ridge_angles[k] % TWO_PI)
     sorted_angles = [g.ridge_angles[k] % TWO_PI for k in order]
+    t_chord = np.linspace(-0.5 * w, 0.5 * w, _subdiv(w, edge) + 1)
 
-    n_chord = _subdiv(w, edge)
-    t_chord = np.linspace(-0.5 * w, 0.5 * w, n_chord + 1)
-
-    # Angular grid around the rim: chord windows at each ridge, arcs between.
-    slot_angle: list[float] = []
-    slot_kind: list[tuple] = []  # ("chord", ridge_index, t) or ("arc",)
+    # Rim points; ridge k's chord starts at rim[chord_start[k]].
+    rim: list[np.ndarray] = []
+    chord_start = [0, 0, 0]
     for pos, k in enumerate(order):
         alpha = sorted_angles[pos]
-        for t in t_chord:
-            slot_angle.append(alpha + math.atan2(t, d))
-            slot_kind.append(("chord", k, float(t)))
+        u, v = _unit(g.ridge_angles[k]), _perp(g.ridge_angles[k])
+        chord_start[k] = len(rim)
+        rim.extend(d * u + t * v for t in t_chord)
         alpha_next = sorted_angles[(pos + 1) % 3] + (TWO_PI if pos == 2 else 0.0)
         arc_span = (alpha_next - beta) - (alpha + beta)
         if arc_span <= 0.0:
             raise MeshError("ridge windows overlap; footprint is unmeshable")
         n_arc = _subdiv(r * arc_span, edge)
-        for i in range(1, n_arc):
-            slot_angle.append(alpha + beta + arc_span * i / n_arc)
-            slot_kind.append(("arc",))
+        rim.extend(
+            r * _unit(alpha + beta + arc_span * i / n_arc) for i in range(1, n_arc)
+        )
 
-    n_theta = len(slot_angle)
+    # Pillar: centre node 0, then ring i holds the rim scaled by (i+1)/n_rings.
+    n_theta = len(rim)
     n_rings = max(2, _subdiv(r, edge))
+    rim_arr = np.array(rim)
+    nodes = [np.zeros((1, 2))] + [(i + 1) / n_rings * rim_arr for i in range(n_rings)]
+    rings = 1 + np.arange(n_rings * n_theta).reshape(n_rings, n_theta)
+    rings = np.column_stack([rings, rings[:, 0]])  # close each ring
+    fan = np.column_stack([np.zeros(n_theta, int), rings[0, :-1], rings[0, 1:]])
+    cells = [fan, _stitch_rows(rings)]
 
-    # Rim position per slot; inner rings are radially scaled copies.
-    rim = np.empty((n_theta, 2))
-    for j, kind in enumerate(slot_kind):
-        if kind[0] == "chord":
-            _, k, t = kind
-            alpha = g.ridge_angles[k]
-            rim[j] = d * _unit(alpha) + t * _perp(alpha)
-        else:
-            rim[j] = r * _unit(slot_angle[j])
+    def add_rows(alpha: float, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """New nodes s*u + t*v in the ridge frame at alpha; ids, one row per s."""
+        u, v = _unit(alpha), _perp(alpha)
+        points = np.asarray(s)[:, None, None] * u + t[None, :, None] * v
+        first = sum(len(block) for block in nodes)
+        nodes.append(points.reshape(-1, 2))
+        return first + np.arange(points[..., 0].size).reshape(points.shape[:2])
 
-    nodes: list[np.ndarray] = [np.zeros(2)]
-    cells: list[tuple[int, int, int]] = []
-
-    ring_index = np.empty((n_rings, n_theta), dtype=np.int64)
-    for i in range(n_rings):
-        f = (i + 1) / n_rings
-        for j in range(n_theta):
-            ring_index[i, j] = len(nodes)
-            nodes.append(f * rim[j])
-
-    for j in range(n_theta):
-        jn = (j + 1) % n_theta
-        cells.append((0, ring_index[0, j], ring_index[0, jn]))
-    for i in range(n_rings - 1):
-        for j in range(n_theta):
-            jn = (j + 1) % n_theta
-            a, b = ring_index[i, j], ring_index[i, jn]
-            c, e = ring_index[i + 1, jn], ring_index[i + 1, j]
-            cells.append((a, b, c))
-            cells.append((a, c, e))
-
-    # Chord slots on the outermost ring, per ridge, ordered by t.
-    chord_slots: dict[int, list[tuple[float, int]]] = {0: [], 1: [], 2: []}
-    for j, kind in enumerate(slot_kind):
-        if kind[0] == "chord":
-            chord_slots[kind[1]].append((kind[2], ring_index[n_rings - 1, j]))
-    for k in chord_slots:
-        chord_slots[k].sort()
-
-    boundary_tags: dict[str, np.ndarray] = {}
     length, pad = g.ridge_length, g.pad_size
     n_s = _subdiv(length, edge)
     n_p = _subdiv(pad, edge)
     n_e = _subdiv(0.5 * (pad - w), edge) if pad > w else 0
+    # Pad t-values: the ridge's, extended symmetrically to the pad width.
+    ext = np.linspace(0.5 * w, 0.5 * pad, n_e + 1)[1:]
+    t_pad = np.concatenate([-ext[::-1], t_chord, ext])
 
-    for k in range(3):
-        alpha = g.ridge_angles[k]
-        u, v = _unit(alpha), _perp(alpha)
-        t_vals = np.array([t for t, _ in chord_slots[k]])
-        root_ids = [idx for _, idx in chord_slots[k]]
+    boundary_tags: dict[str, np.ndarray] = {}
+    for k, alpha in enumerate(g.ridge_angles):
+        root = rings[-1, chord_start[k] : chord_start[k] + len(t_chord)]
+        s_ridge = d + length * np.arange(1, n_s + 1) / n_s
+        ridge = np.vstack([root, add_rows(alpha, s_ridge, t_chord)])
+        sides = add_rows(alpha, [d + length], np.concatenate([-ext[::-1], ext]))[0]
+        s_pad = d + length + pad * np.arange(1, n_p + 1) / n_p
+        pad_rows = np.vstack([
+            np.concatenate([sides[:n_e], ridge[-1], sides[n_e:]]),
+            add_rows(alpha, s_pad, t_pad),
+        ])
+        cells += [_stitch_rows(ridge), _stitch_rows(pad_rows)]
+        boundary_tags[PAD_TAGS[k]] = pad_rows[-1].astype(np.int32)
 
-        rows = [root_ids]
-        for m in range(1, n_s + 1):
-            s = d + length * m / n_s
-            row = []
-            for t in t_vals:
-                row.append(len(nodes))
-                nodes.append(s * u + t * v)
-            rows.append(row)
-        _stitch_rows(cells, rows)
-
-        # Pad grid: ridge t-values extended symmetrically to the pad width.
-        if n_e > 0:
-            ext = np.linspace(0.5 * w, 0.5 * pad, n_e + 1)[1:]
-            t_pad = np.concatenate([-ext[::-1], t_vals, ext])
-        else:
-            t_pad = t_vals
-        mid_lo = len(t_pad[t_pad < t_vals[0] - 1e-12])
-
-        pad_rows = []
-        first = []
-        for jj, t in enumerate(t_pad):
-            if mid_lo <= jj < mid_lo + len(t_vals):
-                first.append(rows[-1][jj - mid_lo])
-            else:
-                first.append(len(nodes))
-                nodes.append((d + length) * u + t * v)
-        pad_rows.append(first)
-        for m in range(1, n_p + 1):
-            s = d + length + pad * m / n_p
-            row = []
-            for t in t_pad:
-                row.append(len(nodes))
-                nodes.append(s * u + t * v)
-            pad_rows.append(row)
-        _stitch_rows(cells, pad_rows)
-
-        boundary_tags[PAD_TAGS[k]] = np.array(sorted(pad_rows[-1]), dtype=np.int32)
-
-    node_arr = np.array(nodes)
-    cell_arr = np.array(cells, dtype=np.int32)
-    cell_arr = _orient_ccw(node_arr, cell_arr)
+    node_arr = np.concatenate(nodes)
+    cell_arr = _orient_ccw(node_arr, np.concatenate(cells).astype(np.int32))
 
     mesh = Mesh(
         nodes=node_arr,
@@ -448,13 +404,15 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
     return mesh
 
 
-def _stitch_rows(cells: list, rows: list[list[int]]) -> None:
-    """Triangulate the quads between consecutive equal-length node rows."""
-    for m in range(len(rows) - 1):
-        lo, hi = rows[m], rows[m + 1]
-        for j in range(len(lo) - 1):
-            cells.append((lo[j], lo[j + 1], hi[j + 1]))
-            cells.append((lo[j], hi[j + 1], hi[j]))
+def _stitch_rows(rows: np.ndarray) -> np.ndarray:
+    """Split each quad between consecutive rows of a node-index grid in two.
+
+    Quad (lo[j], lo[j+1], hi[j+1], hi[j]) becomes the triangles
+    (lo[j], lo[j+1], hi[j+1]) and (lo[j], hi[j+1], hi[j]), row by row.
+    """
+    lo, hi = rows[:-1], rows[1:]
+    a, b, c, e = lo[:, :-1], lo[:, 1:], hi[:, 1:], hi[:, :-1]
+    return np.stack([a, b, c, a, c, e], axis=-1).reshape(-1, 3)
 
 
 def _signed_area2(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -550,25 +508,17 @@ def make_strip_mesh(
     ys = np.linspace(0.0, width, ny + 1)
 
     nodes = np.array([[x, y] for y in ys for x in xs])
-    idx = lambda i, j: j * (nx + 1) + i  # noqa: E731
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, e = idx(i + 1, j + 1), idx(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, e))
+    grid = np.arange(len(nodes)).reshape(ny + 1, nx + 1)  # row j holds y = ys[j]
 
     centre = np.array([0.5 * length, 0.5 * width])
     qd = int(np.argmin(np.hypot(nodes[:, 0] - centre[0], nodes[:, 1] - centre[1])))
 
     mesh = Mesh(
         nodes=nodes,
-        cells=np.array(cells, dtype=np.int32),
+        cells=_stitch_rows(grid).astype(np.int32),
         boundary_tags={
-            "PAD_A": np.array([idx(0, j) for j in range(ny + 1)], dtype=np.int32),
-            "PAD_B": np.array([idx(nx, j) for j in range(ny + 1)], dtype=np.int32),
+            "PAD_A": grid[:, 0].astype(np.int32),
+            "PAD_B": grid[:, nx].astype(np.int32),
             "PAD_C": np.empty(0, dtype=np.int32),
         },
         qd_node=qd,

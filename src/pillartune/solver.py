@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .device import MaterialParams, Mesh, cell_areas
+from .device import MaterialParams, Mesh, MeshError, cell_areas
 
 EXP_CLAMP = 40.0
 _E_CLAMP = math.exp(EXP_CLAMP)
@@ -215,6 +215,15 @@ class SheetSystem:
             shape=(self.n, self.n),
         ).tocsr()
         self.conduction = (self.materials.sheet_conductance * k).tocsr()
+        # Jacobian pattern: the stiffness in CSC without stored zeros; only
+        # the diagonal changes between Newton steps.
+        self._jac_base = self.conduction.tocsc()
+        self._jac_base.eliminate_zeros()
+        self._jac_base.sort_indices()
+        cols = np.repeat(np.arange(self.n), np.diff(self._jac_base.indptr))
+        self._jac_diag = np.flatnonzero(self._jac_base.indices == cols)
+        if len(self._jac_diag) != self.n:
+            raise MeshError("every mesh node must belong to a cell")
         self._grad_b, self._grad_c, self._cell_area = b, c, area
 
     def _build_node_areas(self) -> None:
@@ -275,11 +284,14 @@ class SheetSystem:
             f[ids] += self.pad_conductance[name] * (phi[ids] - v)
         return f
 
-    def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> sp.csr_matrix:
+    def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> sp.csc_matrix:
+        """A fresh CSC Jacobian on the fixed stiffness pattern."""
         diag = _diode_conductance(self.materials, phi) * self.node_area
         for name, _ in self._driven(bias):
             diag[self.pad_nodes[name]] += self.pad_conductance[name]
-        return (self.conduction + sp.diags(diag)).tocsr()
+        jac = self._jac_base.copy()
+        jac.data[self._jac_diag] += diag
+        return jac
 
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
         out = {}
@@ -329,7 +341,7 @@ class SheetSystem:
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history
-            delta = spla.spsolve(self.jacobian(phi, bias).tocsc(), -f)
+            delta = spla.spsolve(self.jacobian(phi, bias), -f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
             lam = cfg.damping

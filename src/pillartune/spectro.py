@@ -34,6 +34,8 @@ class PolarizationScan:
 
     Angles in rad, energies in ueV relative to an arbitrary reference,
     ``sigma`` is the per-point measurement noise (broadcast from a scalar).
+    Angles and energies must be finite and every sigma finite and >= 0;
+    anything else raises ``ScanInputError``.
     """
 
     angles: np.ndarray
@@ -52,6 +54,10 @@ class PolarizationScan:
         n = len(self.angles)
         if len(self.peak_energies) != n or len(self.sigma) != n:
             raise ScanInputError("angles, peak_energies and sigma must match in length")
+        if not (np.isfinite(self.angles).all() and np.isfinite(self.peak_energies).all()):
+            raise ScanInputError("angles and peak energies must be finite")
+        if not (np.isfinite(self.sigma) & (self.sigma >= 0.0)).all():
+            raise ScanInputError("sigma must be finite and non-negative")
         if n < 6:
             raise ScanInputError(f"at least 6 scan points required, got {n}")
         span = float(self.angles.max() - self.angles.min())

@@ -170,6 +170,13 @@ class CellRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def __eq__(self, other) -> bool:
+        """Field-wise equality in which NaN equals NaN (failed cells hold NaN)."""
+        if not isinstance(other, CellRecord):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a == b or (a != a and b != b) for a, b in pairs)
+
 
 @dataclass
 class SweepResult:
@@ -294,7 +301,13 @@ def run_bias_sweep(
     jobs: int = 1,
     extra_meta: dict | None = None,
 ) -> SweepResult:
-    """Evaluate the grid; failed cells keep an error status instead of aborting."""
+    """Evaluate the grid; failed cells keep an error status instead of aborting.
+
+    ``jobs`` is the number of rows solved in parallel threads; it must be
+    at least 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t_start = time.perf_counter()
     system = SheetSystem(mesh, materials)
     va = spec.va_values()

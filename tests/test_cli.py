@@ -62,6 +62,13 @@ vb_step_v = 1.0
 """
 
 
+STARVED_SOLVER = FAST_DEVICE + """
+[solver]
+max_iters = 1
+continuation_steps = 1
+"""
+
+
 @pytest.fixture
 def fast_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -201,6 +208,53 @@ def test_fit_two_angle_scan_exits_4(fast_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "fit error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.5,nan,0.1", "finite"),
+        ("inf,1.0,0.1", "finite"),
+        ("0.5,1.0,-0.1", "sigma"),
+        ("0.5,1.0,nan", "sigma"),
+    ],
+)
+def test_fit_rejects_non_finite_scan_exits_2(fast_config, tmp_path, capsys, row, message):
+    path = tmp_path / "scan.csv"
+    with open(path, "w") as fh:
+        fh.write("angle_rad,energy_ueV,sigma_ueV\n")
+        for k in range(11):
+            fh.write(f"{k * math.pi / 12!r},1.0,0.1\n")
+        fh.write(row + "\n")
+    code = main(["--config", fast_config, "fit", str(path), "--out", "fit.json"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--jobs", "0"],
+        ["iso-fss", "--target", "5.0", "--min-separation", "1.0", "--jobs", "0"],
+    ],
+)
+def test_jobs_below_one_exits_2(fast_config, capsys, argv):
+    assert main(["--config", fast_config, *argv]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "synth-scan"])
+def test_solver_failure_exits_3_with_residual_history(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "starved.cfg"
+    path.write_text(STARVED_SOLVER)
+    code = main(["--config", str(path), command, "--va", "3", "--vb", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver error: no convergence" in err
+    assert "residual history (tail): " in err
     assert "Traceback" not in err
 
 

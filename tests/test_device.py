@@ -10,6 +10,7 @@ from pillartune.device import (
     MaterialParams,
     Mesh,
     MeshError,
+    _stitch_rows,
     build_geometry,
     cell_areas,
     export_mesh_csv,
@@ -113,6 +114,43 @@ def test_max_edge_bound():
     for i, j in ((0, 1), (1, 2), (2, 0)):
         lengths = np.hypot(p[:, i, 0] - p[:, j, 0], p[:, i, 1] - p[:, j, 1])
         assert lengths.max() <= 2.0 * 1.5 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(lambda e=e: generate_mesh(build_geometry(DeviceGeometry()), e),
+                         id=f"device@{e}")
+            for e in (0.5, 1.0, 2.5, 5.0)
+        ),
+        # a pad wider than its ridge by less than 1e-12 um
+        pytest.param(
+            lambda: generate_mesh(build_geometry(DeviceGeometry(pad_size=3.0 + 1e-13)), 2.0),
+            id="device-pad-barely-wider@2.0",
+        ),
+        pytest.param(lambda: make_strip_mesh(50.0, 10.0, 1.0), id="strip"),
+    ],
+)
+def test_mesh_is_conforming_and_simply_connected(make):
+    mesh = make()
+    c = mesh.cells
+    edges = np.sort(np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]]), axis=1)
+    _, uses = np.unique(edges, axis=0, return_counts=True)
+    assert uses.max() <= 2  # no edge is shared by more than two cells
+    assert mesh.n_nodes - len(uses) + mesh.n_cells == 1  # Euler: one disc
+
+
+def test_stitcher_splits_each_quad_along_its_rising_diagonal():
+    rows = np.array([[0, 1, 2], [3, 4, 5]])
+    assert _stitch_rows(rows).tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+
+
+def test_disc_segments_do_not_change_the_mesh():
+    coarse = generate_mesh(build_geometry(DeviceGeometry(disc_segments=12)), 2.0)
+    fine = generate_mesh(build_geometry(DeviceGeometry(disc_segments=256)), 2.0)
+    assert np.array_equal(coarse.nodes, fine.nodes)
+    assert np.array_equal(coarse.cells, fine.cells)
 
 
 def test_bad_edge_length_rejected():

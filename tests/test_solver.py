@@ -9,6 +9,8 @@ from scipy.optimize import brentq
 from pillartune.device import (
     DeviceGeometry,
     MaterialParams,
+    Mesh,
+    MeshError,
     build_geometry,
     cell_areas,
     generate_mesh,
@@ -17,6 +19,7 @@ from pillartune.device import (
 from pillartune.solver import (
     _MAX_CONTINUATION_STEPS,
     EXP_CLAMP,
+    TERMINALS,
     BiasPoint,
     ConvergenceError,
     SheetSystem,
@@ -94,6 +97,19 @@ def test_equilibrium_residual_is_zero(coarse_system):
     assert np.all(f == 0.0)
 
 
+def test_node_outside_every_cell_rejected():
+    # the Jacobian's diagonal lives in the stiffness pattern, so every node
+    # must belong to a cell
+    mesh = Mesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
+        cells=np.array([[0, 1, 2]], dtype=np.int32),
+        boundary_tags={"PAD_A": np.array([1], dtype=np.int32)},
+        qd_node=0,
+    )
+    with pytest.raises(MeshError, match="belong to a cell"):
+        SheetSystem(mesh, MaterialParams())
+
+
 def test_dimension_mismatch_rejected(coarse_system):
     with pytest.raises(ValueError):
         coarse_system.residual(np.zeros(3), BiasPoint(0.0, 0.0, None))
@@ -136,6 +152,37 @@ def test_jacobian_matches_finite_differences():
         fd[:, k] = (fp - fm) / (2.0 * h)
     scale = np.max(np.abs(jac))
     assert np.max(np.abs(jac - fd)) <= 1e-6 * scale
+
+
+def test_jacobian_reuses_one_pattern_and_equals_dense_reference(coarse_system):
+    system = coarse_system
+    rng = np.random.default_rng(3)
+    stiffness = system.conduction.toarray()
+    first = None
+    for bias in (
+        BiasPoint(0.0, 0.0, None),
+        BiasPoint(2.0, -0.5, 1.0),
+        BiasPoint(None, 4.0, None),
+    ):
+        phi = 0.6 * rng.standard_normal(system.n)
+        jac = system.jacobian(phi, bias)
+        assert jac.format == "csc"
+        if first is None:
+            first = jac
+        assert np.array_equal(jac.indptr, first.indptr)
+        assert np.array_equal(jac.indices, first.indices)
+        # dense reference: stiffness plus junction and contact conductances
+        m = system.materials
+        nvt = m.ideality * m.thermal_voltage
+        g_junction = m.saturation_current_density * np.exp(np.minimum(phi / nvt, EXP_CLAMP))
+        diag = g_junction / nvt * system.node_area
+        for name in TERMINALS:
+            if bias.terminal(name) is not None:
+                diag[system.pad_nodes[name]] += system.pad_conductance[name]
+        assert np.array_equal(jac.toarray(), stiffness + np.diag(diag))
+    # every call returns a fresh matrix: writing to one leaves the next intact
+    jac.data[:] = 0.0
+    assert np.array_equal(system.jacobian(phi, bias).toarray(), stiffness + np.diag(diag))
 
 
 # -- solve -------------------------------------------------------------------

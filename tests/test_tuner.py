@@ -105,15 +105,32 @@ def test_sweep_csv_round_trip(tmp_path, coarse_mesh, default_config):
     )
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, str(path))
-    back = read_sweep_csv(str(path))
-    assert len(back) == len(result.records)
-    for a, b in zip(back, result.records):
-        assert a.va == b.va and a.vb == b.vb and a.vc == b.vc
-        assert a.status == b.status
-        assert a.region == b.region
-        assert a.fss == b.fss or (math.isnan(a.fss) and math.isnan(b.fss))
-        assert a.mean_energy == b.mean_energy
-        assert (a.theta0 == b.theta0) or (a.theta0 is None and b.theta0 is None)
+    assert read_sweep_csv(str(path)) == result.records
+
+
+def test_failed_cell_equals_itself_after_csv_round_trip(tmp_path):
+    records = [
+        CellRecord(va=0.0, vb=1.0, vc=None, status="error:ConvergenceError"),
+        CellRecord(va=1.0, vb=1.0, vc=0.5, iters=3, residual=1e-12, ex=2.0,
+                   ey=-1.0, ez=3e5, ia=1e-7, ib=2e-7, ic=-3e-7, i_junction=0.0,
+                   region=2, fss=3.5, theta0=0.25, mean_energy=1.3, stark=-1.0,
+                   algebraic_fss=3.4),
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(SweepResult(spec=SweepSpec(), records=records), str(path))
+    assert read_sweep_csv(str(path)) == records
+    failed = records[0]
+    assert failed != dataclasses.replace(failed, ex=0.0)
+    assert failed != dataclasses.replace(failed, status="ok")
+    assert failed != dataclasses.replace(failed, region=1)
+
+
+def test_sweep_rejects_jobs_below_one(coarse_mesh, default_config):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_bias_sweep(
+            _small_spec(), coarse_mesh, default_config.materials,
+            default_config.exciton, CFG, jobs=0,
+        )
 
 
 def test_column_table_covers_cell_record():
