@@ -11,6 +11,14 @@ Discretisation is node-centred finite volume on the triangle mesh (P1
 stiffness for the lateral term, lumped nodal areas for the junction term).
 Newton iterations are damped with step halving; bias continuation from
 equilibrium handles strongly forward-biased points.
+
+The Jacobian is symmetric positive definite on a fixed pattern, and only
+its diagonal changes from step to step.  One ``solve`` call therefore holds
+a single sparse LU across all its Newton and continuation steps: the first
+step factors and back-solves, later steps run conjugate gradients
+preconditioned with that LU, and the LU is refactored at the current
+Jacobian only when CG misses its tolerance within a few iterations.  The LU
+never outlives the call, so a solve depends only on its own arguments.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ _KIRCHHOFF_FRACTION = 1e-9
 # Newton calls one bias continuation may spend before it gives up; a cold
 # solve of the default calibration needs 4-5.
 _MAX_CONTINUATION_STEPS = 64
+
+# Preconditioned CG on a held LU: relative residual tolerance and the
+# iteration cap after which the LU is refactored at the current Jacobian.
+_CG_RTOL = 1e-10
+_CG_MAXITER = 6
 
 TERMINALS = ("A", "B", "C")
 
@@ -131,6 +144,32 @@ class FieldSolution:
     def field(self) -> tuple[float, float, float]:
         """(E_x, E_y, E_z) in V/m at the QD node."""
         return (self.e_inplane[0], self.e_inplane[1], self.e_z)
+
+
+class _HeldLU:
+    """Newton-step solver holding one sparse LU as a CG preconditioner."""
+
+    def __init__(self) -> None:
+        self._precond: spla.LinearOperator | None = None
+
+    def step(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        if self._precond is not None:
+            delta, info = spla.cg(
+                jac, rhs, M=self._precond, rtol=_CG_RTOL, maxiter=_CG_MAXITER
+            )
+            if info == 0:
+                return delta
+        try:
+            lu = spla.splu(
+                jac,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise NumericalError(f"Jacobian factorization failed: {exc}") from exc
+        self._precond = spla.LinearOperator(jac.shape, matvec=lu.solve)
+        return lu.solve(rhs)
 
 
 def _exp_clamped(u: np.ndarray) -> np.ndarray:
@@ -325,7 +364,23 @@ class SheetSystem:
             1e-3 * cfg.current_floor,
         )
 
-    def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig):
+    def _newton(
+        self,
+        bias: BiasPoint,
+        phi0: np.ndarray,
+        cfg: SolverConfig,
+        linear: _HeldLU | None = None,
+    ):
+        """Damped Newton from ``phi0``: ``(phi, converged, iters, history)``.
+
+        Each step solves ``J delta = -f`` through ``linear``, the LU held by
+        the calling ``solve`` (a fresh one when omitted): preconditioned CG
+        on the held factorization, refactoring when CG falls short.
+        Convergence is judged on the residual and the Kirchhoff balance
+        alone, so the answer does not depend on how the steps were solved.
+        """
+        if linear is None:
+            linear = _HeldLU()
         scale = self._residual_scale(bias, cfg)
         tol = cfg.newton_tol * scale
         balance_tol = _KIRCHHOFF_FRACTION * cfg.current_floor
@@ -341,7 +396,7 @@ class SheetSystem:
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history
-            delta = spla.spsolve(self.jacobian(phi, bias), -f)
+            delta = linear.step(self.jacobian(phi, bias), -f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
             lam = cfg.damping
@@ -368,9 +423,12 @@ class SheetSystem:
     ) -> FieldSolution:
         history_all: list[float] = []
         total_iters = 0
+        linear = _HeldLU()
 
         if phi0 is not None:
-            phi, ok, iters, history = self._newton(bias, np.asarray(phi0, float), cfg)
+            phi, ok, iters, history = self._newton(
+                bias, np.asarray(phi0, float), cfg, linear
+            )
             history_all += history
             total_iters += iters
             if ok:
@@ -391,7 +449,9 @@ class SheetSystem:
                 )
             steps += 1
             s_try = min(1.0, s_done + ds)
-            phi_new, ok, iters, history = self._newton(bias.scaled(s_try), phi, cfg)
+            phi_new, ok, iters, history = self._newton(
+                bias.scaled(s_try), phi, cfg, linear
+            )
             history_all += history
             total_iters += iters
             if ok:

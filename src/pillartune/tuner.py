@@ -585,11 +585,13 @@ def iso_fss_points(
     Both members must lie within 10 % of ``target_fss``; the pair qualifies
     when the mean transition energies differ by at least
     ``min_energy_separation`` (ueV).  Pairs come widest separation first,
-    ties by index; at most ``max_pairs`` are kept.  An empty list is a valid
-    outcome.
+    ties by index; at most ``max_pairs`` (None or a count >= 0) are kept.
+    An empty list is a valid outcome.
     """
     if not (target_fss > 0.0):
         raise ValueError("target_fss must be positive")
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError(f"max_pairs must be at least 0, got {max_pairs}")
     cand = np.array(
         [
             i

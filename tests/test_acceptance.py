@@ -6,9 +6,11 @@ as its own pass/fail line).  The bias-map criteria share one full-window
 sweep of the default configuration.
 """
 
+import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +38,17 @@ from pillartune.tuner import (
     SweepSpec,
     find_zero_fss,
     iso_fss_points,
+    read_sweep_csv,
     run_bias_sweep,
     write_sweep_csv,
 )
 
 JOBS = min(4, os.cpu_count() or 1)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
+# Newton stops at 1e-11 of the residual scale (``newton_tol``); three
+# decades of margin cover the conditioning from residual to outputs.
+GOLDEN_RTOL = 1e-8
 
 
 def _ok(line: str) -> None:
@@ -376,6 +384,38 @@ def test_criterion_11_reproducibility(cfg, mesh, tmp_path):
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     _ok("11 PASS: byte-identical sweep CSVs across repeats and jobs=1/3")
+
+
+def test_golden_sweep_within_tolerance(cfg, default_sweep):
+    """The 0.35 V subgrid of the default map matches the committed golden
+    sweep: grid, status and region exactly, every physics float to
+    GOLDEN_RTOL of its column's largest magnitude."""
+    meta = json.loads(GOLDEN.with_suffix(".json").read_text())
+    assert meta["config_hash"] == cfg.config_hash
+    golden = read_sweep_csv(str(GOLDEN.with_suffix(".csv")))
+    n_vb, n_va = default_sweep.grid_shape()
+    cells = [
+        default_sweep.record(i_vb, i_va)
+        for i_vb in range(0, n_vb, 2)
+        for i_va in range(0, n_va, 2)
+    ]
+    assert len(cells) == len(golden) == 21 * 21
+    exact = ("va", "vb", "vc", "status", "region")
+    diagnostics = ("iters", "residual")
+    for name in exact:
+        assert [getattr(r, name) for r in cells] == [getattr(r, name) for r in golden]
+    worst = {}
+    for name in default_sweep.spec.columns():
+        if name in exact or name in diagnostics:
+            continue
+        got = np.array([getattr(r, name) for r in cells], dtype=float)
+        ref = np.array([getattr(r, name) for r in golden], dtype=float)
+        assert np.array_equal(np.isnan(got), np.isnan(ref)), name
+        diff, scale = np.nanmax(np.abs(got - ref)), np.nanmax(np.abs(ref))
+        assert diff <= GOLDEN_RTOL * scale, (name, diff, scale)
+        worst[name] = diff / scale if scale else 0.0
+    name = max(worst, key=worst.get)
+    _ok(f"golden PASS: worst column-scaled difference {worst[name]:.1e} ({name})")
 
 
 def test_iso_fss_pairs_available(default_sweep):

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pillartune import cli
 from pillartune.cli import main
@@ -258,6 +259,18 @@ def test_solver_failure_exits_3_with_residual_history(tmp_path, monkeypatch, cap
     assert "Traceback" not in err
 
 
+def test_singular_factor_exits_3(fast_config, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    code = main(["--config", fast_config, "solve", "--va", "3", "--vb", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver error: Jacobian factorization failed" in err
+    assert "Traceback" not in err
+
+
 def test_fit_missing_scan_exits_2(fast_config, capsys):
     assert main(["--config", fast_config, "fit", "nope.csv"]) == 2
     assert "nope.csv" in capsys.readouterr().err
@@ -359,6 +372,23 @@ def test_iso_fss_rejects_sweep_csv_from_another_grid(fast_config, tmp_path, caps
     ])
     assert code == 2
     assert "[sweep] grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
+    cfg = load_run_config(fast_config)
+    assert main(["--config", fast_config, "sweep", "--out", "map"]) == 0
+    sweep_csv = tmp_path / f"map_{cfg.config_hash}.csv"
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--max-pairs", "-1", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_pairs must be at least 0" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from pillartune.device import (
@@ -22,6 +23,7 @@ from pillartune.solver import (
     TERMINALS,
     BiasPoint,
     ConvergenceError,
+    NumericalError,
     SheetSystem,
     SolverConfig,
     classify_regime,
@@ -408,6 +410,49 @@ def test_starved_continuation_gives_up_after_step_cap(coarse_system, monkeypatch
             BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(coarse_system.n)
         )
     assert len(calls) <= _MAX_CONTINUATION_STEPS + 1
+
+
+def test_cold_solve_factors_less_often_than_it_steps(coarse_system, monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    sol = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    assert 1 <= len(calls) < sol.newton_iters
+
+
+def test_solve_leaves_no_factorization_on_the_system(coarse_system):
+    before = dict(vars(coarse_system))
+    coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    after = vars(coarse_system)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    assert not any(
+        isinstance(v, (spla.SuperLU, spla.LinearOperator)) for v in after.values()
+    )
+
+
+def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, default_config):
+    phi0 = coarse_system.solve(BiasPoint(2.8, 2.0, None), CFG).phi
+    bias = BiasPoint(3.0, 2.0, None)
+    fresh = SheetSystem(coarse_mesh, default_config.materials).solve(bias, CFG, phi0)
+    for other in (BiasPoint(-1.0, 4.0, None), BiasPoint(5.0, 0.5, 1.0)):
+        coarse_system.solve(other, CFG)
+    again = coarse_system.solve(bias, CFG, phi0)
+    assert again.phi.tobytes() == fresh.phi.tobytes()
+
+
+def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(NumericalError, match="factorization failed"):
+        coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
 
 
 def test_driven_terminal_without_contact_nodes_fails():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pillartune.device import MaterialParams
 from pillartune.exciton import ExcitonParams, fss_vector
@@ -209,6 +210,24 @@ def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
     for rec in failed:
         assert rec.status.startswith("error:")
         assert math.isnan(rec.fss)
+
+
+def test_singular_factor_is_recorded_as_numerical_error(
+    coarse_mesh, default_config, monkeypatch
+):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    # the zero-bias cell is solved exactly by phi = 0 and needs no factor
+    spec = SweepSpec(
+        va_start=0.0, va_stop=1.0, va_step=1.0,
+        vb_start=0.0, vb_stop=0.0, vb_step=1.0,
+    )
+    result = run_bias_sweep(
+        spec, coarse_mesh, default_config.materials, default_config.exciton, CFG
+    )
+    assert [r.status for r in result.records] == ["ok", "error:NumericalError"]
 
 
 def test_constructed_zero_found(coarse_mesh):
@@ -431,6 +450,19 @@ def test_iso_fss_pairs_on_synthetic_sweep():
     )
     assert len(iso_fss_points(flat, 5.0, 50.0)) == 10
     assert iso_fss_points(flat, 5.0, 1e6) == []
+
+
+@pytest.mark.parametrize("max_pairs", [-1, -2])
+def test_iso_fss_rejects_negative_max_pairs(max_pairs):
+    spec = SweepSpec(
+        va_start=0.0, va_stop=2.0, va_step=1.0,
+        vb_start=0.0, vb_stop=0.0, vb_step=1.0,
+    )
+    records = [_record(i, 5.0, 1.34 + i * 1e-4) for i in range(3)]
+    sweep = SweepResult(spec=spec, records=records)
+    assert len(iso_fss_points(sweep, 5.0, 50.0)) == 3
+    with pytest.raises(ValueError, match="max_pairs"):
+        iso_fss_points(sweep, 5.0, 50.0, max_pairs)
 
 
 def _iso_pairs_reference(sweep, target_fss, min_energy_separation, max_pairs):
