@@ -29,6 +29,7 @@ from .solver import (
     BiasPoint,
     ConvergenceError,
     FieldSolution,
+    HeldLU,
     NumericalError,
     SheetSystem,
     SolverConfig,

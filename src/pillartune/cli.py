@@ -33,6 +33,7 @@ from .tuner import (
     SweepResult,
     TunerError,
     _parse_vc,
+    check_iso_fss_args,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
@@ -229,6 +230,7 @@ def cmd_tune(args) -> int:
 
 def cmd_iso_fss(args) -> int:
     cfg = _load(args)
+    check_iso_fss_args(args.target, args.min_separation, args.max_pairs)
     if args.sweep_csv:
         records = read_sweep_csv(args.sweep_csv)
         spec = cfg.sweep

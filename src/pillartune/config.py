@@ -64,7 +64,6 @@ SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "pad_size_um": _parse_float,
         "intrinsic_thickness_nm": _parse_float,
         "built_in_voltage_v": _parse_float,
-        "disc_segments": _parse_int,
         "mesh_edge_um": _parse_float,
     },
     "materials": {
@@ -88,7 +87,6 @@ SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "newton_tol": _parse_float,
         "max_iters": _parse_int,
         "damping": _parse_float,
-        "continuation_steps": _parse_int,
         "current_floor_a": _parse_float,
         "regime_threshold_a": _parse_float,
     },
@@ -171,7 +169,6 @@ def _build(resolved: dict) -> RunConfig:
             pad_size=dev["pad_size_um"],
             intrinsic_thickness_nm=dev["intrinsic_thickness_nm"],
             built_in_voltage=dev["built_in_voltage_v"],
-            disc_segments=dev["disc_segments"],
         )
         mat = resolved["materials"]
         materials = MaterialParams(
@@ -207,7 +204,6 @@ def _build(resolved: dict) -> RunConfig:
             newton_tol=sol["newton_tol"],
             max_iters=sol["max_iters"],
             damping=sol["damping"],
-            continuation_steps=sol["continuation_steps"],
             current_floor=sol["current_floor_a"],
             regime_threshold=sol["regime_threshold_a"],
         )

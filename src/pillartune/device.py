@@ -31,6 +31,10 @@ TWO_PI = 2.0 * math.pi
 
 PAD_TAGS = ("PAD_A", "PAD_B", "PAD_C")
 
+# Vertices of the pillar outline polygon in ``Footprint.pillar``; the mesh
+# builds its own rim and does not use it.
+_PILLAR_VERTICES = 64
+
 
 class GeometryError(ValueError):
     """Raised for invalid or self-intersecting device layouts."""
@@ -46,8 +50,6 @@ class DeviceGeometry:
 
     ``intrinsic_thickness_nm`` and ``built_in_voltage`` describe the
     collapsed vertical junction; they feed the vertical-field readout only.
-    ``disc_segments`` only sets the vertex count of ``Footprint.pillar``;
-    the mesh does not use it.
     """
 
     # Default ridge placement keeps the driven arms A and B mirror-symmetric
@@ -67,7 +69,6 @@ class DeviceGeometry:
     pad_size: float = 20.0
     intrinsic_thickness_nm: float = 270.0
     built_in_voltage: float = 1.4
-    disc_segments: int = 64
 
     def __post_init__(self) -> None:
         if not (self.pillar_diameter > 0.0):
@@ -93,8 +94,6 @@ class DeviceGeometry:
             raise GeometryError("intrinsic_thickness_nm must be positive")
         if not (self.built_in_voltage > 0.0):
             raise GeometryError("built_in_voltage must be positive")
-        if self.disc_segments < 12:
-            raise GeometryError("disc_segments must be at least 12")
 
     @property
     def pillar_radius(self) -> float:
@@ -149,7 +148,7 @@ class Footprint:
     """Polygonal outline of the device: pillar disc, three ridges, three pads."""
 
     geometry: DeviceGeometry
-    pillar: np.ndarray                 # (disc_segments, 2)
+    pillar: np.ndarray                 # (_PILLAR_VERTICES, 2)
     ridges: tuple[np.ndarray, ...]     # three (4, 2) rectangles
     pads: tuple[np.ndarray, ...]       # three (4, 2) squares
 
@@ -253,7 +252,7 @@ def build_geometry(config: DeviceGeometry) -> Footprint:
                     f"(ridges {i} and {j}, separation {sep:.4f} rad <= {2 * beta:.4f})"
                 )
 
-    theta = np.arange(config.disc_segments) * (TWO_PI / config.disc_segments)
+    theta = np.arange(_PILLAR_VERTICES) * (TWO_PI / _PILLAR_VERTICES)
     pillar = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
     ridges = []

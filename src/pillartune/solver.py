@@ -9,16 +9,19 @@ such connection, so it carries exactly zero current.
 
 Discretisation is node-centred finite volume on the triangle mesh (P1
 stiffness for the lateral term, lumped nodal areas for the junction term).
-Newton iterations are damped with step halving; bias continuation from
-equilibrium handles strongly forward-biased points.
+The residual is the gradient of a strictly convex energy (``energy``), so
+damped Newton with a line search on that energy converges from any start,
+equilibrium included; no bias continuation is needed.
 
 The Jacobian is symmetric positive definite on a fixed pattern, and only
-its diagonal changes from step to step.  One ``solve`` call therefore holds
-a single sparse LU across all its Newton and continuation steps: the first
-step factors and back-solves, later steps run conjugate gradients
-preconditioned with that LU, and the LU is refactored at the current
-Jacobian only when CG misses its tolerance within a few iterations.  The LU
-never outlives the call, so a solve depends only on its own arguments.
+its diagonal changes from step to step.  A ``HeldLU`` therefore holds one
+sparse LU across Newton steps: the first step factors and back-solves,
+later steps run conjugate gradients preconditioned with that LU, and the
+LU is refactored at the current Jacobian only when CG misses its tolerance
+within a few iterations.  A ``solve`` call makes its own holder unless the
+caller passes one; callers that chain warm-started solves (a sweep row, a
+tune search) pass one holder along the chain.  The holder is never stored
+on the system, so a solve depends only on its arguments and on that holder.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ _E_CLAMP = math.exp(EXP_CLAMP)
 # before a solve is declared converged; keeps the Kirchhoff check at
 # 1e-8 * max(|I|, current_floor) satisfiable with margin.
 _KIRCHHOFF_FRACTION = 1e-9
-
-# Newton calls one bias continuation may spend before it gives up; a cold
-# solve of the default calibration needs 4-5.
-_MAX_CONTINUATION_STEPS = 64
 
 # Preconditioned CG on a held LU: relative residual tolerance and the
 # iteration cap after which the LU is refactored at the current Jacobian.
@@ -89,12 +88,6 @@ class BiasPoint:
     def terminal(self, name: str) -> float | None:
         return {"A": self.v_a, "B": self.v_b, "C": self.v_c}[name]
 
-    def scaled(self, s: float) -> "BiasPoint":
-        def f(v):
-            return None if v is None else s * v
-
-        return BiasPoint(f(self.v_a), f(self.v_b), f(self.v_c))
-
     def max_drive(self) -> float:
         return max(abs(v) for v in (self.v_a, self.v_b, self.v_c) if v is not None)
 
@@ -104,7 +97,6 @@ class SolverConfig:
     newton_tol: float = 1e-11
     max_iters: int = 80
     damping: float = 1.0
-    continuation_steps: int = 8
     current_floor: float = 1e-6     # A, smallest terminal current scale resolved
     regime_threshold: float = 5.2e-7  # A, default I_th for regime labelling
 
@@ -115,8 +107,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be at least 1")
         if not (self.current_floor > 0.0):
             raise ValueError("current_floor must be positive")
 
@@ -146,8 +136,12 @@ class FieldSolution:
         return (self.e_inplane[0], self.e_inplane[1], self.e_z)
 
 
-class _HeldLU:
-    """Newton-step solver holding one sparse LU as a CG preconditioner."""
+class HeldLU:
+    """Newton-step solver holding one sparse LU as a CG preconditioner.
+
+    Pass one holder along a chain of warm-started solves and drop it when a
+    solve fails; never share one between threads.
+    """
 
     def __init__(self) -> None:
         self._precond: spla.LinearOperator | None = None
@@ -182,11 +176,6 @@ def _exp_clamped(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_clamped_deriv(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return np.exp(np.minimum(u, EXP_CLAMP))
-
-
 def diode_current_density(materials: MaterialParams, phi_local):
     """Vertical junction current density (A/um^2) at sheet potential ``phi_local``.
 
@@ -203,7 +192,7 @@ def diode_current_density(materials: MaterialParams, phi_local):
 def _diode_conductance(materials: MaterialParams, phi_local):
     nvt = materials.ideality * materials.thermal_voltage
     u = np.asarray(phi_local, dtype=float) / nvt
-    return materials.saturation_current_density * _exp_clamped_deriv(u) / nvt
+    return materials.saturation_current_density * np.exp(np.minimum(u, EXP_CLAMP)) / nvt
 
 
 class SheetSystem:
@@ -323,6 +312,21 @@ class SheetSystem:
             f[ids] += self.pad_conductance[name] * (phi[ids] - v)
         return f
 
+    def energy(self, phi: np.ndarray, bias: BiasPoint) -> float:
+        """Convex sheet energy whose gradient is ``residual``."""
+        m = self.materials
+        nvt = m.ideality * m.thermal_voltage
+        u = phi / nvt
+        x = np.maximum(u - EXP_CLAMP, 0.0)
+        # primitive of the clamped exponential: exp(u), quadratic beyond
+        prim = np.exp(np.minimum(u, EXP_CLAMP)) * (1.0 + x + 0.5 * x * x)
+        e = 0.5 * float(phi @ (self.conduction @ phi))
+        e += m.saturation_current_density * nvt * float(self.node_area @ (prim - u))
+        for name, v in self._driven(bias):
+            r = phi[self.pad_nodes[name]] - v
+            e += 0.5 * self.pad_conductance[name] * float(r @ r)
+        return e
+
     def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> sp.csc_matrix:
         """A fresh CSC Jacobian on the fixed stiffness pattern."""
         diag = _diode_conductance(self.materials, phi) * self.node_area
@@ -369,18 +373,20 @@ class SheetSystem:
         bias: BiasPoint,
         phi0: np.ndarray,
         cfg: SolverConfig,
-        linear: _HeldLU | None = None,
+        lu: HeldLU | None = None,
     ):
         """Damped Newton from ``phi0``: ``(phi, converged, iters, history)``.
 
-        Each step solves ``J delta = -f`` through ``linear``, the LU held by
-        the calling ``solve`` (a fresh one when omitted): preconditioned CG
-        on the held factorization, refactoring when CG falls short.
-        Convergence is judged on the residual and the Kirchhoff balance
-        alone, so the answer does not depend on how the steps were solved.
+        Each step solves ``J d = -f`` through ``lu`` (a fresh holder when
+        omitted) and halves ``lambda`` until ``phi + lambda d`` lowers the
+        convex energy: Armijo on ``energy``, or the 1-D convexity test
+        ``f(phi + lambda d) . d <= 0``, which still decides the last steps
+        where energy differences fall below rounding.  Convergence is
+        judged on the residual and the Kirchhoff balance alone, so the
+        answer does not depend on how the steps were solved.
         """
-        if linear is None:
-            linear = _HeldLU()
+        if lu is None:
+            lu = HeldLU()
         scale = self._residual_scale(bias, cfg)
         tol = cfg.newton_tol * scale
         balance_tol = _KIRCHHOFF_FRACTION * cfg.current_floor
@@ -396,22 +402,26 @@ class SheetSystem:
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history
-            delta = linear.step(self.jacobian(phi, bias), -f)
+            delta = lu.step(self.jacobian(phi, bias), -f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
+            slope = float(f @ delta)
+            energy = None  # E(phi), computed only when the 1-D test fails
             lam = cfg.damping
-            accepted = False
-            while lam >= 2.0**-24:
+            while True:
                 phi_try = phi + lam * delta
                 f_try = self.residual(phi_try, bias)
-                norm_try = float(np.max(np.abs(f_try)))
-                if math.isfinite(norm_try) and norm_try < norm:
-                    accepted = True
+                if float(f_try @ delta) <= 0.0:
+                    break
+                if energy is None:
+                    energy = self.energy(phi, bias)
+                if self.energy(phi_try, bias) <= energy + 1e-4 * lam * slope:
                     break
                 lam *= 0.5
-            if not accepted:
-                return phi, False, iters, history
-            phi, f, norm = phi_try, f_try, norm_try
+                if lam < 2.0**-24:
+                    return phi, False, iters, history
+            phi, f = phi_try, f_try
+            norm = float(np.max(np.abs(f)))
             iters += 1
             history.append(norm / scale)
 
@@ -419,52 +429,26 @@ class SheetSystem:
         return phi, converged, iters, history
 
     def solve(
-        self, bias: BiasPoint, cfg: SolverConfig, phi0: np.ndarray | None = None
+        self,
+        bias: BiasPoint,
+        cfg: SolverConfig,
+        phi0: np.ndarray | None = None,
+        lu: HeldLU | None = None,
     ) -> FieldSolution:
-        history_all: list[float] = []
-        total_iters = 0
-        linear = _HeldLU()
+        """One damped Newton descent from ``phi0`` (zeros when omitted).
 
-        if phi0 is not None:
-            phi, ok, iters, history = self._newton(
-                bias, np.asarray(phi0, float), cfg, linear
+        ``lu`` carries the held factorization of a chain of solves; a fresh
+        one is made when omitted.  Raises ``ConvergenceError`` with the
+        residual history when ``cfg.max_iters`` steps do not converge.
+        """
+        phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
+        phi, ok, iters, history = self._newton(bias, phi0, cfg, lu)
+        if not ok:
+            raise ConvergenceError(
+                f"no convergence at bias {bias} after {iters} Newton iterations "
+                f"(last residual {history[-1]:.3e})",
+                history,
             )
-            history_all += history
-            total_iters += iters
-            if ok:
-                return self._finalize(bias, phi, total_iters, history_all)
-
-        # Bias continuation from equilibrium.
-        phi = np.zeros(self.n)
-        s_done = 0.0
-        ds = 1.0 / cfg.continuation_steps
-        steps = 0
-        while s_done < 1.0 - 1e-12:
-            if ds < 2.0**-16 or steps == _MAX_CONTINUATION_STEPS:
-                raise ConvergenceError(
-                    f"no convergence at bias {bias} "
-                    f"(continuation stalled at s={s_done:.4f} after {steps} steps, "
-                    f"last residual {history_all[-1]:.3e})",
-                    history_all,
-                )
-            steps += 1
-            s_try = min(1.0, s_done + ds)
-            phi_new, ok, iters, history = self._newton(
-                bias.scaled(s_try), phi, cfg, linear
-            )
-            history_all += history
-            total_iters += iters
-            if ok:
-                phi = phi_new
-                s_done = s_try
-                ds = min(2.0 * ds, 1.0)
-            else:
-                ds *= 0.5
-        return self._finalize(bias, phi, total_iters, history_all)
-
-    def _finalize(
-        self, bias: BiasPoint, phi: np.ndarray, iters: int, history: list[float]
-    ) -> FieldSolution:
         i_a, i_b, i_c, i_j = self.terminal_currents(phi, bias)
         ex, ey = self.field_at_qd(phi)
         mesh = self.mesh
@@ -481,7 +465,7 @@ class SheetSystem:
             i_c=i_c,
             i_junction=i_j,
             newton_iters=iters,
-            residual=history[-1] if history else 0.0,
+            residual=history[-1],
         )
 
 

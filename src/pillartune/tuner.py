@@ -1,12 +1,14 @@
 """Bias-space orchestration: grid sweeps and zero-splitting search.
 
 Sweeps walk the (V_A, V_B) grid row by row; inside a row each solve warm
-starts from its neighbour (serpentine direction alternates per row), and
-rows are independent of each other, so row-parallel execution produces
-byte-identical output to a serial run.  The zero-splitting search solves
-the smooth splitting vector delta(V) = 0 by bounded least squares
-(trust-region reflective), started from the best points of a coarse grid;
-its norm, the observable splitting, is not differentiable at the zero.
+starts from its neighbour (serpentine direction alternates per row) over
+one held LU, and rows are independent of each other, so row-parallel
+execution produces byte-identical output to a serial run.  The
+zero-splitting search solves the smooth splitting vector delta(V) = 0 by
+bounded least squares (trust-region reflective), started from the best
+points of a coarse grid, all its solves chained over one held LU; its
+norm, the observable splitting, is not differentiable at the zero.  A
+chain drops its warm start and LU when a solve fails.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, sta
 from .solver import (
     BiasPoint,
     FieldSolution,
+    HeldLU,
     SheetSystem,
     SolverConfig,
     SolverError,
@@ -318,11 +321,12 @@ def run_bias_sweep(
         order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
         row: list[CellRecord | None] = [None] * len(va)
         phi_prev: np.ndarray | None = None
+        lu = HeldLU()
         for i_col in order:
             bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
-                sol = system.solve(bias, cfg, phi0=phi_prev)
+                sol = system.solve(bias, cfg, phi0=phi_prev, lu=lu)
                 state = exciton_state(exciton_params, sol.field)
                 _fill_record(
                     rec, sol, state, exciton_params, theta_ref, cfg.regime_threshold
@@ -330,7 +334,7 @@ def run_bias_sweep(
                 phi_prev = sol.phi
             except SolverError as exc:
                 rec.status = f"error:{type(exc).__name__}"
-                phi_prev = None
+                phi_prev, lu = None, HeldLU()
             row[i_col] = rec
         return row  # type: ignore[return-value]
 
@@ -422,7 +426,7 @@ def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationChe
 
 
 class _Splitting:
-    """Splitting vector versus free terminal voltages, with warm-started solves."""
+    """Splitting vector versus free voltages; warm-started solves on one held LU."""
 
     def __init__(
         self,
@@ -438,6 +442,7 @@ class _Splitting:
         self.start = start
         self.free = free
         self.phi_prev: np.ndarray | None = None
+        self.lu = HeldLU()
         self.evals = 0
 
     def bias_at(self, x) -> BiasPoint:
@@ -446,9 +451,11 @@ class _Splitting:
 
     def solve_at(self, x) -> FieldSolution:
         try:
-            sol = self.system.solve(self.bias_at(x), self.cfg, phi0=self.phi_prev)
+            sol = self.system.solve(
+                self.bias_at(x), self.cfg, phi0=self.phi_prev, lu=self.lu
+            )
         except SolverError:
-            self.phi_prev = None
+            self.phi_prev, self.lu = None, HeldLU()
             raise
         self.phi_prev = sol.phi
         return sol
@@ -574,6 +581,18 @@ def eigenaxis_rotation_check(
     return _rotation_check(theta_a, theta_b)
 
 
+def check_iso_fss_args(
+    target_fss: float, min_energy_separation: float, max_pairs: int | None
+) -> None:
+    """Raise ValueError for arguments ``iso_fss_points`` cannot honour."""
+    if not (target_fss > 0.0):
+        raise ValueError("target_fss must be positive")
+    if not math.isfinite(min_energy_separation):
+        raise ValueError("min_energy_separation must be finite")
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError(f"max_pairs must be at least 0, got {max_pairs}")
+
+
 def iso_fss_points(
     sweep: SweepResult,
     target_fss: float,
@@ -584,14 +603,11 @@ def iso_fss_points(
 
     Both members must lie within 10 % of ``target_fss``; the pair qualifies
     when the mean transition energies differ by at least
-    ``min_energy_separation`` (ueV).  Pairs come widest separation first,
-    ties by index; at most ``max_pairs`` (None or a count >= 0) are kept.
-    An empty list is a valid outcome.
+    ``min_energy_separation`` (ueV, finite).  Pairs come widest separation
+    first, ties by index; at most ``max_pairs`` (None or a count >= 0) are
+    kept.  An empty list is a valid outcome.
     """
-    if not (target_fss > 0.0):
-        raise ValueError("target_fss must be positive")
-    if max_pairs is not None and max_pairs < 0:
-        raise ValueError(f"max_pairs must be at least 0, got {max_pairs}")
+    check_iso_fss_args(target_fss, min_energy_separation, max_pairs)
     cand = np.array(
         [
             i

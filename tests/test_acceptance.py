@@ -85,7 +85,7 @@ def tuned(cfg, mesh):
         materials=cfg.materials,
         exciton_params=cfg.exciton,
         cfg=cfg.solver,
-        bounds=(cfg.sweep.va_start, cfg.sweep.va_stop),
+        bounds=cfg.sweep.tune_bounds(),
     )
 
 
@@ -310,7 +310,7 @@ def test_criterion_08_cancellation(cfg, mesh, tuned):
         materials=laplace,
         exciton_params=affine_params,
         cfg=cfg.solver,
-        bounds=(cfg.sweep.va_start, cfg.sweep.va_stop),
+        bounds=cfg.sweep.tune_bounds(),
     )
     assert affine.converged and affine.achieved_fss < 0.1
     assert abs(affine.bias[0] - v_star[0]) < 0.1

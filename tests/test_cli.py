@@ -66,7 +66,6 @@ vb_step_v = 1.0
 STARVED_SOLVER = FAST_DEVICE + """
 [solver]
 max_iters = 1
-continuation_steps = 1
 """
 
 
@@ -390,6 +389,30 @@ def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
     assert "max_pairs must be at least 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, separation, max_pairs, message",
+    [
+        ("0", "1.0", "5", "target_fss must be positive"),
+        ("5.0", "nan", "5", "min_energy_separation must be finite"),
+        ("5.0", "inf", "5", "min_energy_separation must be finite"),
+        ("5.0", "1.0", "-1", "max_pairs must be at least 0"),
+    ],
+)
+def test_iso_fss_rejects_bad_arguments_before_sweeping(
+    fast_config, monkeypatch, capsys, target, separation, max_pairs, message
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_bias_sweep", lambda *a, **k: calls.append(a))
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", target,
+        "--min-separation", separation, "--max-pairs", max_pairs,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert calls == []
 
 
 def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):

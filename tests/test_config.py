@@ -34,16 +34,16 @@ def test_default_text_round_trips_to_same_hash():
 
 def test_config_hashes_are_pinned():
     # a changed hash orphans every artifact written under the old one
-    assert load_run_config().config_hash == "66dd857cd5b4"
-    assert parse_config_text("").config_hash == "66dd857cd5b4"
+    assert load_run_config().config_hash == "4cf7eda5d5bf"
+    assert parse_config_text("").config_hash == "4cf7eda5d5bf"
     cfg = parse_config_text("[device]\npillar_diameter_um = 12.0\n")
-    assert cfg.config_hash == "5f2e2bbac5c7"
+    assert cfg.config_hash == "3f1cd75a80f9"
 
 
 def test_schema_holds_parsers_only():
     # the defaults live in default.cfg alone
     parsers = [p for keys in SCHEMA.values() for p in keys.values()]
-    assert len(parsers) == 37
+    assert len(parsers) == 35
     assert all(callable(p) for p in parsers)
 
 

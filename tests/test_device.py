@@ -146,13 +146,6 @@ def test_stitcher_splits_each_quad_along_its_rising_diagonal():
     assert _stitch_rows(rows).tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
 
 
-def test_disc_segments_do_not_change_the_mesh():
-    coarse = generate_mesh(build_geometry(DeviceGeometry(disc_segments=12)), 2.0)
-    fine = generate_mesh(build_geometry(DeviceGeometry(disc_segments=256)), 2.0)
-    assert np.array_equal(coarse.nodes, fine.nodes)
-    assert np.array_equal(coarse.cells, fine.cells)
-
-
 def test_bad_edge_length_rejected():
     fp = build_geometry(DeviceGeometry())
     with pytest.raises(MeshError):

@@ -18,11 +18,11 @@ from pillartune.device import (
     make_strip_mesh,
 )
 from pillartune.solver import (
-    _MAX_CONTINUATION_STEPS,
     EXP_CLAMP,
     TERMINALS,
     BiasPoint,
     ConvergenceError,
+    HeldLU,
     NumericalError,
     SheetSystem,
     SolverConfig,
@@ -42,7 +42,6 @@ def test_bias_point_validation():
         BiasPoint(float("nan"), 0.0, None)
     b = BiasPoint(1.0, -2.0, None)
     assert b.terminal("C") is None
-    assert b.scaled(0.5).v_a == 0.5
 
 
 # -- diode law ---------------------------------------------------------------
@@ -394,22 +393,101 @@ def test_warm_start_agrees_with_cold_start(coarse_system):
     assert np.max(np.abs(warm.phi - cold.phi)) <= 10.0 * CFG.newton_tol * v_scale
 
 
-def test_starved_continuation_gives_up_after_step_cap(coarse_system, monkeypatch):
-    calls = []
+def test_starved_newton_gives_up_after_max_iters(coarse_system, monkeypatch):
+    spent = []
     newton = coarse_system._newton
 
     def counted(*args):
-        calls.append(args[0])
-        return newton(*args)
+        result = newton(*args)
+        spent.append(result[2])
+        return result
 
     monkeypatch.setattr(coarse_system, "_newton", counted)
-    starved = SolverConfig(max_iters=1, continuation_steps=1)
-    match = f"after {_MAX_CONTINUATION_STEPS} steps"
-    with pytest.raises(ConvergenceError, match=match):
+    starved = SolverConfig(max_iters=1)
+    with pytest.raises(ConvergenceError, match="after 1 Newton iterations") as err:
         coarse_system.solve(
             BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(coarse_system.n)
         )
-    assert len(calls) <= _MAX_CONTINUATION_STEPS + 1
+    # one descent run, no retry, and no more steps than max_iters
+    assert spent == [1]
+    assert len(err.value.residual_history) == starved.max_iters + 1
+
+
+def test_energy_gradient_is_the_residual(coarse_system):
+    # no converged solve in the window reaches EXP_CLAMP, so phi is set by
+    # hand to put about a tenth of the nodes on the quadratic branch
+    system = coarse_system
+    m = system.materials
+    phi = np.random.default_rng(5).uniform(-1.0, 2.5, system.n)
+    assert np.sum(phi / (m.ideality * m.thermal_voltage) > EXP_CLAMP + 1.0) > 20
+    bias = BiasPoint(0.5, 2.0, -0.5)
+    f = system.residual(phi, bias)
+    h = 1e-5
+    fd = np.empty(system.n)
+    for k in range(system.n):
+        step = np.zeros(system.n)
+        step[k] = h
+        fd[k] = (system.energy(phi + step, bias) - system.energy(phi - step, bias)) / (2 * h)
+    assert np.max(np.abs(fd - f)) <= 1e-8 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize(
+    "bias", [BiasPoint(3.0, 2.0, None), BiasPoint(-1.0, -1.0, None), BiasPoint(6.0, 6.0, 6.0)]
+)
+def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
+    # the Jacobian is built once per step at the accepted iterate
+    system = coarse_system
+    iterates = []
+    jacobian = system.jacobian
+
+    def spy(phi, b):
+        iterates.append(phi)
+        return jacobian(phi, b)
+
+    monkeypatch.setattr(system, "jacobian", spy)
+    phi, ok, iters, _ = system._newton(bias, np.zeros(system.n), CFG)
+    assert ok and len(iterates) == iters
+    energies = [system.energy(p, bias) for p in (*iterates, phi)]
+    assert energies[-1] < energies[0]
+    # last steps move E below the rounding of the quadratic form (about
+    # 1e-17 at (3, 2) and (-1, -1)); allow a few ulps of that form
+    k_abs = abs(system.conduction)
+    for p, e_prev, e_next in zip(iterates, energies, energies[1:]):
+        rounding = np.finfo(float).eps * float(np.abs(p) @ (k_abs @ np.abs(p)))
+        assert e_next <= e_prev + 4.0 * rounding
+
+
+@pytest.mark.parametrize(
+    "va, vb, vc",
+    [(-1.0, -1.0, None), (-1.0, 6.0, None), (6.0, -1.0, None), (6.0, 6.0, None), (6.0, 6.0, 6.0)],
+)
+def test_cold_solves_converge_without_continuation(coarse_system, va, vb, vc):
+    sol = coarse_system.solve(BiasPoint(va, vb, vc), CFG)
+    assert sol.newton_iters <= 15
+
+
+def test_held_lu_carries_across_solves(coarse_system, monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+
+    def factorizations(lu):
+        calls.clear()
+        phi = None
+        for va in (2.0, 2.2, 2.4):
+            phi = coarse_system.solve(BiasPoint(va, 1.0, None), CFG, phi, lu).phi
+        return len(calls), phi
+
+    held, phi_held = factorizations(HeldLU())
+    fresh, phi_fresh = factorizations(None)
+    # a fresh holder per call factors at least once per solve
+    assert held < 3 <= fresh
+    assert np.max(np.abs(phi_held - phi_fresh)) <= 10.0 * CFG.newton_tol * 2.4
 
 
 def test_cold_solve_factors_less_often_than_it_steps(coarse_system, monkeypatch):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from pillartune.device import MaterialParams
 from pillartune.exciton import ExcitonParams, fss_vector
-from pillartune.solver import BiasPoint, SheetSystem, SolverConfig
+from pillartune.solver import BiasPoint, ConvergenceError, SheetSystem, SolverConfig
 from pillartune.tuner import (
     COLUMNS,
     CellRecord,
@@ -190,11 +190,10 @@ def test_read_sweep_csv_rejects_bad_input(tmp_path, text, message):
 
 
 def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
-    # a solver starved of iterations fails at forward bias but the sweep
+    # a solver allowed one Newton step fails at forward bias but the sweep
     # still emits one record per cell
     crippled = SolverConfig(
-        newton_tol=1e-11, max_iters=1, continuation_steps=1,
-        regime_threshold=CFG.regime_threshold,
+        newton_tol=1e-11, max_iters=1, regime_threshold=CFG.regime_threshold,
     )
     spec = SweepSpec(
         va_start=0.0, va_stop=4.0, va_step=2.0,
@@ -210,6 +209,38 @@ def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
     for rec in failed:
         assert rec.status.startswith("error:")
         assert math.isnan(rec.fss)
+
+
+def test_cell_after_a_failure_is_a_fresh_cold_solve(
+    coarse_mesh, default_config, monkeypatch
+):
+    # a failed cell drops the row's held LU with its warm start, so the
+    # next cell is bit for bit what a fresh system solves from zero
+    failing = BiasPoint(1.0, 1.0, None)
+    phis = {}
+    solve = SheetSystem.solve
+
+    def flaky(self, bias, cfg, phi0=None, lu=None):
+        if bias == failing:
+            raise ConvergenceError("forced failure")
+        sol = solve(self, bias, cfg, phi0, lu)
+        phis[bias] = sol.phi
+        return sol
+
+    monkeypatch.setattr(SheetSystem, "solve", flaky)
+    spec = SweepSpec(
+        va_start=0.0, va_stop=3.0, va_step=1.0,
+        vb_start=1.0, vb_stop=1.0, vb_step=1.0,
+    )
+    result = run_bias_sweep(
+        spec, coarse_mesh, default_config.materials, default_config.exciton, CFG
+    )
+    assert [r.status for r in result.records] == [
+        "ok", "error:ConvergenceError", "ok", "ok"
+    ]
+    after = BiasPoint(2.0, 1.0, None)
+    fresh = solve(SheetSystem(coarse_mesh, default_config.materials), after, CFG)
+    assert phis[after].tobytes() == fresh.phi.tobytes()
 
 
 def test_singular_factor_is_recorded_as_numerical_error(
