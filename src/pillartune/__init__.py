@@ -29,7 +29,6 @@ from .solver import (
     BiasPoint,
     ConvergenceError,
     FieldSolution,
-    HeldLU,
     NumericalError,
     SheetSystem,
     SolverConfig,

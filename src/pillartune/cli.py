@@ -228,6 +228,22 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
+def _check_sweep_meta(csv_path: str, config_hash: str) -> None:
+    """Reject a sweep CSV whose ``cmd_sweep`` sidecar names another config."""
+    meta_path = f"{os.path.splitext(csv_path)[0]}.meta.json"
+    if not os.path.exists(meta_path):
+        return
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            swept = json.load(fh).get("config_hash", config_hash)
+    except (OSError, ValueError, AttributeError) as exc:
+        raise TunerError(f"cannot read sweep metadata {meta_path}: {exc}") from exc
+    if swept != config_hash:
+        raise TunerError(
+            f"{csv_path}: swept with config {swept}, loaded config is {config_hash}"
+        )
+
+
 def cmd_iso_fss(args) -> int:
     cfg = _load(args)
     check_iso_fss_args(args.target, args.min_separation, args.max_pairs)
@@ -239,6 +255,7 @@ def cmd_iso_fss(args) -> int:
             raise TunerError(
                 f"{args.sweep_csv}: cells are not the [sweep] grid of the loaded config"
             )
+        _check_sweep_meta(args.sweep_csv, cfg.config_hash)
         sweep = SweepResult(spec=spec, records=records, metadata={})
     else:
         mesh = _mesh(cfg)

@@ -152,13 +152,6 @@ class Footprint:
     ridges: tuple[np.ndarray, ...]     # three (4, 2) rectangles
     pads: tuple[np.ndarray, ...]       # three (4, 2) squares
 
-    def polygons(self) -> list[np.ndarray]:
-        return [self.pillar, *self.ridges, *self.pads]
-
-    def component_area(self) -> float:
-        """Sum of component polygon areas (attachment overlaps not removed)."""
-        return float(sum(abs(_polygon_area(p)) for p in self.polygons()))
-
 
 @dataclass
 class Mesh:
@@ -205,11 +198,6 @@ def _unit(angle: float) -> np.ndarray:
 
 def _perp(angle: float) -> np.ndarray:
     return np.array([-math.sin(angle), math.cos(angle)])
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _convex_overlap(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:

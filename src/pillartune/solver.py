@@ -14,14 +14,12 @@ damped Newton with a line search on that energy converges from any start,
 equilibrium included; no bias continuation is needed.
 
 The Jacobian is symmetric positive definite on a fixed pattern, and only
-its diagonal changes from step to step.  A ``HeldLU`` therefore holds one
-sparse LU across Newton steps: the first step factors and back-solves,
-later steps run conjugate gradients preconditioned with that LU, and the
-LU is refactored at the current Jacobian only when CG misses its tolerance
-within a few iterations.  A ``solve`` call makes its own holder unless the
-caller passes one; callers that chain warm-started solves (a sweep row, a
-tune search) pass one holder along the chain.  The holder is never stored
-on the system, so a solve depends only on its arguments and on that holder.
+its diagonal changes from step to step.  In reverse Cuthill-McKee order
+that pattern is a narrow band (half-bandwidth 54 on the 2,140-node default
+mesh), so every Newton step factors its own Jacobian exactly with LAPACK's
+banded Cholesky (``dpbtrf``) and back-solves (``dpbtrs``).  The band layout
+is built once per system; nothing of a factorization outlives its step, so
+a solve depends only on its bias, config and starting potential.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .device import MaterialParams, Mesh, MeshError, cell_areas
 
@@ -42,11 +41,6 @@ _E_CLAMP = math.exp(EXP_CLAMP)
 # before a solve is declared converged; keeps the Kirchhoff check at
 # 1e-8 * max(|I|, current_floor) satisfiable with margin.
 _KIRCHHOFF_FRACTION = 1e-9
-
-# Preconditioned CG on a held LU: relative residual tolerance and the
-# iteration cap after which the LU is refactored at the current Jacobian.
-_CG_RTOL = 1e-10
-_CG_MAXITER = 6
 
 TERMINALS = ("A", "B", "C")
 
@@ -136,36 +130,6 @@ class FieldSolution:
         return (self.e_inplane[0], self.e_inplane[1], self.e_z)
 
 
-class HeldLU:
-    """Newton-step solver holding one sparse LU as a CG preconditioner.
-
-    Pass one holder along a chain of warm-started solves and drop it when a
-    solve fails; never share one between threads.
-    """
-
-    def __init__(self) -> None:
-        self._precond: spla.LinearOperator | None = None
-
-    def step(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        if self._precond is not None:
-            delta, info = spla.cg(
-                jac, rhs, M=self._precond, rtol=_CG_RTOL, maxiter=_CG_MAXITER
-            )
-            if info == 0:
-                return delta
-        try:
-            lu = spla.splu(
-                jac,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise NumericalError(f"Jacobian factorization failed: {exc}") from exc
-        self._precond = spla.LinearOperator(jac.shape, matvec=lu.solve)
-        return lu.solve(rhs)
-
-
 def _exp_clamped(u: np.ndarray) -> np.ndarray:
     """exp(u) for u <= EXP_CLAMP, continued linearly (C^1) beyond."""
     u = np.asarray(u, dtype=float)
@@ -203,6 +167,7 @@ class SheetSystem:
         self.materials = materials
         self.n = mesh.n_nodes
         self._build_stiffness()
+        self._build_band()
         self._build_node_areas()
         self._build_contacts()
         self._build_qd_gradient()
@@ -253,6 +218,22 @@ class SheetSystem:
         if len(self._jac_diag) != self.n:
             raise MeshError("every mesh node must belong to a cell")
         self._grad_b, self._grad_c, self._cell_area = b, c, area
+
+    def _build_band(self) -> None:
+        # Reverse Cuthill-McKee order of the Jacobian pattern, and for each
+        # stored lower-triangle entry its offset in the column-major
+        # (bandwidth + 1, n) lower band that LAPACK's dpbtrf reads.
+        jac = self._jac_base
+        perm = reverse_cuthill_mckee(jac, symmetric_mode=True)
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[perm] = np.arange(self.n)
+        rows = rank[jac.indices]
+        cols = rank[np.repeat(np.arange(self.n), np.diff(jac.indptr))]
+        self._band_src = np.flatnonzero(rows >= cols)
+        offset = rows[self._band_src] - cols[self._band_src]
+        self._band_shape = (int(offset.max()) + 1, self.n)
+        self._band_dst = offset + self._band_shape[0] * cols[self._band_src]
+        self._perm = perm
 
     def _build_node_areas(self) -> None:
         area = self._cell_area
@@ -336,6 +317,22 @@ class SheetSystem:
         jac.data[self._jac_diag] += diag
         return jac
 
+    def _band(self, jac: sp.csc_matrix) -> np.ndarray:
+        """Lower band of ``jac`` in RCM order, Fortran-ordered for ``dpbtrf``."""
+        flat = np.zeros(self._band_shape[0] * self.n)
+        flat[self._band_dst] = jac.data[self._band_src]
+        return flat.reshape(self._band_shape, order="F")
+
+    def _newton_direction(self, jac: sp.csc_matrix, f: np.ndarray) -> np.ndarray:
+        """``-jac^{-1} f`` by banded Cholesky in RCM order."""
+        chol, info = dpbtrf(self._band(jac), lower=1, overwrite_ab=1)
+        if info != 0:
+            raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
+        x, _ = dpbtrs(chol, -f[self._perm], lower=1)
+        delta = np.empty(self.n)
+        delta[self._perm] = x
+        return delta
+
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
         out = {}
         for name in TERMINALS:
@@ -368,25 +365,16 @@ class SheetSystem:
             1e-3 * cfg.current_floor,
         )
 
-    def _newton(
-        self,
-        bias: BiasPoint,
-        phi0: np.ndarray,
-        cfg: SolverConfig,
-        lu: HeldLU | None = None,
-    ):
+    def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig):
         """Damped Newton from ``phi0``: ``(phi, converged, iters, history)``.
 
-        Each step solves ``J d = -f`` through ``lu`` (a fresh holder when
-        omitted) and halves ``lambda`` until ``phi + lambda d`` lowers the
-        convex energy: Armijo on ``energy``, or the 1-D convexity test
+        Each step builds the Jacobian, factors it afresh (``_newton_direction``)
+        and halves ``lambda`` until ``phi + lambda d`` lowers the convex
+        energy: Armijo on ``energy``, or the 1-D convexity test
         ``f(phi + lambda d) . d <= 0``, which still decides the last steps
         where energy differences fall below rounding.  Convergence is
-        judged on the residual and the Kirchhoff balance alone, so the
-        answer does not depend on how the steps were solved.
+        judged on the residual and the Kirchhoff balance alone.
         """
-        if lu is None:
-            lu = HeldLU()
         scale = self._residual_scale(bias, cfg)
         tol = cfg.newton_tol * scale
         balance_tol = _KIRCHHOFF_FRACTION * cfg.current_floor
@@ -402,7 +390,7 @@ class SheetSystem:
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history
-            delta = lu.step(self.jacobian(phi, bias), -f)
+            delta = self._newton_direction(self.jacobian(phi, bias), f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
             slope = float(f @ delta)
@@ -433,16 +421,16 @@ class SheetSystem:
         bias: BiasPoint,
         cfg: SolverConfig,
         phi0: np.ndarray | None = None,
-        lu: HeldLU | None = None,
     ) -> FieldSolution:
         """One damped Newton descent from ``phi0`` (zeros when omitted).
 
-        ``lu`` carries the held factorization of a chain of solves; a fresh
-        one is made when omitted.  Raises ``ConvergenceError`` with the
-        residual history when ``cfg.max_iters`` steps do not converge.
+        The result depends only on the arguments.  Raises
+        ``ConvergenceError`` with the residual history when
+        ``cfg.max_iters`` steps do not converge, and ``NumericalError``
+        when a residual, a step or a Jacobian factorization breaks down.
         """
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
-        phi, ok, iters, history = self._newton(bias, phi0, cfg, lu)
+        phi, ok, iters, history = self._newton(bias, phi0, cfg)
         if not ok:
             raise ConvergenceError(
                 f"no convergence at bias {bias} after {iters} Newton iterations "

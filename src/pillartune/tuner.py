@@ -1,14 +1,14 @@
 """Bias-space orchestration: grid sweeps and zero-splitting search.
 
 Sweeps walk the (V_A, V_B) grid row by row; inside a row each solve warm
-starts from its neighbour (serpentine direction alternates per row) over
-one held LU, and rows are independent of each other, so row-parallel
-execution produces byte-identical output to a serial run.  The
-zero-splitting search solves the smooth splitting vector delta(V) = 0 by
-bounded least squares (trust-region reflective), started from the best
-points of a coarse grid, all its solves chained over one held LU; its
-norm, the observable splitting, is not differentiable at the zero.  A
-chain drops its warm start and LU when a solve fails.
+starts from its neighbour (serpentine direction alternates per row), and
+rows are independent of each other, so row-parallel execution produces
+byte-identical output to a serial run.  The zero-splitting search solves
+the smooth splitting vector delta(V) = 0 by bounded least squares
+(trust-region reflective), started from the best points of a coarse grid,
+each solve warm-started from the previous one; its norm, the observable
+splitting, is not differentiable at the zero.  A chain drops its warm
+start when a solve fails.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, sta
 from .solver import (
     BiasPoint,
     FieldSolution,
-    HeldLU,
     SheetSystem,
     SolverConfig,
     SolverError,
@@ -321,12 +320,11 @@ def run_bias_sweep(
         order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
         row: list[CellRecord | None] = [None] * len(va)
         phi_prev: np.ndarray | None = None
-        lu = HeldLU()
         for i_col in order:
             bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
-                sol = system.solve(bias, cfg, phi0=phi_prev, lu=lu)
+                sol = system.solve(bias, cfg, phi0=phi_prev)
                 state = exciton_state(exciton_params, sol.field)
                 _fill_record(
                     rec, sol, state, exciton_params, theta_ref, cfg.regime_threshold
@@ -334,7 +332,7 @@ def run_bias_sweep(
                 phi_prev = sol.phi
             except SolverError as exc:
                 rec.status = f"error:{type(exc).__name__}"
-                phi_prev, lu = None, HeldLU()
+                phi_prev = None
             row[i_col] = rec
         return row  # type: ignore[return-value]
 
@@ -426,7 +424,7 @@ def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationChe
 
 
 class _Splitting:
-    """Splitting vector versus free voltages; warm-started solves on one held LU."""
+    """Splitting vector versus free voltages, each solve warm-started from the last."""
 
     def __init__(
         self,
@@ -442,7 +440,6 @@ class _Splitting:
         self.start = start
         self.free = free
         self.phi_prev: np.ndarray | None = None
-        self.lu = HeldLU()
         self.evals = 0
 
     def bias_at(self, x) -> BiasPoint:
@@ -451,11 +448,9 @@ class _Splitting:
 
     def solve_at(self, x) -> FieldSolution:
         try:
-            sol = self.system.solve(
-                self.bias_at(x), self.cfg, phi0=self.phi_prev, lu=self.lu
-            )
+            sol = self.system.solve(self.bias_at(x), self.cfg, phi0=self.phi_prev)
         except SolverError:
-            self.phi_prev, self.lu = None, HeldLU()
+            self.phi_prev = None
             raise
         self.phi_prev = sol.phi
         return sol
@@ -493,8 +488,8 @@ def find_zero_fss(
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     free = tuple(free_terminals)
-    if not free or any(t not in ("A", "B", "C") for t in free):
-        raise ValueError("free_terminals must be a non-empty subset of A, B, C")
+    if not free or len(set(free)) < len(free) or not set(free) <= {"A", "B", "C"}:
+        raise ValueError("free_terminals must be distinct terminals among A, B, C")
     for t in free:
         if start.terminal(t) is None:
             raise ValueError(f"free terminal {t} is floating in the start bias")

@@ -4,9 +4,8 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
-from pillartune import cli
+from pillartune import cli, solver
 from pillartune.cli import main
 from pillartune.config import load_run_config
 from pillartune.spectro import scan_from_csv, shift_law
@@ -259,10 +258,7 @@ def test_solver_failure_exits_3_with_residual_history(tmp_path, monkeypatch, cap
 
 
 def test_singular_factor_exits_3(fast_config, monkeypatch, capsys):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "splu", singular)
+    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
     code = main(["--config", fast_config, "solve", "--va", "3", "--vb", "3"])
     err = capsys.readouterr().err
     assert code == 3
@@ -372,6 +368,32 @@ def test_iso_fss_rejects_sweep_csv_from_another_grid(fast_config, tmp_path, caps
     assert code == 2
     assert "[sweep] grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_iso_fss_rejects_sweep_csv_from_another_config(fast_config, tmp_path, capsys):
+    # same [sweep] grid, another calibration: the sweep's sidecar meta names it
+    other = tmp_path / "other.cfg"
+    other.write_text(FAST_DEVICE + "\n[exciton]\nzero_field_splitting_uev = 5.0, 0.0\n")
+    other_hash = load_run_config(str(other)).config_hash
+    assert other_hash != load_run_config(fast_config).config_hash
+    assert main(["--config", str(other), "sweep", "--out", "other"]) == 0
+    sweep_csv = tmp_path / f"other_{other_hash}.csv"
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"swept with config {other_hash}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tune_repeated_free_terminal_exits_2(fast_config, capsys):
+    assert main(["--config", fast_config, "tune", "--free", "A,A"]) == 2
+    assert "distinct terminals" in capsys.readouterr().err
 
 
 def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):

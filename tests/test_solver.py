@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
+from pillartune import solver
 from pillartune.device import (
     DeviceGeometry,
     MaterialParams,
@@ -22,7 +23,6 @@ from pillartune.solver import (
     TERMINALS,
     BiasPoint,
     ConvergenceError,
-    HeldLU,
     NumericalError,
     SheetSystem,
     SolverConfig,
@@ -466,43 +466,6 @@ def test_cold_solves_converge_without_continuation(coarse_system, va, vb, vc):
     assert sol.newton_iters <= 15
 
 
-def test_held_lu_carries_across_solves(coarse_system, monkeypatch):
-    calls = []
-    splu = spla.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
-
-    def factorizations(lu):
-        calls.clear()
-        phi = None
-        for va in (2.0, 2.2, 2.4):
-            phi = coarse_system.solve(BiasPoint(va, 1.0, None), CFG, phi, lu).phi
-        return len(calls), phi
-
-    held, phi_held = factorizations(HeldLU())
-    fresh, phi_fresh = factorizations(None)
-    # a fresh holder per call factors at least once per solve
-    assert held < 3 <= fresh
-    assert np.max(np.abs(phi_held - phi_fresh)) <= 10.0 * CFG.newton_tol * 2.4
-
-
-def test_cold_solve_factors_less_often_than_it_steps(coarse_system, monkeypatch):
-    calls = []
-    splu = spla.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
-    sol = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
-    assert 1 <= len(calls) < sol.newton_iters
-
-
 def test_solve_leaves_no_factorization_on_the_system(coarse_system):
     before = dict(vars(coarse_system))
     coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
@@ -524,11 +487,46 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
     assert again.phi.tobytes() == fresh.phi.tobytes()
 
 
-def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+def _strip_system():
+    return SheetSystem(make_strip_mesh(20.0, 6.0, 1.0), MaterialParams())
 
-    monkeypatch.setattr(spla, "splu", singular)
+
+def _forward_biased(system):
+    # phi set by hand so that a tenth or more of the nodes sit past EXP_CLAMP
+    m = system.materials
+    phi = np.random.default_rng(11).uniform(-1.0, 2.5, system.n)
+    assert np.sum(phi / (m.ideality * m.thermal_voltage) > EXP_CLAMP) >= system.n // 10
+    return phi
+
+
+@pytest.mark.parametrize("which", ["coarse", "strip"])
+def test_band_unpacks_to_the_lower_jacobian(coarse_system, which):
+    system = coarse_system if which == "coarse" else _strip_system()
+    bias = BiasPoint(2.0, 0.5, None)
+    jac = system.jacobian(_forward_biased(system), bias)
+    band = system._band(jac)
+    assert band.flags.f_contiguous
+    n, perm = system.n, system._perm
+    lower = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        lower[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
+        assert not np.any(band[d, n - d :])
+    assert np.array_equal(lower, np.tril(jac.toarray()[np.ix_(perm, perm)]))
+
+
+@pytest.mark.parametrize("which", ["coarse", "strip"])
+def test_newton_direction_matches_dense_solve(coarse_system, which):
+    system = coarse_system if which == "coarse" else _strip_system()
+    bias = BiasPoint(2.0, 0.5, None)
+    phi = _forward_biased(system)
+    jac, f = system.jacobian(phi, bias), system.residual(phi, bias)
+    reference = np.linalg.solve(jac.toarray(), -f)
+    delta = system._newton_direction(jac, f)
+    assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
+    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
     with pytest.raises(NumericalError, match="factorization failed"):
         coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
 

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
+from pillartune import solver
 from pillartune.device import MaterialParams
 from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import BiasPoint, ConvergenceError, SheetSystem, SolverConfig
@@ -214,16 +214,16 @@ def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
 def test_cell_after_a_failure_is_a_fresh_cold_solve(
     coarse_mesh, default_config, monkeypatch
 ):
-    # a failed cell drops the row's held LU with its warm start, so the
-    # next cell is bit for bit what a fresh system solves from zero
+    # a failed cell drops the row's warm start, so the next cell is bit
+    # for bit what a fresh system solves from zero
     failing = BiasPoint(1.0, 1.0, None)
     phis = {}
     solve = SheetSystem.solve
 
-    def flaky(self, bias, cfg, phi0=None, lu=None):
+    def flaky(self, bias, cfg, phi0=None):
         if bias == failing:
             raise ConvergenceError("forced failure")
-        sol = solve(self, bias, cfg, phi0, lu)
+        sol = solve(self, bias, cfg, phi0)
         phis[bias] = sol.phi
         return sol
 
@@ -246,10 +246,7 @@ def test_cell_after_a_failure_is_a_fresh_cold_solve(
 def test_singular_factor_is_recorded_as_numerical_error(
     coarse_mesh, default_config, monkeypatch
 ):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "splu", singular)
+    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
     # the zero-bias cell is solved exactly by phi = 0 and needs no factor
     spec = SweepSpec(
         va_start=0.0, va_stop=1.0, va_step=1.0,
@@ -401,6 +398,15 @@ def test_find_zero_input_validation(coarse_mesh, default_config):
     with pytest.raises(ValueError):
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), ("C",), 1.0,
+            coarse_mesh, default_config.materials, default_config.exciton,
+        )
+
+
+@pytest.mark.parametrize("free", [("A", "A"), ("B", "A", "B")])
+def test_find_zero_rejects_repeated_free_terminals(coarse_mesh, default_config, free):
+    with pytest.raises(ValueError, match="distinct"):
+        find_zero_fss(
+            BiasPoint(0.0, 0.0, None), free, 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
         )
 
