@@ -7,7 +7,7 @@ and a ``golden_sweep.json`` sidecar naming the commit and config hash it
 came from.  Regenerate only for an intended physics change, and say so.
 
 Usage:
-    python scripts/make_golden_sweep.py [--jobs N] [--out-dir tests/data]
+    python scripts/make_golden_sweep.py [--out-dir tests/data]
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ from pillartune.tuner import SweepResult, run_bias_sweep, write_sweep_csv
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--out-dir", default=os.path.join("tests", "data"))
     args = ap.parse_args()
 
     cfg = load_run_config()
     mesh = generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
-    result = run_bias_sweep(
-        cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=args.jobs
-    )
+    result = run_bias_sweep(cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver)
     n_vb, n_va = result.grid_shape()
     subgrid = [
         result.record(i_vb, i_va)

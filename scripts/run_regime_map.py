@@ -6,7 +6,7 @@ blocked-regime field orientation, the passing-regime direction span and the
 field-magnitude ratio between passing and blocked regimes.
 
 Usage:
-    python scripts/run_regime_map.py [--config FILE] [--jobs N] [--out PREFIX]
+    python scripts/run_regime_map.py [--config FILE] [--out PREFIX]
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pillartune.tuner import run_bias_sweep, write_sweep_csv
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--config")
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--out", default="regime_map")
     args = ap.parse_args()
 
@@ -37,7 +36,7 @@ def main() -> int:
     t0 = time.perf_counter()
     result = run_bias_sweep(
         cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver,
-        jobs=args.jobs, extra_meta={"config_hash": cfg.config_hash},
+        extra_meta={"config_hash": cfg.config_hash},
     )
     print(f"sweep: {len(result.records)} cells in {time.perf_counter() - t0:.1f} s, "
           f"{result.metadata['n_failed']} failed")

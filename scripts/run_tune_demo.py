@@ -90,9 +90,7 @@ def main() -> int:
         f"theta0 = {fit.theta0:.3f} +/- {fit.uncertainties[1]:.3f} rad"
     )
 
-    sweep = run_bias_sweep(
-        cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=4
-    )
+    sweep = run_bias_sweep(cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver)
     pairs = iso_fss_points(sweep, target_fss=5.0, min_energy_separation=30.0,
                            max_pairs=3)
     print(f"iso-splitting pairs (5 ueV, >= 30 ueV apart): {len(pairs)} shown")

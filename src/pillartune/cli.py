@@ -278,6 +278,12 @@ def cmd_iso_fss(args) -> int:
     return EXIT_OK
 
 
+_JOBS_HELP = (
+    "bias rows solved in threads (default 1); the threads do not overlap "
+    "the band factorization, so more rarely run faster"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pillartune",
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the configured bias grid")
     p.add_argument("--out", help="output prefix (default 'sweep')")
-    p.add_argument("--jobs", type=int, default=1, help="parallel rows")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a polarization scan CSV")
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum mean-energy separation in ueV")
     p.add_argument("--sweep-csv", help="reuse an existing sweep CSV")
     p.add_argument("--max-pairs", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", help="output JSON path")
     p.set_defaults(func=cmd_iso_fss)
 

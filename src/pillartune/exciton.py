@@ -20,10 +20,6 @@ import numpy as np
 # as undefined (ueV).
 AXIS_TOLERANCE_UEV = 0.01
 
-# |det M| below which the in-plane coupling is flagged non-invertible,
-# in (ueV per V/m)^2.
-DET_THRESHOLD = 1e-12
-
 
 @dataclass(frozen=True)
 class ExcitonParams:
@@ -60,10 +56,6 @@ class ExcitonParams:
     def coupling_matrix(self) -> np.ndarray:
         return np.array(self.inplane_coupling, dtype=float)
 
-    @property
-    def inplane_invertible(self) -> bool:
-        return abs(float(np.linalg.det(self.coupling_matrix()))) >= DET_THRESHOLD
-
 
 @dataclass(frozen=True)
 class ExcitonState:
@@ -79,10 +71,6 @@ class ExcitonState:
     mean_energy: float         # eV
     e_high: float              # eV
     e_low: float               # eV
-
-    @property
-    def degenerate(self) -> bool:
-        return self.theta0 is None
 
 
 def fss_vector(params: ExcitonParams, field) -> tuple[float, float]:

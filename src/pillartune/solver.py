@@ -13,13 +13,14 @@ The residual is the gradient of a strictly convex energy (``energy``), so
 damped Newton with a line search on that energy converges from any start,
 equilibrium included; no bias continuation is needed.
 
-The Jacobian is symmetric positive definite on a fixed pattern, and only
-its diagonal changes from step to step.  In reverse Cuthill-McKee order
-that pattern is a narrow band (half-bandwidth 54 on the 2,140-node default
-mesh), so every Newton step factors its own Jacobian exactly with LAPACK's
-banded Cholesky (``dpbtrf``) and back-solves (``dpbtrs``).  The band layout
-is built once per system; nothing of a factorization outlives its step, so
-a solve depends only on its bias, config and starting potential.
+The Jacobian is symmetric positive definite, and only its diagonal changes
+from step to step.  In reverse Cuthill-McKee order it is a narrow band
+(half-bandwidth 54 on the 2,140-node default mesh), and that band is the
+only form it takes: the stiffness band is built once per system, each
+Newton step copies it, adds the junction and contact conductances to its
+diagonal, factors it exactly with LAPACK's banded Cholesky (``dpbtrf``)
+and back-solves (``dpbtrs``).  Nothing of a factorization outlives its
+step, so a solve depends only on its bias, config and starting potential.
 """
 
 from __future__ import annotations
@@ -121,10 +122,6 @@ class FieldSolution:
     residual: float                   # scaled infinity norm at convergence
 
     @property
-    def currents(self) -> tuple[float, float, float]:
-        return (self.i_a, self.i_b, self.i_c)
-
-    @property
     def field(self) -> tuple[float, float, float]:
         """(E_x, E_y, E_z) in V/m at the QD node."""
         return (self.e_inplane[0], self.e_inplane[1], self.e_z)
@@ -208,32 +205,26 @@ class SheetSystem:
             shape=(self.n, self.n),
         ).tocsr()
         self.conduction = (self.materials.sheet_conductance * k).tocsr()
-        # Jacobian pattern: the stiffness in CSC without stored zeros; only
-        # the diagonal changes between Newton steps.
-        self._jac_base = self.conduction.tocsc()
-        self._jac_base.eliminate_zeros()
-        self._jac_base.sort_indices()
-        cols = np.repeat(np.arange(self.n), np.diff(self._jac_base.indptr))
-        self._jac_diag = np.flatnonzero(self._jac_base.indices == cols)
-        if len(self._jac_diag) != self.n:
-            raise MeshError("every mesh node must belong to a cell")
         self._grad_b, self._grad_c, self._cell_area = b, c, area
 
     def _build_band(self) -> None:
-        # Reverse Cuthill-McKee order of the Jacobian pattern, and for each
-        # stored lower-triangle entry its offset in the column-major
-        # (bandwidth + 1, n) lower band that LAPACK's dpbtrf reads.
-        jac = self._jac_base
-        perm = reverse_cuthill_mckee(jac, symmetric_mode=True)
+        # The stiffness without stored zeros, in reverse Cuthill-McKee order,
+        # as the column-major (bandwidth + 1, n) lower band that LAPACK's
+        # dpbtrf reads: entry (i, j), i >= j, sits at band[i - j, j].
+        k = self.conduction.copy()
+        k.eliminate_zeros()
+        perm = reverse_cuthill_mckee(k, symmetric_mode=True)
         rank = np.empty(self.n, dtype=np.intp)
         rank[perm] = np.arange(self.n)
-        rows = rank[jac.indices]
-        cols = rank[np.repeat(np.arange(self.n), np.diff(jac.indptr))]
-        self._band_src = np.flatnonzero(rows >= cols)
-        offset = rows[self._band_src] - cols[self._band_src]
-        self._band_shape = (int(offset.max()) + 1, self.n)
-        self._band_dst = offset + self._band_shape[0] * cols[self._band_src]
-        self._perm = perm
+        k = k.tocoo()
+        rows, cols = rank[k.row], rank[k.col]
+        if np.count_nonzero(rows == cols) != self.n:
+            raise MeshError("every mesh node must belong to a cell")
+        lower = rows >= cols
+        offset, cols = rows[lower] - cols[lower], cols[lower]
+        band = np.zeros((int(offset.max()) + 1, self.n), order="F")
+        band[offset, cols] = k.data[lower]
+        self._stiffness_band, self._perm = band, perm
 
     def _build_node_areas(self) -> None:
         area = self._cell_area
@@ -308,24 +299,22 @@ class SheetSystem:
             e += 0.5 * self.pad_conductance[name] * float(r @ r)
         return e
 
-    def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> sp.csc_matrix:
-        """A fresh CSC Jacobian on the fixed stiffness pattern."""
+    def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
+        """A fresh lower band of the Jacobian in RCM order (``_build_band``).
+
+        A copy of the stiffness band with the junction and contact
+        conductances added to its diagonal, row 0.
+        """
         diag = _diode_conductance(self.materials, phi) * self.node_area
         for name, _ in self._driven(bias):
             diag[self.pad_nodes[name]] += self.pad_conductance[name]
-        jac = self._jac_base.copy()
-        jac.data[self._jac_diag] += diag
-        return jac
+        band = self._stiffness_band.copy(order="F")
+        band[0] += diag[self._perm]
+        return band
 
-    def _band(self, jac: sp.csc_matrix) -> np.ndarray:
-        """Lower band of ``jac`` in RCM order, Fortran-ordered for ``dpbtrf``."""
-        flat = np.zeros(self._band_shape[0] * self.n)
-        flat[self._band_dst] = jac.data[self._band_src]
-        return flat.reshape(self._band_shape, order="F")
-
-    def _newton_direction(self, jac: sp.csc_matrix, f: np.ndarray) -> np.ndarray:
-        """``-jac^{-1} f`` by banded Cholesky in RCM order."""
-        chol, info = dpbtrf(self._band(jac), lower=1, overwrite_ab=1)
+    def _newton_direction(self, band: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``-J^{-1} f`` by banded Cholesky of the ``jacobian`` band, in place."""
+        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
         x, _ = dpbtrs(chol, -f[self._perm], lower=1)

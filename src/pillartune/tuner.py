@@ -305,8 +305,9 @@ def run_bias_sweep(
 ) -> SweepResult:
     """Evaluate the grid; failed cells keep an error status instead of aborting.
 
-    ``jobs`` is the number of rows solved in parallel threads; it must be
-    at least 1.
+    ``jobs`` is the number of rows solved in threads; it must be at least
+    1.  The threads do not overlap the band factorization, so more than one
+    job rarely pays; the output is the same for every ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -397,6 +398,11 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise TunerError(
+                    f"{path}: row {row_no} has {len(row)} fields, "
+                    f"header has {len(header)}"
+                )
             try:
                 values = {h: p(v) for h, p, v in zip(header, parsers, row) if v}
                 records.append(CellRecord(**values))

@@ -283,6 +283,7 @@ def test_iso_fss_missing_sweep_csv_exits_2(fast_config, capsys):
     [
         ("va,vb,status\n0.0,0.0,ok\n", "vc"),
         ("va,vb,vc,bogus\n0.0,0.0,floating,1\n", "bogus"),
+        ("va,vb,vc,status,iters,residual,fss\n1.0,2.0,floating\n", "row 2"),
     ],
 )
 def test_iso_fss_bad_sweep_csv_exits_2(fast_config, tmp_path, capsys, text, message):

@@ -117,7 +117,6 @@ def test_degenerate_state_has_no_axis():
         vertical_coupling=(0.0, 0.0),
     )
     s = exciton_state(p, (0.0, 0.0, 0.0))
-    assert s.degenerate
     assert s.theta0 is None
     assert s.fss == 0.0
 
@@ -167,10 +166,3 @@ def test_state_energy_bookkeeping():
     assert s.mean_energy == pytest.approx(
         p.zero_field_energy + 1e-6 * stark_shift(p, field[2])
     )
-
-
-def test_inplane_invertibility_flag():
-    p = make_params(inplane_coupling=((1e-2, 0.0), (0.0, 1e-2)))
-    assert p.inplane_invertible
-    p = make_params(inplane_coupling=((1e-2, 1e-2), (1e-2, 1e-2)))
-    assert not p.inplane_invertible

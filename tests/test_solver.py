@@ -4,7 +4,6 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from pillartune import solver
@@ -33,6 +32,29 @@ from pillartune.solver import (
 )
 
 CFG = SolverConfig()
+
+
+def _band_to_dense(system, band):
+    """The dense symmetric matrix, in node order, of a ``jacobian`` band."""
+    n, perm = system.n, system._perm
+    lower = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        lower[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
+    dense = np.empty((n, n))
+    dense[np.ix_(perm, perm)] = lower + np.tril(lower, -1).T
+    return dense
+
+
+def _conductance_diagonal(system, phi, bias):
+    """Junction and contact conductances: the Jacobian minus the stiffness."""
+    m = system.materials
+    nvt = m.ideality * m.thermal_voltage
+    g_junction = m.saturation_current_density * np.exp(np.minimum(phi / nvt, EXP_CLAMP))
+    diag = g_junction / nvt * system.node_area
+    for name in TERMINALS:
+        if bias.terminal(name) is not None:
+            diag[system.pad_nodes[name]] += system.pad_conductance[name]
+    return diag
 
 
 def test_bias_point_validation():
@@ -142,7 +164,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     phi = 0.3 * rng.standard_normal(mesh.n_nodes)
     system = SheetSystem(mesh, materials)
-    jac = system.jacobian(phi, bias).toarray()
+    jac = _band_to_dense(system, system.jacobian(phi, bias))
     fd = np.zeros_like(jac)
     h = 1e-7
     for k in range(mesh.n_nodes):
@@ -159,7 +181,6 @@ def test_jacobian_reuses_one_pattern_and_equals_dense_reference(coarse_system):
     system = coarse_system
     rng = np.random.default_rng(3)
     stiffness = system.conduction.toarray()
-    first = None
     for bias in (
         BiasPoint(0.0, 0.0, None),
         BiasPoint(2.0, -0.5, 1.0),
@@ -167,23 +188,16 @@ def test_jacobian_reuses_one_pattern_and_equals_dense_reference(coarse_system):
     ):
         phi = 0.6 * rng.standard_normal(system.n)
         jac = system.jacobian(phi, bias)
-        assert jac.format == "csc"
-        if first is None:
-            first = jac
-        assert np.array_equal(jac.indptr, first.indptr)
-        assert np.array_equal(jac.indices, first.indices)
-        # dense reference: stiffness plus junction and contact conductances
-        m = system.materials
-        nvt = m.ideality * m.thermal_voltage
-        g_junction = m.saturation_current_density * np.exp(np.minimum(phi / nvt, EXP_CLAMP))
-        diag = g_junction / nvt * system.node_area
-        for name in TERMINALS:
-            if bias.terminal(name) is not None:
-                diag[system.pad_nodes[name]] += system.pad_conductance[name]
-        assert np.array_equal(jac.toarray(), stiffness + np.diag(diag))
-    # every call returns a fresh matrix: writing to one leaves the next intact
-    jac.data[:] = 0.0
-    assert np.array_equal(system.jacobian(phi, bias).toarray(), stiffness + np.diag(diag))
+        assert jac.shape == system._stiffness_band.shape
+        assert jac.flags.f_contiguous
+        # only the diagonal, row 0 of the band, differs from the stiffness
+        assert np.array_equal(jac[1:], system._stiffness_band[1:])
+        diag = _conductance_diagonal(system, phi, bias)
+        assert np.array_equal(_band_to_dense(system, jac), stiffness + np.diag(diag))
+    # every call returns a fresh band: writing to one leaves the next intact
+    jac[:] = 0.0
+    jac = system.jacobian(phi, bias)
+    assert np.array_equal(_band_to_dense(system, jac), stiffness + np.diag(diag))
 
 
 # -- solve -------------------------------------------------------------------
@@ -467,14 +481,16 @@ def test_cold_solves_converge_without_continuation(coarse_system, va, vb, vc):
 
 
 def test_solve_leaves_no_factorization_on_the_system(coarse_system):
+    # no attribute is rebound, and no array (the stiffness band included)
+    # is written to by a solve: the factorization runs on a copy
     before = dict(vars(coarse_system))
+    arrays = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
+    assert "_stiffness_band" in arrays
     coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
     after = vars(coarse_system)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
-    assert not any(
-        isinstance(v, (spla.SuperLU, spla.LinearOperator)) for v in after.values()
-    )
+    assert {k: after[k].tobytes() for k in arrays} == arrays
 
 
 def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, default_config):
@@ -503,15 +519,16 @@ def _forward_biased(system):
 def test_band_unpacks_to_the_lower_jacobian(coarse_system, which):
     system = coarse_system if which == "coarse" else _strip_system()
     bias = BiasPoint(2.0, 0.5, None)
-    jac = system.jacobian(_forward_biased(system), bias)
-    band = system._band(jac)
+    phi = _forward_biased(system)
+    band = system.jacobian(phi, bias)
     assert band.flags.f_contiguous
     n, perm = system.n, system._perm
-    lower = np.zeros((n, n))
+    assert sorted(perm) == list(range(n))
     for d in range(band.shape[0]):
-        lower[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
         assert not np.any(band[d, n - d :])
-    assert np.array_equal(lower, np.tril(jac.toarray()[np.ix_(perm, perm)]))
+    lower = np.tril(_band_to_dense(system, band)[np.ix_(perm, perm)])
+    reference = system.conduction.toarray() + np.diag(_conductance_diagonal(system, phi, bias))
+    assert np.array_equal(lower, np.tril(reference[np.ix_(perm, perm)]))
 
 
 @pytest.mark.parametrize("which", ["coarse", "strip"])
@@ -519,9 +536,9 @@ def test_newton_direction_matches_dense_solve(coarse_system, which):
     system = coarse_system if which == "coarse" else _strip_system()
     bias = BiasPoint(2.0, 0.5, None)
     phi = _forward_biased(system)
-    jac, f = system.jacobian(phi, bias), system.residual(phi, bias)
-    reference = np.linalg.solve(jac.toarray(), -f)
-    delta = system._newton_direction(jac, f)
+    band, f = system.jacobian(phi, bias), system.residual(phi, bias)
+    reference = np.linalg.solve(_band_to_dense(system, band), -f)
+    delta = system._newton_direction(band, f)
     assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 

@@ -179,6 +179,12 @@ def test_sweep_csv_keeps_failed_cells_and_fixed_vc(tmp_path):
         ("va,vb,status\n0.0,0.0,ok\n", "missing sweep columns \\['vc'\\]"),
         ("va,vb,vc,bogus\n0.0,0.0,floating,1\n", "unknown sweep columns"),
         ("va,vb,vc\n0.0,zero,floating\n", "row 2"),
+        # a short row is not an ok cell with missing values, and a long
+        # row's extra fields are not dropped
+        ("va,vb,vc,status,iters,residual,fss\n1.0,2.0,floating\n",
+         "row 2 has 3 fields, header has 7"),
+        ("va,vb,vc\n0.0,0.0,floating\n1.0,2.0,floating,ok\n",
+         "row 3 has 4 fields, header has 3"),
     ],
 )
 def test_read_sweep_csv_rejects_bad_input(tmp_path, text, message):
