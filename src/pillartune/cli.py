@@ -3,8 +3,9 @@
 Subcommands: solve, sweep, fit, synth-scan, tune, iso-fss.  All artifacts
 are written atomically (temp file + rename) and carry the hash of the fully
 resolved configuration, so outputs from different calibrations never
-collide.  Exit codes: 0 success, 2 config/input error, 3 solver failure,
-4 fit failure, 5 tuner did not reach tolerance.
+collide.  Exit codes: 0 success, 2 config/input error or an artifact that
+cannot be written, 3 solver failure, 4 fit failure, 5 tuner did not reach
+tolerance.
 """
 
 from __future__ import annotations
@@ -48,16 +49,30 @@ EXIT_FIT = 4
 EXIT_TUNER = 5
 
 
+class OutputError(RuntimeError):
+    """An artifact cannot be written."""
+
+
+def _check_out_dir(path: str) -> None:
+    """Reject an output path whose directory is missing, before any solve."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise OutputError(f"cannot write {path}: no directory {directory}")
+
+
 def _atomic_write(path: str, writer) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
-    os.close(fd)
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+        os.close(fd)
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -126,6 +141,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    prefix = args.out or "sweep"
+    csv_path = f"{prefix}_{cfg.config_hash}.csv"
+    meta_path = f"{prefix}_{cfg.config_hash}.meta.json"
+    _check_out_dir(csv_path)
     mesh = _mesh(cfg)
     result = run_bias_sweep(
         cfg.sweep,
@@ -136,9 +155,6 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         extra_meta={"config_hash": cfg.config_hash, "version": __version__},
     )
-    prefix = args.out or "sweep"
-    csv_path = f"{prefix}_{cfg.config_hash}.csv"
-    meta_path = f"{prefix}_{cfg.config_hash}.meta.json"
     _atomic_write(csv_path, lambda tmp: write_sweep_csv(result, tmp))
     _write_json(meta_path, result.metadata)
     print(f"sweep written to {csv_path}")
@@ -196,6 +212,8 @@ def cmd_synth_scan(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _load(args)
+    out = args.out or f"tune_{cfg.config_hash}.json"
+    _check_out_dir(out)
     mesh = _mesh(cfg)
     start = BiasPoint(args.va, args.vb, args.vc if args.vc is not None else cfg.sweep.vc)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
@@ -211,7 +229,6 @@ def cmd_tune(args) -> int:
     )
     payload = result.to_dict()
     payload["config_hash"] = cfg.config_hash
-    out = args.out or f"tune_{cfg.config_hash}.json"
     _write_json(out, payload)
     print(
         f"best point: va={result.bias[0]:.4f} vb={result.bias[1]:.4f} "
@@ -247,6 +264,8 @@ def _check_sweep_meta(csv_path: str, config_hash: str) -> None:
 def cmd_iso_fss(args) -> int:
     cfg = _load(args)
     check_iso_fss_args(args.target, args.min_separation, args.max_pairs)
+    out = args.out or f"iso_fss_{cfg.config_hash}.json"
+    _check_out_dir(out)
     if args.sweep_csv:
         records = read_sweep_csv(args.sweep_csv)
         spec = cfg.sweep
@@ -272,7 +291,6 @@ def cmd_iso_fss(args) -> int:
         "n_pairs": len(pairs),
         "pairs": [p.to_dict() for p in pairs],
     }
-    out = args.out or f"iso_fss_{cfg.config_hash}.json"
     _write_json(out, payload)
     print(f"{len(pairs)} pair(s) found; report written to {out}")
     return EXIT_OK
@@ -353,6 +371,7 @@ def main(argv=None) -> int:
         ConfigError,
         GeometryError,
         MeshError,
+        OutputError,
         ScanInputError,
         TunerError,
         ValueError,

@@ -263,4 +263,6 @@ def load_run_config(path: str | None = None) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 config file: {exc}") from exc
     return parse_config_text(text, source=path)

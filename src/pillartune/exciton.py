@@ -53,8 +53,11 @@ class ExcitonParams:
         if not all(math.isfinite(v) for v in values):
             raise ValueError("exciton parameters must be finite")
 
-    def coupling_matrix(self) -> np.ndarray:
-        return np.array(self.inplane_coupling, dtype=float)
+    def field_matrix(self) -> np.ndarray:
+        """d(delta)/dE: the constant 2x3 matrix (ueV per V/m) of ``fss_vector``."""
+        (m11, m12), (m21, m22) = self.inplane_coupling
+        g1, g2 = self.vertical_coupling
+        return np.array([[m11, m12, g1], [m21, m22, g2]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,11 @@ class ExcitonState:
 def fss_vector(params: ExcitonParams, field) -> tuple[float, float]:
     """Splitting vector (delta_x, delta_y) in ueV for field (E_x, E_y, E_z) in V/m."""
     ex, ey, ez = (float(v) for v in field)
-    m = params.coupling_matrix()
-    gx, gy = params.vertical_coupling
+    (m11, m12), (m21, m22) = params.inplane_coupling
+    g1, g2 = params.vertical_coupling
     d0x, d0y = params.zero_field_splitting
-    dx = d0x + m[0, 0] * ex + m[0, 1] * ey + gx * ez
-    dy = d0y + m[1, 0] * ex + m[1, 1] * ey + gy * ez
+    dx = d0x + m11 * ex + m12 * ey + g1 * ez
+    dy = d0y + m21 * ex + m22 * ey + g2 * ez
     return dx, dy
 
 

@@ -19,14 +19,21 @@ from step to step.  In reverse Cuthill-McKee order it is a narrow band
 only form it takes: the stiffness band is built once per system, each
 Newton step copies it, adds the junction and contact conductances to its
 diagonal, factors it exactly with LAPACK's banded Cholesky (``dpbtrf``)
-and back-solves (``dpbtrs``).  Nothing of a factorization outlives its
-step, so a solve depends only on its bias, config and starting potential.
+and back-solves (``dpbtrs``).  The factor of the last step rides on the
+returned ``FieldSolution`` and never on the system, so a solve depends only
+on its bias, config and starting potential.
+
+Terminal voltages enter only the contact rows, so the change of the
+converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is a
+back-solve on that factor (``tangent``): an Euler predictor for the next
+solve of a chain and, through the linear QD field, exact field
+derivatives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,6 +127,8 @@ class FieldSolution:
     i_junction: float
     newton_iters: int
     residual: float                   # scaled infinity norm at convergence
+    # banded Cholesky of the last Newton step's Jacobian (None: no step)
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def field(self) -> tuple[float, float, float]:
@@ -299,28 +308,59 @@ class SheetSystem:
             e += 0.5 * self.pad_conductance[name] * float(r @ r)
         return e
 
+    def _conductance_diagonal(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
+        """Junction plus contact conductances: the Jacobian less the stiffness."""
+        diag = _diode_conductance(self.materials, phi) * self.node_area
+        for name, _ in self._driven(bias):
+            diag[self.pad_nodes[name]] += self.pad_conductance[name]
+        return diag
+
     def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
         """A fresh lower band of the Jacobian in RCM order (``_build_band``).
 
         A copy of the stiffness band with the junction and contact
         conductances added to its diagonal, row 0.
         """
-        diag = _diode_conductance(self.materials, phi) * self.node_area
-        for name, _ in self._driven(bias):
-            diag[self.pad_nodes[name]] += self.pad_conductance[name]
         band = self._stiffness_band.copy(order="F")
-        band[0] += diag[self._perm]
+        band[0] += self._conductance_diagonal(phi, bias)[self._perm]
         return band
 
-    def _newton_direction(self, band: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """``-J^{-1} f`` by banded Cholesky of the ``jacobian`` band, in place."""
+    @staticmethod
+    def _cholesky(band: np.ndarray) -> np.ndarray:
+        """Banded Cholesky factor of a ``jacobian`` band, computed in place."""
         chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
-        x, _ = dpbtrs(chol, -f[self._perm], lower=1)
-        delta = np.empty(self.n)
-        delta[self._perm] = x
-        return delta
+        return chol
+
+    def _back_solve(self, chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``J^{-1} b`` in node order from the ``_cholesky`` factor of J."""
+        x, _ = dpbtrs(chol, b[self._perm], lower=1)
+        out = np.empty(self.n)
+        out[self._perm] = x
+        return out
+
+    def tangent(self, sol: FieldSolution, dv) -> np.ndarray:
+        """First-order change of ``sol.phi`` for terminal steps ``dv = (dV_A, dV_B, dV_C)``.
+
+        Solves J(sol.phi) dphi = sum_k g_k 1_{pad k} dV_k; the steps of
+        terminals floating in ``sol.bias`` are ignored.  ``sol.factor`` is
+        of the Jacobian one Newton step before ``sol.phi``, so its
+        back-solve is off by the Jacobian's relative change over that step
+        (3e-5 at (2, 1, floating) V on the 2 um mesh); one refinement
+        against J(sol.phi) squares that error.  When the solve took
+        no step, J(sol.phi) is factored here.
+        """
+        rhs = np.zeros(self.n)
+        for name, step in zip(TERMINALS, dv):
+            if sol.bias.terminal(name) is not None:
+                rhs[self.pad_nodes[name]] += self.pad_conductance[name] * step
+        if sol.factor is None:
+            return self._back_solve(self._cholesky(self.jacobian(sol.phi, sol.bias)), rhs)
+        dphi = self._back_solve(sol.factor, rhs)
+        applied = self.conduction @ dphi
+        applied += self._conductance_diagonal(sol.phi, sol.bias) * dphi
+        return dphi + self._back_solve(sol.factor, rhs - applied)
 
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
         out = {}
@@ -344,6 +384,12 @@ class SheetSystem:
         ey = -float(self._qd_gy @ phi[self._qd_support]) * 1e6
         return ex, ey
 
+    def field_change_at_qd(self, dphi: np.ndarray) -> np.ndarray:
+        """Change (dE_x, dE_y, dE_z) in V/m of the QD field for a potential change."""
+        ex, ey = self.field_at_qd(dphi)
+        ez = -float(dphi[self.mesh.qd_node]) / (self.mesh.intrinsic_thickness_nm * 1e-9)
+        return np.array([ex, ey, ez])
+
     # -- Newton -------------------------------------------------------------
 
     def _residual_scale(self, bias: BiasPoint, cfg: SolverConfig) -> float:
@@ -355,14 +401,15 @@ class SheetSystem:
         )
 
     def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig):
-        """Damped Newton from ``phi0``: ``(phi, converged, iters, history)``.
+        """Damped Newton from ``phi0``: ``(phi, converged, iters, history, factor)``.
 
-        Each step builds the Jacobian, factors it afresh (``_newton_direction``)
+        Each step builds the Jacobian, factors it afresh (``_cholesky``)
         and halves ``lambda`` until ``phi + lambda d`` lowers the convex
         energy: Armijo on ``energy``, or the 1-D convexity test
         ``f(phi + lambda d) . d <= 0``, which still decides the last steps
         where energy differences fall below rounding.  Convergence is
-        judged on the residual and the Kirchhoff balance alone.
+        judged on the residual and the Kirchhoff balance alone.  ``factor``
+        is the last step's factor, None when no step was taken.
         """
         scale = self._residual_scale(bias, cfg)
         tol = cfg.newton_tol * scale
@@ -376,10 +423,12 @@ class SheetSystem:
         history = [norm / scale]
 
         iters = 0
+        factor = None
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
-                return phi, True, iters, history
-            delta = self._newton_direction(self.jacobian(phi, bias), f)
+                return phi, True, iters, history, factor
+            factor = self._cholesky(self.jacobian(phi, bias))
+            delta = self._back_solve(factor, -f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
             slope = float(f @ delta)
@@ -396,14 +445,14 @@ class SheetSystem:
                     break
                 lam *= 0.5
                 if lam < 2.0**-24:
-                    return phi, False, iters, history
+                    return phi, False, iters, history, factor
             phi, f = phi_try, f_try
             norm = float(np.max(np.abs(f)))
             iters += 1
             history.append(norm / scale)
 
         converged = norm <= tol and abs(float(f.sum())) <= balance_tol
-        return phi, converged, iters, history
+        return phi, converged, iters, history, factor
 
     def solve(
         self,
@@ -413,13 +462,14 @@ class SheetSystem:
     ) -> FieldSolution:
         """One damped Newton descent from ``phi0`` (zeros when omitted).
 
-        The result depends only on the arguments.  Raises
+        The result depends only on the arguments, and carries the factor of
+        the last Newton step for ``tangent``.  Raises
         ``ConvergenceError`` with the residual history when
         ``cfg.max_iters`` steps do not converge, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
         """
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
-        phi, ok, iters, history = self._newton(bias, phi0, cfg)
+        phi, ok, iters, history, factor = self._newton(bias, phi0, cfg)
         if not ok:
             raise ConvergenceError(
                 f"no convergence at bias {bias} after {iters} Newton iterations "
@@ -443,6 +493,7 @@ class SheetSystem:
             i_junction=i_j,
             newton_iters=iters,
             residual=history[-1],
+            factor=factor,
         )
 
 

@@ -310,33 +310,31 @@ def scan_to_csv(scan: PolarizationScan, path: str) -> None:
 
 
 def scan_from_csv(path: str) -> PolarizationScan:
-    angles, energies, sigmas = [], [], []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ScanInputError(f"cannot read scan {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != [
-            "angle_rad",
-            "energy_ueV",
-            "sigma_ueV",
-        ]:
-            raise ScanInputError(
-                f"{path}: expected header angle_rad,energy_ueV,sigma_ueV"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ScanInputError(f"{path}: row {row_no} has {len(row)} fields")
-            try:
-                angles.append(float(row[0]))
-                energies.append(float(row[1]))
-                sigmas.append(float(row[2]))
-            except ValueError as exc:
-                raise ScanInputError(f"{path}: row {row_no}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScanInputError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    if not rows or [h.strip() for h in rows[0][:3]] != [
+        "angle_rad",
+        "energy_ueV",
+        "sigma_ueV",
+    ]:
+        raise ScanInputError(f"{path}: expected header angle_rad,energy_ueV,sigma_ueV")
+    angles, energies, sigmas = [], [], []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ScanInputError(f"{path}: row {row_no} has {len(row)} fields")
+        try:
+            angles.append(float(row[0]))
+            energies.append(float(row[1]))
+            sigmas.append(float(row[2]))
+        except ValueError as exc:
+            raise ScanInputError(f"{path}: row {row_no}: {exc}") from exc
     return PolarizationScan(
         angles=np.array(angles),
         peak_energies=np.array(energies),

@@ -5,10 +5,12 @@ starts from its neighbour (serpentine direction alternates per row), and
 rows are independent of each other, so row-parallel execution produces
 byte-identical output to a serial run.  The zero-splitting search solves
 the smooth splitting vector delta(V) = 0 by bounded least squares
-(trust-region reflective), started from the best points of a coarse grid,
-each solve warm-started from the previous one; its norm, the observable
-splitting, is not differentiable at the zero.  A chain drops its warm
-start when a solve fails.
+(trust-region reflective) with its exact Jacobian, started from the best
+points of a coarse grid; its norm, the observable splitting, is not
+differentiable at the zero.  Every warm start, in a sweep row and in a
+search, is the previous solution moved along its tangent
+(``SheetSystem.tangent``) by the voltage change: an Euler predictor.  A
+chain drops its warm start when a solve fails.
 """
 
 from __future__ import annotations
@@ -294,6 +296,15 @@ def zero_bias_reference(
     return theta_ref, state
 
 
+def _predict(system: SheetSystem, prev: FieldSolution, bias: BiasPoint) -> np.ndarray:
+    """Warm start for ``bias``: ``prev.phi`` moved along its tangent."""
+    dv = [
+        0.0 if a is None or b is None else b - a
+        for a, b in ((prev.bias.terminal(t), bias.terminal(t)) for t in "ABC")
+    ]
+    return prev.phi + system.tangent(prev, dv)
+
+
 def run_bias_sweep(
     spec: SweepSpec,
     mesh: Mesh,
@@ -320,20 +331,20 @@ def run_bias_sweep(
     def run_row(i_row: int) -> list[CellRecord]:
         order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
         row: list[CellRecord | None] = [None] * len(va)
-        phi_prev: np.ndarray | None = None
+        prev: FieldSolution | None = None
         for i_col in order:
             bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
-                sol = system.solve(bias, cfg, phi0=phi_prev)
-                state = exciton_state(exciton_params, sol.field)
+                phi0 = None if prev is None else _predict(system, prev, bias)
+                prev = system.solve(bias, cfg, phi0=phi0)
+                state = exciton_state(exciton_params, prev.field)
                 _fill_record(
-                    rec, sol, state, exciton_params, theta_ref, cfg.regime_threshold
+                    rec, prev, state, exciton_params, theta_ref, cfg.regime_threshold
                 )
-                phi_prev = sol.phi
             except SolverError as exc:
                 rec.status = f"error:{type(exc).__name__}"
-                phi_prev = None
+                prev = None
             row[i_col] = rec
         return row  # type: ignore[return-value]
 
@@ -344,6 +355,7 @@ def run_bias_sweep(
         rows = [run_row(i) for i in range(len(vb))]
 
     records = [rec for row in rows for rec in row]
+    iters = [r.iters for r in records if r.ok]
     meta = {
         "grid": [len(vb), len(va)],
         "theta_ref_rad": theta_ref,
@@ -351,7 +363,9 @@ def run_bias_sweep(
         "regime_threshold_a": cfg.regime_threshold,
         "mesh_nodes": mesh.n_nodes,
         "mesh_cells": mesh.n_cells,
-        "n_failed": sum(1 for r in records if not r.ok),
+        "n_failed": len(records) - len(iters),
+        "newton_iters": sum(iters),
+        "newton_iters_hist": {k: iters.count(k) for k in sorted(set(iters))},
         "elapsed_s": time.perf_counter() - t_start,
     }
     if extra_meta:
@@ -374,40 +388,41 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 def read_sweep_csv(path: str) -> list[CellRecord]:
     """Read a sweep CSV; empty cells keep the ``CellRecord`` default."""
-    records = []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise TunerError(f"cannot read sweep CSV {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TunerError(f"{path}: empty sweep CSV")
-        bad = [h for h in header if h not in _CODECS]
-        if bad:
-            raise TunerError(f"{path}: unknown sweep columns {bad}")
-        missing = [
-            f.name
-            for f in fields(CellRecord)
-            if f.default is MISSING and f.name not in header
-        ]
-        if missing:
-            raise TunerError(f"{path}: missing sweep columns {missing}")
-        parsers = [_CODECS[h][0] for h in header]
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TunerError(
-                    f"{path}: row {row_no} has {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            try:
-                values = {h: p(v) for h, p, v in zip(header, parsers, row) if v}
-                records.append(CellRecord(**values))
-            except (TypeError, ValueError) as exc:
-                raise TunerError(f"{path}: row {row_no}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TunerError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    if not rows:
+        raise TunerError(f"{path}: empty sweep CSV")
+    header = rows[0]
+    bad = [h for h in header if h not in _CODECS]
+    if bad:
+        raise TunerError(f"{path}: unknown sweep columns {bad}")
+    missing = [
+        f.name
+        for f in fields(CellRecord)
+        if f.default is MISSING and f.name not in header
+    ]
+    if missing:
+        raise TunerError(f"{path}: missing sweep columns {missing}")
+    parsers = [_CODECS[h][0] for h in header]
+    records = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise TunerError(
+                f"{path}: row {row_no} has {len(row)} fields, "
+                f"header has {len(header)}"
+            )
+        try:
+            values = {h: p(v) for h, p, v in zip(header, parsers, row) if v}
+            records.append(CellRecord(**values))
+        except (TypeError, ValueError) as exc:
+            raise TunerError(f"{path}: row {row_no}: {exc}") from exc
     return records
 
 
@@ -430,7 +445,13 @@ def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationChe
 
 
 class _Splitting:
-    """Splitting vector versus free voltages, each solve warm-started from the last."""
+    """Splitting vector versus free voltages, and its exact Jacobian.
+
+    Holds the last solution: an evaluation at its bias reuses it, any other
+    starts from it moved along its tangent (``_predict``).  The Jacobian
+    d(delta)/dV is (d(delta)/dE)(dE/dV), the constant matrix of the linear
+    ``fss_vector`` times the QD field of one tangent per free terminal.
+    """
 
     def __init__(
         self,
@@ -445,7 +466,7 @@ class _Splitting:
         self.cfg = cfg
         self.start = start
         self.free = free
-        self.phi_prev: np.ndarray | None = None
+        self.prev: FieldSolution | None = None
         self.evals = 0
 
     def bias_at(self, x) -> BiasPoint:
@@ -453,13 +474,16 @@ class _Splitting:
         return BiasPoint(*(values.get(t, self.start.terminal(t)) for t in "ABC"))
 
     def solve_at(self, x) -> FieldSolution:
+        bias, prev = self.bias_at(x), self.prev
+        if prev is not None and prev.bias == bias:
+            return prev
         try:
-            sol = self.system.solve(self.bias_at(x), self.cfg, phi0=self.phi_prev)
+            phi0 = None if prev is None else _predict(self.system, prev, bias)
+            self.prev = self.system.solve(bias, self.cfg, phi0=phi0)
         except SolverError:
-            self.phi_prev = None
+            self.prev = None
             raise
-        self.phi_prev = sol.phi
-        return sol
+        return self.prev
 
     def state_at(self, x) -> ExcitonState:
         return exciton_state(self.params, self.solve_at(x).field)
@@ -467,6 +491,16 @@ class _Splitting:
     def __call__(self, x) -> np.ndarray:
         self.evals += 1
         return np.array(fss_vector(self.params, self.solve_at(x).field))
+
+    def jac(self, x) -> np.ndarray:
+        sol = self.solve_at(x)
+        d_field = np.column_stack([
+            self.system.field_change_at_qd(
+                self.system.tangent(sol, [float(t == name) for t in "ABC"])
+            )
+            for name in self.free
+        ])
+        return self.params.field_matrix() @ d_field
 
 
 def find_zero_fss(
@@ -481,8 +515,9 @@ def find_zero_fss(
 ) -> TuneResult:
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
-    Bounded least squares (trust-region reflective, finite-difference
-    Jacobian) on the smooth splitting vector delta(V), started in turn from
+    Bounded least squares (trust-region reflective, exact Jacobian from
+    the solution's tangent) on the smooth splitting vector delta(V), every
+    solve predicted from the previous one, started in turn from
     the best points of a 5-per-axis grid over ``bounds`` until one lands
     below ``tol / 4``; seeds and starts whose solve fails are skipped.
     ``start`` gives the voltages of the terminals that are not free.  The
@@ -522,7 +557,7 @@ def find_zero_fss(
     approach = None
     for _, x0 in scored[:_N_STARTS]:
         try:
-            res = least_squares(splitting, x0, bounds=bounds)
+            res = least_squares(splitting, x0, jac=splitting.jac, bounds=bounds)
         except SolverError:
             continue
         f = math.hypot(*res.fun)

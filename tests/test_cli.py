@@ -446,3 +446,48 @@ def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     ]) == 0
     scan = scan_from_csv(str(scan_path))
     assert len(scan.angles) == 36
+
+
+@pytest.mark.parametrize("command, option", [("solve", "--phi-out"), ("synth-scan", "--out")])
+def test_output_in_missing_directory_exits_2(fast_config, tmp_path, capsys, command, option):
+    out = tmp_path / "missing" / "out.csv"
+    code = main(["--config", fast_config, command, "--va", "0", "--vb", "0",
+                 option, str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: cannot write {out}: No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--out", "{missing}/s"],
+        ["tune", "--out", "{missing}/t.json"],
+        ["iso-fss", "--target", "5", "--min-separation", "1", "--out", "{missing}/i.json"],
+    ],
+)
+def test_out_in_missing_directory_exits_2_before_solving(
+    fast_config, tmp_path, monkeypatch, capsys, argv
+):
+    def no_mesh(cfg):
+        raise AssertionError("meshed before the output directory was checked")
+
+    monkeypatch.setattr(cli, "_mesh", no_mesh)
+    missing = tmp_path / "missing"
+    code = main(["--config", fast_config, *(a.format(missing=missing) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: cannot write {missing}/" in err
+
+
+def test_sweep_meta_counts_newton_iterations(fast_config, tmp_path, capsys):
+    cfg = load_run_config(fast_config)
+    assert main(["--config", fast_config, "sweep", "--out", "t"]) == 0
+    meta = json.loads((tmp_path / f"t_{cfg.config_hash}.meta.json").read_text())
+    lines = (tmp_path / f"t_{cfg.config_hash}.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert meta["newton_iters"] == sum(int(r["iters"]) for r in rows) > 0
+    hist = {int(k): v for k, v in meta["newton_iters_hist"].items()}
+    assert sum(hist.values()) == sum(r["status"] == "ok" for r in rows)
+    assert sum(k * v for k, v in hist.items()) == meta["newton_iters"]

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pillartune.config import (
     SCHEMA,
@@ -130,3 +132,22 @@ def test_syntax_error_reports_source():
 def test_missing_file_reports_path(tmp_path):
     with pytest.raises(ConfigError, match="nope.cfg"):
         load_run_config(str(tmp_path / "nope.cfg"))
+
+
+def test_non_utf8_config_names_the_file(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"[device]\nmesh_edge_um = 2.0 \xff\n")
+    with pytest.raises(ConfigError, match="latin.cfg"):
+        load_run_config(str(path))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(), st.binary().map(lambda b: b"[sweep]\nva_start_v = " + b)))
+def test_any_config_bytes_load_or_raise_config_error(tmp_path, blob):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        load_run_config(str(path))
+    except ConfigError:
+        pass

@@ -391,7 +391,7 @@ def test_monotone_current_on_bias_ladder(coarse_system):
 
 def test_newton_residual_history_decreases(coarse_system):
     phi0 = np.zeros(coarse_system.n)
-    phi, ok, iters, history = coarse_system._newton(
+    phi, ok, iters, history, _ = coarse_system._newton(
         BiasPoint(1.5, 1.0, None), phi0, CFG
     )
     assert ok
@@ -459,7 +459,7 @@ def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
         return jacobian(phi, b)
 
     monkeypatch.setattr(system, "jacobian", spy)
-    phi, ok, iters, _ = system._newton(bias, np.zeros(system.n), CFG)
+    phi, ok, iters, *_ = system._newton(bias, np.zeros(system.n), CFG)
     assert ok and len(iterates) == iters
     energies = [system.energy(p, bias) for p in (*iterates, phi)]
     assert energies[-1] < energies[0]
@@ -503,6 +503,37 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
     assert again.phi.tobytes() == fresh.phi.tobytes()
 
 
+@pytest.mark.parametrize(
+    "bias, dv",
+    [(BiasPoint(2.0, 1.0, None), (1.0, 0.0, 0.0)), (BiasPoint(2.0, 1.0, 0.5), (0.0, 0.0, 1.0))],
+)
+def test_tangent_matches_central_differences(coarse_system, bias, dv):
+    system = coarse_system
+    sol = system.solve(bias, CFG)
+    assert sol.factor is not None
+    tangent = system.tangent(sol, dv)
+    h = 1e-4
+
+    def shifted(sign):
+        v = [x if x is None else x + sign * h * d for x, d in zip(
+            (bias.v_a, bias.v_b, bias.v_c), dv)]
+        return system.solve(BiasPoint(*v), CFG, phi0=sol.phi).phi
+
+    fd = (shifted(1.0) - shifted(-1.0)) / (2 * h)
+    assert np.max(np.abs(tangent - fd)) <= 1e-5 * np.max(np.abs(fd))
+    # a solve that takes no step carries no factor; the tangent factors at phi
+    again = system.solve(bias, CFG, phi0=sol.phi)
+    assert again.newton_iters == 0 and again.factor is None
+    assert np.max(np.abs(system.tangent(again, dv) - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+def test_tangent_ignores_floating_terminals(coarse_system):
+    sol = coarse_system.solve(BiasPoint(2.0, 1.0, None), CFG)
+    assert np.array_equal(
+        coarse_system.tangent(sol, (1.0, 0.0, 5.0)), coarse_system.tangent(sol, (1.0, 0.0, 0.0))
+    )
+
+
 def _strip_system():
     return SheetSystem(make_strip_mesh(20.0, 6.0, 1.0), MaterialParams())
 
@@ -538,7 +569,7 @@ def test_newton_direction_matches_dense_solve(coarse_system, which):
     phi = _forward_biased(system)
     band, f = system.jacobian(phi, bias), system.residual(phi, bias)
     reference = np.linalg.solve(_band_to_dense(system, band), -f)
-    delta = system._newton_direction(band, f)
+    delta = system._back_solve(system._cholesky(band), -f)
     assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 

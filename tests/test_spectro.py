@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -366,3 +366,25 @@ def test_scan_csv_bad_row_reports_row_number(tmp_path):
     path.write_text("angle_rad,energy_ueV,sigma_ueV\n0.0,1.0,0.1\n0.1,oops,0.1\n")
     with pytest.raises(ScanInputError, match="row 3"):
         scan_from_csv(str(path))
+
+
+def test_non_utf8_scan_names_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"angle_rad,energy_ueV,sigma_ueV\n0.0,1.0,0.1\xff\n")
+    with pytest.raises(ScanInputError, match="latin.csv"):
+        scan_from_csv(str(path))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.binary(),
+    st.binary().map(lambda b: b"angle_rad,energy_ueV,sigma_ueV\n" + b),
+))
+def test_any_scan_bytes_parse_or_raise_scan_input_error(tmp_path, blob):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        scan_from_csv(str(path))
+    except ScanInputError:
+        pass

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pillartune import solver
 from pillartune.device import MaterialParams
-from pillartune.exciton import ExcitonParams, fss_vector
+from pillartune.exciton import ExcitonParams, exciton_state, fss_vector
 from pillartune.solver import BiasPoint, ConvergenceError, SheetSystem, SolverConfig
 from pillartune.tuner import (
     COLUMNS,
@@ -17,6 +19,7 @@ from pillartune.tuner import (
     SweepResult,
     SweepSpec,
     TunerError,
+    _Splitting,
     eigenaxis_rotation_check,
     find_zero_fss,
     iso_fss_points,
@@ -195,6 +198,28 @@ def test_read_sweep_csv_rejects_bad_input(tmp_path, text, message):
         read_sweep_csv(str(path))
 
 
+def test_non_utf8_sweep_csv_names_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"va,vb,vc,status,iters,residual\n0.0,0.0,floating,ok\xff,1,0.0\n")
+    with pytest.raises(TunerError, match="latin.csv"):
+        read_sweep_csv(str(path))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.binary(),
+    st.binary().map(lambda b: b"va,vb,vc,status,iters,residual,fss\n" + b),
+))
+def test_any_sweep_csv_bytes_parse_or_raise_tuner_error(tmp_path, blob):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        read_sweep_csv(str(path))
+    except TunerError:
+        pass
+
+
 def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
     # a solver allowed one Newton step fails at forward bias but the sweep
     # still emits one record per cell
@@ -262,6 +287,53 @@ def test_singular_factor_is_recorded_as_numerical_error(
         spec, coarse_mesh, default_config.materials, default_config.exciton, CFG
     )
     assert [r.status for r in result.records] == ["ok", "error:NumericalError"]
+
+
+def test_tangent_predictor_saves_newton_steps(coarse_mesh, default_config):
+    # the same row warm-started from the neighbour's potential alone
+    spec = SweepSpec(
+        va_start=-1.0, va_stop=6.0, va_step=0.35,
+        vb_start=2.0, vb_stop=2.0, vb_step=1.0,
+    )
+    result = run_bias_sweep(
+        spec, coarse_mesh, default_config.materials, default_config.exciton, CFG
+    )
+    system = SheetSystem(coarse_mesh, default_config.materials)
+    phi, plain = None, 0
+    for va in spec.va_values():
+        sol = system.solve(BiasPoint(float(va), 2.0, None), CFG, phi0=phi)
+        phi, plain = sol.phi, plain + sol.newton_iters
+    assert all(r.ok for r in result.records)
+    assert result.metadata["newton_iters"] == sum(r.iters for r in result.records)
+    assert result.metadata["newton_iters"] < plain
+
+
+@pytest.mark.parametrize("vc", [None, 0.5])
+def test_splitting_jacobian_matches_central_differences(coarse_system, default_config, vc):
+    params = default_config.exciton
+    free = ("A", "B") if vc is None else ("A", "B", "C")
+    splitting = _Splitting(coarse_system, params, CFG, BiasPoint(0.0, 0.0, vc), free)
+    x = np.array([1.0, 2.0, 0.5][: len(free)])
+    splitting(x)
+    jac = splitting.jac(x)
+    assert jac.shape == (2, len(free))
+    h = 1e-4
+    fd = np.column_stack([
+        (splitting(x + h * e) - splitting(x - h * e)) / (2 * h) for e in np.eye(len(free))
+    ])
+    assert np.max(np.abs(jac - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+def test_splitting_reuses_the_held_solution(coarse_system, default_config, monkeypatch):
+    splitting = _Splitting(
+        coarse_system, default_config.exciton, CFG, BiasPoint(0.0, 0.0, None), ("A", "B")
+    )
+    x = np.array([1.0, 2.0])
+    first = splitting(x)
+    monkeypatch.setattr(coarse_system, "solve", None)  # any further solve fails
+    assert np.array_equal(splitting(x), first)
+    splitting.jac(x)
+    assert splitting.state_at(x) == exciton_state(default_config.exciton, splitting.prev.field)
 
 
 def test_constructed_zero_found(coarse_mesh):
