@@ -49,7 +49,8 @@ def main() -> int:
     print(
         f"zero search: fss = {result.achieved_fss:.4f} ueV at "
         f"(V_A, V_B) = ({result.bias[0]:.3f}, {result.bias[1]:.3f}) V "
-        f"after {result.iterations} solves "
+        f"after {result.iterations} splitting evaluations, "
+        f"{result.newton_iters} Newton steps "
         f"({'converged' if result.converged else 'NOT converged'})"
     )
     if result.rotation is not None:

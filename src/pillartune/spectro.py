@@ -79,8 +79,10 @@ class SpectrumModel:
     theta0: float       # rad, polarization angle of the high-energy line
 
     def __post_init__(self) -> None:
-        if not (self.linewidth > 0.0):
-            raise ValueError("linewidth must be positive")
+        if not (0.0 < self.linewidth < math.inf):
+            raise ScanInputError(
+                f"linewidth must be positive and finite, got {self.linewidth}"
+            )
         if self.e_high < self.e_low:
             raise ValueError("e_high must be >= e_low")
 
@@ -188,8 +190,10 @@ def synth_polarization_scan(
     """
     if n_angles < 6:
         raise ScanInputError("n_angles must be at least 6")
-    if noise_sigma < 0.0:
-        raise ScanInputError("noise_sigma must be non-negative")
+    if not (0.0 <= noise_sigma < math.inf):
+        raise ScanInputError(
+            f"noise_sigma must be finite and non-negative, got {noise_sigma}"
+        )
     state = exciton_state(params, fieldvec)
     theta0 = state.theta0 if state.theta0 is not None else 0.0
     model = SpectrumModel(

@@ -6,11 +6,13 @@ rows are independent of each other, so row-parallel execution produces
 byte-identical output to a serial run.  The zero-splitting search solves
 the smooth splitting vector delta(V) = 0 by bounded least squares
 (trust-region reflective) with its exact Jacobian, started from the best
-points of a coarse grid; its norm, the observable splitting, is not
-differentiable at the zero.  Every warm start, in a sweep row and in a
-search, is the previous solution moved along its tangent
-(``SheetSystem.tangent``) by the voltage change: an Euler predictor.  A
-chain drops its warm start when a solve fails.
+points of a 3-per-axis grid whose solutions it keeps; its norm, the
+observable splitting, is not differentiable at the zero.  Every warm
+start, in a sweep row and in a search, is a held solution moved along its
+tangent (``SheetSystem.tangent``) by the voltage change: an Euler
+predictor.  That is the previous solution, except at the start of a
+least-squares run, which is predicted from its seed's.  A chain drops its
+warm start when a solve fails.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -208,6 +210,7 @@ class TuneResult:
     crossing_verified: bool
     mean_energy: float
     iterations: int
+    newton_iters: int
     converged: bool
 
     def to_dict(self) -> dict:
@@ -223,6 +226,7 @@ class TuneResult:
             "crossing_verified": self.crossing_verified,
             "mean_energy_ev": self.mean_energy,
             "iterations": self.iterations,
+            "newton_iters": self.newton_iters,
             "converged": self.converged,
         }
 
@@ -428,7 +432,7 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 
 # -- zero-splitting search ---------------------------------------------------
 
-_GRID_POINTS = 5     # seed grid points per free terminal, spanning the bounds
+_GRID_POINTS = 3     # seed grid points per free terminal, spanning the bounds
 _N_STARTS = 3        # best seeds refined by least squares
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 
@@ -447,10 +451,14 @@ def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationChe
 class _Splitting:
     """Splitting vector versus free voltages, and its exact Jacobian.
 
-    Holds the last solution: an evaluation at its bias reuses it, any other
-    starts from it moved along its tangent (``_predict``).  The Jacobian
-    d(delta)/dV is (d(delta)/dE)(dE/dV), the constant matrix of the linear
-    ``fss_vector`` times the QD field of one tangent per free terminal.
+    Holds one solution in ``prev``, the last one unless the caller sets
+    another (``find_zero_fss`` sets a seed's own before each least-squares
+    start): an evaluation at its bias reuses it, any other starts from it
+    moved along its tangent (``_predict``).  The Jacobian d(delta)/dV is
+    (d(delta)/dE)(dE/dV), the constant matrix of the linear ``fss_vector``
+    times the QD field of one tangent per free terminal.  ``evals`` counts
+    the evaluations, ``newton_iters`` the Newton steps of every successful
+    solve.
     """
 
     def __init__(
@@ -468,6 +476,7 @@ class _Splitting:
         self.free = free
         self.prev: FieldSolution | None = None
         self.evals = 0
+        self.newton_iters = 0
 
     def bias_at(self, x) -> BiasPoint:
         values = dict(zip(self.free, map(float, x)))
@@ -483,6 +492,7 @@ class _Splitting:
         except SolverError:
             self.prev = None
             raise
+        self.newton_iters += self.prev.newton_iters
         return self.prev
 
     def state_at(self, x) -> ExcitonState:
@@ -516,18 +526,21 @@ def find_zero_fss(
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
     Bounded least squares (trust-region reflective, exact Jacobian from
-    the solution's tangent) on the smooth splitting vector delta(V), every
-    solve predicted from the previous one, started in turn from
-    the best points of a 5-per-axis grid over ``bounds`` until one lands
-    below ``tol / 4``; seeds and starts whose solve fails are skipped.
+    the solution's tangent) on the smooth splitting vector delta(V), started
+    in turn from the best points of a 3-per-axis grid over ``bounds`` until
+    one lands below ``tol / 4``; seeds and starts whose solve fails are
+    skipped.  Every solve is predicted from the previous one, except the
+    first of each least-squares run, which is predicted from its seed's own
+    solution, kept from the grid.  ``tol`` must be positive and finite;
     ``start`` gives the voltages of the terminals that are not free.  The
     eigenaxis swap is verified by probing 0.05 V either side of the optimum
     along the approach direction.  A failed search returns the best
     candidate with ``converged=False``; ``iterations`` counts the splitting
-    evaluations of the search.
+    evaluations of the search and ``newton_iters`` the Newton steps of all
+    its solves.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     free = tuple(free_terminals)
     if not free or len(set(free)) < len(free) or not set(free) <= {"A", "B", "C"}:
         raise ValueError("free_terminals must be distinct terminals among A, B, C")
@@ -545,17 +558,20 @@ def find_zero_fss(
     for seed in itertools.product(grid_axis, repeat=len(free)):
         x = np.array(seed)
         try:
-            scored.append((math.hypot(*splitting(x)), x))
+            norm = math.hypot(*splitting(x))
         except SolverError:
             continue
+        # the potential only: a held band factor costs about 1 MB per seed
+        scored.append((norm, x, replace(splitting.prev, factor=None)))
     scored.sort(key=lambda t: t[0])
 
     # With every seed failed, the final solve at the first seed raises.
-    best_f, best_x = (
-        scored[0] if scored else (math.inf, np.full(len(free), bounds[0]))
+    best_f, best_x, _ = (
+        scored[0] if scored else (math.inf, np.full(len(free), bounds[0]), None)
     )
     approach = None
-    for _, x0 in scored[:_N_STARTS]:
+    for _, x0, seed_solution in scored[:_N_STARTS]:
+        splitting.prev = seed_solution
         try:
             res = least_squares(splitting, x0, jac=splitting.jac, bounds=bounds)
         except SolverError:
@@ -591,6 +607,7 @@ def find_zero_fss(
         crossing_verified=check.crossing,
         mean_energy=best_state.mean_energy,
         iterations=splitting.evals,
+        newton_iters=splitting.newton_iters,
         converged=achieved <= tol,
     )
 

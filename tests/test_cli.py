@@ -438,6 +438,30 @@ def test_iso_fss_rejects_bad_arguments_before_sweeping(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth-scan", "--noise", "nan"], "noise_sigma must be finite and non-negative"),
+        (["synth-scan", "--noise", "inf"], "noise_sigma must be finite and non-negative"),
+        (["synth-scan", "--linewidth", "inf"], "linewidth must be positive and finite"),
+        (["synth-scan", "--linewidth", "nan"], "linewidth must be positive and finite"),
+        (["tune", "--tol", "inf"], "tol must be positive and finite"),
+        (["tune", "--tol", "nan"], "tol must be positive and finite"),
+    ],
+)
+def test_non_finite_numeric_input_exits_2_naming_it(
+    fast_config, tmp_path, capsys, argv, message
+):
+    out = tmp_path / "out"
+    extra = ["--va", "0", "--vb", "0"] if argv[0] == "synth-scan" else []
+    code = main(["--config", fast_config, *argv, *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     scan_path = tmp_path / "s.csv"
     assert main([

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pillartune import solver
+from pillartune import solver, tuner
 from pillartune.device import MaterialParams
 from pillartune.exciton import ExcitonParams, exciton_state, fss_vector
 from pillartune.solver import BiasPoint, ConvergenceError, SheetSystem, SolverConfig
@@ -465,6 +465,84 @@ def test_tuner_never_claims_convergence_above_tol(coarse_mesh):
     )
     assert not result.converged
     assert result.achieved_fss == pytest.approx(40.0, rel=1e-6)
+
+
+def _record_newton_steps(monkeypatch) -> list[int]:
+    """Newton steps of every successful ``SheetSystem.solve``, in call order."""
+    steps = []
+    real_solve = SheetSystem.solve
+
+    def spy(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        steps.append(sol.newton_iters)
+        return sol
+
+    monkeypatch.setattr(SheetSystem, "solve", spy)
+    return steps
+
+
+def _tune_default(coarse_mesh, default_config, exciton_params=None):
+    return find_zero_fss(
+        BiasPoint(0.0, 0.0, default_config.sweep.vc),
+        ("A", "B"),
+        tol=1.5,
+        mesh=coarse_mesh,
+        materials=default_config.materials,
+        exciton_params=exciton_params or default_config.exciton,
+        cfg=default_config.solver,
+        bounds=default_config.sweep.tune_bounds(),
+    )
+
+
+def test_tune_newton_iters_totals_every_solve(coarse_mesh, default_config, monkeypatch):
+    steps = _record_newton_steps(monkeypatch)
+    result = _tune_default(coarse_mesh, default_config)
+    assert result.converged
+    assert result.newton_iters == sum(steps) > 0
+    assert result.to_dict()["newton_iters"] == result.newton_iters
+
+
+def test_least_squares_starts_from_its_seed_solution(
+    coarse_mesh, default_config, monkeypatch
+):
+    """Each least-squares run first evaluates at its seed, or just inside
+    the bounds from it, predicted from the seed's own grid solution: at most
+    one Newton step, where a start predicted from the grid's last point
+    takes several (7 here)."""
+    steps = _record_newton_steps(monkeypatch)
+    runs, first_eval_steps = [], []
+    real_least_squares = tuner.least_squares
+
+    def spy(fun, x0, **kwargs):
+        mark = len(steps)
+
+        def fun_first(x):
+            out = fun(x)
+            if len(first_eval_steps) < len(runs):
+                first_eval_steps.append(sum(steps[mark:]))
+            return out
+
+        runs.append(x0)
+        return real_least_squares(fun_first, x0, **kwargs)
+
+    monkeypatch.setattr(tuner, "least_squares", spy)
+    result = _tune_default(coarse_mesh, default_config)
+    assert result.converged
+    assert runs and len(first_eval_steps) == len(runs)
+    assert max(first_eval_steps) <= 1, first_eval_steps
+
+
+@pytest.mark.parametrize("scale_a", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("scale_b", [0.8, 1.0, 1.2])
+def test_dots_around_the_default_converge_and_cross(
+    coarse_mesh, default_config, scale_a, scale_b
+):
+    d0 = default_config.exciton.zero_field_splitting
+    params = dataclasses.replace(
+        default_config.exciton, zero_field_splitting=(d0[0] * scale_a, d0[1] * scale_b)
+    )
+    result = _tune_default(coarse_mesh, default_config, params)
+    assert result.converged and result.crossing_verified, result
 
 
 def test_find_zero_input_validation(coarse_mesh, default_config):
