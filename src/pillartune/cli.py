@@ -119,6 +119,7 @@ def cmd_solve(args) -> int:
         ("i_junction_a", sol.i_junction),
         ("region", region),
         ("newton_iters", sol.newton_iters),
+        ("factorizations", sol.factorizations),
         ("residual", sol.residual),
         ("fss_uev", state.fss),
         ("theta0_rad", "undefined" if state.theta0 is None else state.theta0),

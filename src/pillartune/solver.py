@@ -16,18 +16,23 @@ equilibrium included; no bias continuation is needed.
 The Jacobian is symmetric positive definite, and only its diagonal changes
 from step to step.  In reverse Cuthill-McKee order it is a narrow band
 (half-bandwidth 54 on the 2,140-node default mesh), and that band is the
-only form it takes: the stiffness band is built once per system, each
-Newton step copies it, adds the junction and contact conductances to its
-diagonal, factors it exactly with LAPACK's banded Cholesky (``dpbtrf``)
-and back-solves (``dpbtrs``).  The factor of the last step rides on the
-returned ``FieldSolution`` and never on the system, so a solve depends only
-on its bias, config and starting potential.
+only form it takes: the stiffness band is built once per system, and a
+factorization copies it, adds the junction and contact conductances to its
+diagonal and factors it with LAPACK's banded Cholesky (``dpbtrf``).  A
+solve holds its factor across steps and refactors only when the last step
+needed a line-search halving or shrank the residual by less than
+``1 / _CHORD_CONTRACTION``; the steps in between are chord steps on the held
+factor (``dpbtrs``), still descent directions of the energy.  The last
+factor rides on the returned ``FieldSolution`` and never on the system, and
+no factor crosses solves, so a solve depends only on its bias, config and
+starting potential.
 
 Terminal voltages enter only the contact rows, so the change of the
-converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is a
-back-solve on that factor (``tangent``): an Euler predictor for the next
-solve of a chain and, through the linear QD field, exact field
-derivatives.
+converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is one
+back-solve per step.  ``chord_tangent`` takes it on the solution's held
+factor, which is a few steps stale: a warm-start predictor for the next
+solve of a chain.  ``tangent`` factors J at the converged potential and is
+exact: through the linear QD field it gives exact field derivatives.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ from .device import MaterialParams, Mesh, MeshError, cell_areas
 
 EXP_CLAMP = 40.0
 _E_CLAMP = math.exp(EXP_CLAMP)
+
+# A step that leaves more than this fraction of the residual ends the chord
+# steps on the held factor: the next step factors the Jacobian afresh.
+_CHORD_CONTRACTION = 0.1
 
 # Fraction of the current floor below which the node-balance sum must fall
 # before a solve is declared converged; keeps the Kirchhoff check at
@@ -125,9 +134,11 @@ class FieldSolution:
     i_b: float
     i_c: float
     i_junction: float
-    newton_iters: int
+    newton_iters: int                 # Newton steps, chord steps included
     residual: float                   # scaled infinity norm at convergence
-    # banded Cholesky of the last Newton step's Jacobian (None: no step)
+    factorizations: int = 0           # Jacobians factored by the solve
+    # banded Cholesky of the last Jacobian factored (None: no step taken);
+    # a chain may hand on an earlier or a fresher one (``dataclasses.replace``)
     factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -334,33 +345,48 @@ class SheetSystem:
         return chol
 
     def _back_solve(self, chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``J^{-1} b`` in node order from the ``_cholesky`` factor of J."""
+        """``J^{-1} b`` in node order from the ``_cholesky`` factor of J.
+
+        ``b`` is one right-hand side or one per column.
+        """
         x, _ = dpbtrs(chol, b[self._perm], lower=1)
-        out = np.empty(self.n)
+        out = np.empty(b.shape)
         out[self._perm] = x
         return out
 
-    def tangent(self, sol: FieldSolution, dv) -> np.ndarray:
-        """First-order change of ``sol.phi`` for terminal steps ``dv = (dV_A, dV_B, dV_C)``.
+    def _terminal_drive(self, bias: BiasPoint, dv) -> np.ndarray:
+        """sum_k g_k 1_{pad k} dV_k over the terminals driven in ``bias``.
 
-        Solves J(sol.phi) dphi = sum_k g_k 1_{pad k} dV_k; the steps of
-        terminals floating in ``sol.bias`` are ignored.  ``sol.factor`` is
-        of the Jacobian one Newton step before ``sol.phi``, so its
-        back-solve is off by the Jacobian's relative change over that step
-        (3e-5 at (2, 1, floating) V on the 2 um mesh); one refinement
-        against J(sol.phi) squares that error.  When the solve took
-        no step, J(sol.phi) is factored here.
+        ``dv`` is one step (dV_A, dV_B, dV_C) or a stack of them, shape
+        (m, 3); a stack gives one column per step.
         """
-        rhs = np.zeros(self.n)
-        for name, step in zip(TERMINALS, dv):
-            if sol.bias.terminal(name) is not None:
-                rhs[self.pad_nodes[name]] += self.pad_conductance[name] * step
-        if sol.factor is None:
-            return self._back_solve(self._cholesky(self.jacobian(sol.phi, sol.bias)), rhs)
-        dphi = self._back_solve(sol.factor, rhs)
-        applied = self.conduction @ dphi
-        applied += self._conductance_diagonal(sol.phi, sol.bias) * dphi
-        return dphi + self._back_solve(sol.factor, rhs - applied)
+        dv = np.asarray(dv, dtype=float)
+        rhs = np.zeros((self.n,) + dv.shape[:-1])
+        for k, name in enumerate(TERMINALS):
+            if bias.terminal(name) is not None:
+                rhs[self.pad_nodes[name]] += self.pad_conductance[name] * dv[..., k]
+        return rhs
+
+    def chord_tangent(self, sol: FieldSolution, dv) -> np.ndarray:
+        """Change of ``sol.phi`` for terminal steps ``dv``, on ``sol.factor``.
+
+        One back-solve and no factorization.  The factor is of a Jacobian a
+        few steps before ``sol.phi``, so the result is a predictor, not a
+        derivative; ``sol.factor`` must not be None.
+        """
+        return self._back_solve(sol.factor, self._terminal_drive(sol.bias, dv))
+
+    def tangent(self, sol: FieldSolution, dv) -> tuple[np.ndarray, np.ndarray]:
+        """Exact first-order change of ``sol.phi`` for terminal steps ``dv``.
+
+        Factors J(sol.phi) once and solves J dphi = sum_k g_k 1_{pad k} dV_k;
+        the steps of terminals floating in ``sol.bias`` are ignored.  ``dv``
+        is one step (dV_A, dV_B, dV_C) or a stack of m steps, which share the
+        factorization and give dphi of shape (n, m).  Returns ``(dphi,
+        factor)``, the factor for later back-solves at ``sol.phi``.
+        """
+        factor = self._cholesky(self.jacobian(sol.phi, sol.bias))
+        return self._back_solve(factor, self._terminal_drive(sol.bias, dv)), factor
 
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
         out = {}
@@ -401,15 +427,21 @@ class SheetSystem:
         )
 
     def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig):
-        """Damped Newton from ``phi0``: ``(phi, converged, iters, history, factor)``.
+        """Damped Newton from ``phi0``.
 
-        Each step builds the Jacobian, factors it afresh (``_cholesky``)
-        and halves ``lambda`` until ``phi + lambda d`` lowers the convex
-        energy: Armijo on ``energy``, or the 1-D convexity test
-        ``f(phi + lambda d) . d <= 0``, which still decides the last steps
-        where energy differences fall below rounding.  Convergence is
-        judged on the residual and the Kirchhoff balance alone.  ``factor``
-        is the last step's factor, None when no step was taken.
+        Returns ``(phi, converged, iters, history, factor, factorizations)``.
+        A step factors the Jacobian at the current iterate (``_cholesky``)
+        when there is no factor yet, or when the last step needed a
+        line-search halving or left more than ``_CHORD_CONTRACTION`` of the
+        residual; otherwise it is a chord step on the held factor.  Either
+        way the step solves against a positive definite matrix, so it
+        descends the convex energy, and ``lambda`` is halved until
+        ``phi + lambda d`` lowers it: Armijo on ``energy``, or the 1-D
+        convexity test ``f(phi + lambda d) . d <= 0``, which still decides
+        the last steps where energy differences fall below rounding.
+        Convergence is judged on the residual and the Kirchhoff balance
+        alone.  ``iters`` counts chord and full steps alike; ``factor`` is
+        the last factor, None when no step was taken.
         """
         scale = self._residual_scale(bias, cfg)
         tol = cfg.newton_tol * scale
@@ -422,12 +454,15 @@ class SheetSystem:
             raise NumericalError("NaN in residual at Newton start")
         history = [norm / scale]
 
-        iters = 0
+        iters = factorizations = 0
         factor = None
+        refactor = True
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
-                return phi, True, iters, history, factor
-            factor = self._cholesky(self.jacobian(phi, bias))
+                return phi, True, iters, history, factor, factorizations
+            if refactor:
+                factor = self._cholesky(self.jacobian(phi, bias))
+                factorizations += 1
             delta = self._back_solve(factor, -f)
             if not np.all(np.isfinite(delta)):
                 raise NumericalError("NaN in Newton step")
@@ -445,14 +480,15 @@ class SheetSystem:
                     break
                 lam *= 0.5
                 if lam < 2.0**-24:
-                    return phi, False, iters, history, factor
-            phi, f = phi_try, f_try
-            norm = float(np.max(np.abs(f)))
+                    return phi, False, iters, history, factor, factorizations
+            norm_try = float(np.max(np.abs(f_try)))
+            refactor = lam < cfg.damping or norm_try > _CHORD_CONTRACTION * norm
+            phi, f, norm = phi_try, f_try, norm_try
             iters += 1
             history.append(norm / scale)
 
         converged = norm <= tol and abs(float(f.sum())) <= balance_tol
-        return phi, converged, iters, history, factor
+        return phi, converged, iters, history, factor, factorizations
 
     def solve(
         self,
@@ -462,14 +498,14 @@ class SheetSystem:
     ) -> FieldSolution:
         """One damped Newton descent from ``phi0`` (zeros when omitted).
 
-        The result depends only on the arguments, and carries the factor of
-        the last Newton step for ``tangent``.  Raises
+        The result depends only on the arguments, and carries the last
+        band factor of the solve for ``chord_tangent``.  Raises
         ``ConvergenceError`` with the residual history when
         ``cfg.max_iters`` steps do not converge, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
         """
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
-        phi, ok, iters, history, factor = self._newton(bias, phi0, cfg)
+        phi, ok, iters, history, factor, factorizations = self._newton(bias, phi0, cfg)
         if not ok:
             raise ConvergenceError(
                 f"no convergence at bias {bias} after {iters} Newton iterations "
@@ -493,6 +529,7 @@ class SheetSystem:
             i_junction=i_j,
             newton_iters=iters,
             residual=history[-1],
+            factorizations=factorizations,
             factor=factor,
         )
 

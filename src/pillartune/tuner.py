@@ -8,11 +8,15 @@ the smooth splitting vector delta(V) = 0 by bounded least squares
 (trust-region reflective) with its exact Jacobian, started from the best
 points of a 3-per-axis grid whose solutions it keeps; its norm, the
 observable splitting, is not differentiable at the zero.  Every warm
-start, in a sweep row and in a search, is a held solution moved along its
-tangent (``SheetSystem.tangent``) by the voltage change: an Euler
-predictor.  That is the previous solution, except at the start of a
-least-squares run, which is predicted from its seed's.  A chain drops its
-warm start when a solve fails.
+start, in a sweep row and in a search, is a held solution moved by one
+back-solve of the voltage change on its held band factor
+(``SheetSystem.chord_tangent``): an Euler predictor on a Jacobian a few
+chord steps stale, which costs no factorization.  A solve that takes no
+step keeps the factor its chain held before.  The held solution is the
+previous one, except at the start of a least-squares run, which is
+predicted from its seed's.  The search's Jacobian comes from the exact
+tangent (``SheetSystem.tangent``), whose fresh factor the search then
+holds.  A chain drops its warm start when a solve fails.
 """
 
 from __future__ import annotations
@@ -301,12 +305,30 @@ def zero_bias_reference(
 
 
 def _predict(system: SheetSystem, prev: FieldSolution, bias: BiasPoint) -> np.ndarray:
-    """Warm start for ``bias``: ``prev.phi`` moved along its tangent."""
+    """Warm start for ``bias``: ``prev.phi`` plus one back-solve of the
+    voltage change on ``prev.factor``, or ``prev.phi`` alone without one."""
+    if prev.factor is None:
+        return prev.phi
     dv = [
         0.0 if a is None or b is None else b - a
         for a, b in ((prev.bias.terminal(t), bias.terminal(t)) for t in "ABC")
     ]
-    return prev.phi + system.tangent(prev, dv)
+    return prev.phi + system.chord_tangent(prev, dv)
+
+
+def _solve_next(
+    system: SheetSystem, prev: FieldSolution | None, bias: BiasPoint, cfg: SolverConfig
+) -> FieldSolution:
+    """Solve ``bias`` predicted from ``prev`` (cold when None).
+
+    A solve that takes no step factors nothing; it keeps ``prev.factor``,
+    so the chain's next prediction still needs no factorization.
+    """
+    phi0 = None if prev is None else _predict(system, prev, bias)
+    sol = system.solve(bias, cfg, phi0=phi0)
+    if sol.factor is None and prev is not None:
+        sol = replace(sol, factor=prev.factor)
+    return sol
 
 
 def run_bias_sweep(
@@ -332,16 +354,18 @@ def run_bias_sweep(
     vb = spec.vb_values()
     theta_ref, state0 = zero_bias_reference(system, exciton_params, cfg, spec.vc)
 
-    def run_row(i_row: int) -> list[CellRecord]:
+    def run_row(i_row: int) -> tuple[list[CellRecord], int]:
+        """The row's records, and the factorizations of its solves."""
         order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
         row: list[CellRecord | None] = [None] * len(va)
         prev: FieldSolution | None = None
+        factorizations = 0
         for i_col in order:
             bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
-                phi0 = None if prev is None else _predict(system, prev, bias)
-                prev = system.solve(bias, cfg, phi0=phi0)
+                prev = _solve_next(system, prev, bias, cfg)
+                factorizations += prev.factorizations
                 state = exciton_state(exciton_params, prev.field)
                 _fill_record(
                     rec, prev, state, exciton_params, theta_ref, cfg.regime_threshold
@@ -350,7 +374,7 @@ def run_bias_sweep(
                 rec.status = f"error:{type(exc).__name__}"
                 prev = None
             row[i_col] = rec
-        return row  # type: ignore[return-value]
+        return row, factorizations  # type: ignore[return-value]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -358,7 +382,7 @@ def run_bias_sweep(
     else:
         rows = [run_row(i) for i in range(len(vb))]
 
-    records = [rec for row in rows for rec in row]
+    records = [rec for row, _ in rows for rec in row]
     iters = [r.iters for r in records if r.ok]
     meta = {
         "grid": [len(vb), len(va)],
@@ -370,6 +394,7 @@ def run_bias_sweep(
         "n_failed": len(records) - len(iters),
         "newton_iters": sum(iters),
         "newton_iters_hist": {k: iters.count(k) for k in sorted(set(iters))},
+        "factorizations": sum(n for _, n in rows),
         "elapsed_s": time.perf_counter() - t_start,
     }
     if extra_meta:
@@ -453,12 +478,13 @@ class _Splitting:
 
     Holds one solution in ``prev``, the last one unless the caller sets
     another (``find_zero_fss`` sets a seed's own before each least-squares
-    start): an evaluation at its bias reuses it, any other starts from it
-    moved along its tangent (``_predict``).  The Jacobian d(delta)/dV is
+    start): an evaluation at its bias reuses it, any other is predicted
+    from it (``_solve_next``).  The Jacobian d(delta)/dV is
     (d(delta)/dE)(dE/dV), the constant matrix of the linear ``fss_vector``
-    times the QD field of one tangent per free terminal.  ``evals`` counts
-    the evaluations, ``newton_iters`` the Newton steps of every successful
-    solve.
+    times the QD field of the exact tangent of each free terminal, all from
+    one factorization at ``prev``, which ``prev`` then holds for the next
+    prediction.  ``evals`` counts the evaluations, ``newton_iters`` the
+    Newton steps of every successful solve.
     """
 
     def __init__(
@@ -487,8 +513,7 @@ class _Splitting:
         if prev is not None and prev.bias == bias:
             return prev
         try:
-            phi0 = None if prev is None else _predict(self.system, prev, bias)
-            self.prev = self.system.solve(bias, self.cfg, phi0=phi0)
+            self.prev = _solve_next(self.system, prev, bias, self.cfg)
         except SolverError:
             self.prev = None
             raise
@@ -504,12 +529,10 @@ class _Splitting:
 
     def jac(self, x) -> np.ndarray:
         sol = self.solve_at(x)
-        d_field = np.column_stack([
-            self.system.field_change_at_qd(
-                self.system.tangent(sol, [float(t == name) for t in "ABC"])
-            )
-            for name in self.free
-        ])
+        steps = [[float(t == name) for t in "ABC"] for name in self.free]
+        d_phi, factor = self.system.tangent(sol, steps)
+        self.prev = replace(sol, factor=factor)
+        d_field = np.column_stack([self.system.field_change_at_qd(d) for d in d_phi.T])
         return self.params.field_matrix() @ d_field
 
 

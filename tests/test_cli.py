@@ -89,6 +89,16 @@ def test_solve_equilibrium(fast_config, capsys):
     expected_ez = 1.4 / 270e-9
     assert float(values["ez_v_per_m"]) == pytest.approx(expected_ez)
     assert values["region"] == "1"
+    # phi = 0 solves the equilibrium exactly: no step, nothing factored
+    assert values["newton_iters"] == values["factorizations"] == "0"
+
+
+def test_solve_prints_factorizations(fast_config, capsys):
+    code = main(["--config", fast_config, "solve", "--va", "3", "--vb", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    assert 0 < int(values["factorizations"]) < int(values["newton_iters"])
 
 
 def test_solve_floating_terminal_region1(fast_config, capsys):
@@ -515,3 +525,6 @@ def test_sweep_meta_counts_newton_iterations(fast_config, tmp_path, capsys):
     hist = {int(k): v for k, v in meta["newton_iters_hist"].items()}
     assert sum(hist.values()) == sum(r["status"] == "ok" for r in rows)
     assert sum(k * v for k, v in hist.items()) == meta["newton_iters"]
+    # full and chord steps: never more factorizations than steps
+    assert 0 < meta["factorizations"] <= meta["newton_iters"]
+    assert "factorizations" not in header

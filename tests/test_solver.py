@@ -391,7 +391,7 @@ def test_monotone_current_on_bias_ladder(coarse_system):
 
 def test_newton_residual_history_decreases(coarse_system):
     phi0 = np.zeros(coarse_system.n)
-    phi, ok, iters, history, _ = coarse_system._newton(
+    phi, ok, iters, history, *_ = coarse_system._newton(
         BiasPoint(1.5, 1.0, None), phi0, CFG
     )
     assert ok
@@ -449,18 +449,31 @@ def test_energy_gradient_is_the_residual(coarse_system):
     "bias", [BiasPoint(3.0, 2.0, None), BiasPoint(-1.0, -1.0, None), BiasPoint(6.0, 6.0, 6.0)]
 )
 def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
-    # the Jacobian is built once per step at the accepted iterate
+    # one Jacobian per factorization, each at an accepted iterate: the
+    # iterate of a step is the last residual evaluated before its back-solve
     system = coarse_system
-    iterates = []
-    jacobian = system.jacobian
+    evaluated, iterates, factored = [], [], []
+    residual, back_solve, jacobian = system.residual, system._back_solve, system.jacobian
 
-    def spy(phi, b):
-        iterates.append(phi)
+    def residual_spy(phi, b):
+        evaluated.append(phi)
+        return residual(phi, b)
+
+    def back_solve_spy(chol, rhs):
+        iterates.append(evaluated[-1])
+        return back_solve(chol, rhs)
+
+    def jacobian_spy(phi, b):
+        factored.append(phi)
         return jacobian(phi, b)
 
-    monkeypatch.setattr(system, "jacobian", spy)
-    phi, ok, iters, *_ = system._newton(bias, np.zeros(system.n), CFG)
+    monkeypatch.setattr(system, "residual", residual_spy)
+    monkeypatch.setattr(system, "_back_solve", back_solve_spy)
+    monkeypatch.setattr(system, "jacobian", jacobian_spy)
+    phi, ok, iters, _, _, factorizations = system._newton(bias, np.zeros(system.n), CFG)
     assert ok and len(iterates) == iters
+    assert len(factored) == factorizations <= iters
+    assert all(any(p is q for q in iterates) for p in factored)
     energies = [system.energy(p, bias) for p in (*iterates, phi)]
     assert energies[-1] < energies[0]
     # last steps move E below the rounding of the quadratic form (about
@@ -510,8 +523,9 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
 def test_tangent_matches_central_differences(coarse_system, bias, dv):
     system = coarse_system
     sol = system.solve(bias, CFG)
-    assert sol.factor is not None
-    tangent = system.tangent(sol, dv)
+    # the solve ended on chord steps, so its held factor is stale at sol.phi
+    assert 0 < sol.factorizations < sol.newton_iters
+    tangent, factor = system.tangent(sol, dv)
     h = 1e-4
 
     def shifted(sign):
@@ -521,16 +535,31 @@ def test_tangent_matches_central_differences(coarse_system, bias, dv):
 
     fd = (shifted(1.0) - shifted(-1.0)) / (2 * h)
     assert np.max(np.abs(tangent - fd)) <= 1e-5 * np.max(np.abs(fd))
-    # a solve that takes no step carries no factor; the tangent factors at phi
+    # the exact factor it returns gives the same tangent by one back-solve
+    exact = dataclasses.replace(sol, factor=factor)
+    assert np.array_equal(system.chord_tangent(exact, dv), tangent)
+    # a solve that takes no step carries no factor; the tangent is the same
     again = system.solve(bias, CFG, phi0=sol.phi)
     assert again.newton_iters == 0 and again.factor is None
-    assert np.max(np.abs(system.tangent(again, dv) - fd)) <= 1e-5 * np.max(np.abs(fd))
+    assert np.max(np.abs(system.tangent(again, dv)[0] - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+def test_tangent_of_stacked_steps_equals_single_steps(coarse_system):
+    sol = coarse_system.solve(BiasPoint(2.0, 1.0, 0.5), CFG)
+    steps = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.3, -0.2, 0.7]])
+    stacked, factor = coarse_system.tangent(sol, steps)
+    assert stacked.shape == (coarse_system.n, len(steps))
+    for column, dv in zip(stacked.T, steps):
+        single, single_factor = coarse_system.tangent(sol, dv)
+        assert np.array_equal(single_factor, factor)
+        assert np.allclose(column, single, rtol=1e-12, atol=0.0)
 
 
 def test_tangent_ignores_floating_terminals(coarse_system):
     sol = coarse_system.solve(BiasPoint(2.0, 1.0, None), CFG)
     assert np.array_equal(
-        coarse_system.tangent(sol, (1.0, 0.0, 5.0)), coarse_system.tangent(sol, (1.0, 0.0, 0.0))
+        coarse_system.tangent(sol, (1.0, 0.0, 5.0))[0],
+        coarse_system.tangent(sol, (1.0, 0.0, 0.0))[0],
     )
 
 

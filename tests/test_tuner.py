@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,69 @@ def test_splitting_reuses_the_held_solution(coarse_system, default_config, monke
     assert np.array_equal(splitting(x), first)
     splitting.jac(x)
     assert splitting.state_at(x) == exciton_state(default_config.exciton, splitting.prev.field)
+
+
+def _count_factorizations(monkeypatch) -> list[str]:
+    """The caller of every ``SheetSystem._cholesky`` call, in call order."""
+    callers = []
+    real_cholesky = SheetSystem._cholesky
+
+    def spy(band):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_cholesky(band)
+
+    monkeypatch.setattr(SheetSystem, "_cholesky", staticmethod(spy))
+    return callers
+
+
+def test_warm_row_factors_less_than_once_per_newton_step(
+    coarse_mesh, default_config, monkeypatch
+):
+    callers = _count_factorizations(monkeypatch)
+    spec = SweepSpec(
+        va_start=-1.0, va_stop=6.0, va_step=0.35,
+        vb_start=2.0, vb_stop=2.0, vb_step=1.0,
+    )
+    result = run_bias_sweep(
+        spec, coarse_mesh, default_config.materials, default_config.exciton, CFG
+    )
+    assert all(r.ok for r in result.records)
+    # every factorization is a Newton step's: the predictor only back-solves
+    assert set(callers) == {"_newton"}
+    assert len(callers) == result.metadata["factorizations"]
+    assert result.metadata["factorizations"] < result.metadata["newton_iters"]
+
+
+def test_solve_without_a_step_keeps_the_chains_factor(coarse_system, monkeypatch):
+    bias = BiasPoint(2.0, 1.0, None)
+    first = tuner._solve_next(coarse_system, None, bias, CFG)
+    again = tuner._solve_next(coarse_system, first, bias, CFG)
+    assert again.newton_iters == again.factorizations == 0
+    assert again.factor is first.factor
+    callers = _count_factorizations(monkeypatch)
+    tuner._predict(coarse_system, again, BiasPoint(2.2, 1.0, None))
+    assert callers == []
+
+
+@pytest.mark.parametrize("vc", [None, 0.5])
+def test_splitting_jacobian_at_a_held_seed_factors_once(
+    coarse_system, default_config, monkeypatch, vc
+):
+    free = ("A", "B") if vc is None else ("A", "B", "C")
+    splitting = _Splitting(
+        coarse_system, default_config.exciton, CFG, BiasPoint(0.0, 0.0, vc), free
+    )
+    x = np.array([1.0, 2.0, 0.5][: len(free)])
+    splitting(x)
+    # a seed is held as its potential alone, as find_zero_fss keeps it
+    splitting.prev = dataclasses.replace(splitting.prev, factor=None)
+    callers = _count_factorizations(monkeypatch)
+    splitting.jac(x)
+    assert callers == ["tangent"]
+    assert splitting.prev.factor is not None
+    # the next prediction back-solves on that factor and factors nothing
+    tuner._predict(coarse_system, splitting.prev, splitting.bias_at(x + 0.1))
+    assert callers == ["tangent"]
 
 
 def test_constructed_zero_found(coarse_mesh):
