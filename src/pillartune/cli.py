@@ -216,7 +216,7 @@ def cmd_tune(args) -> int:
     out = args.out or f"tune_{cfg.config_hash}.json"
     _check_out_dir(out)
     mesh = _mesh(cfg)
-    start = BiasPoint(args.va, args.vb, args.vc if args.vc is not None else cfg.sweep.vc)
+    start = _bias_from_args(args, cfg)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
     result = find_zero_fss(
         start,

@@ -25,20 +25,14 @@ needed a line-search halving or shrank the residual by less than
 factor (``dpbtrs``), still descent directions of the energy.  The last
 factor rides on the returned ``FieldSolution`` and never on the system, and
 no factor crosses solves, so a solve depends only on its bias, config and
-starting potential.
-
-Terminal voltages enter only the contact rows, so the change of the
-converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is one
-back-solve per step.  ``chord_tangent`` takes it on the solution's held
-factor, which is a few steps stale: a warm-start predictor for the next
-solve of a chain.  ``tangent`` factors J at the converged potential and is
-exact: through the linear QD field it gives exact field derivatives.
+starting potential.  ``SolveChain`` runs a chain of solves, each predicted
+from the one before.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,7 +132,7 @@ class FieldSolution:
     residual: float                   # scaled infinity norm at convergence
     factorizations: int = 0           # Jacobians factored by the solve
     # banded Cholesky of the last Jacobian factored (None: no step taken);
-    # a chain may hand on an earlier or a fresher one (``dataclasses.replace``)
+    # a ``SolveChain`` may hold an earlier or a fresher one in its place
     factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -367,27 +361,6 @@ class SheetSystem:
                 rhs[self.pad_nodes[name]] += self.pad_conductance[name] * dv[..., k]
         return rhs
 
-    def chord_tangent(self, sol: FieldSolution, dv) -> np.ndarray:
-        """Change of ``sol.phi`` for terminal steps ``dv``, on ``sol.factor``.
-
-        One back-solve and no factorization.  The factor is of a Jacobian a
-        few steps before ``sol.phi``, so the result is a predictor, not a
-        derivative; ``sol.factor`` must not be None.
-        """
-        return self._back_solve(sol.factor, self._terminal_drive(sol.bias, dv))
-
-    def tangent(self, sol: FieldSolution, dv) -> tuple[np.ndarray, np.ndarray]:
-        """Exact first-order change of ``sol.phi`` for terminal steps ``dv``.
-
-        Factors J(sol.phi) once and solves J dphi = sum_k g_k 1_{pad k} dV_k;
-        the steps of terminals floating in ``sol.bias`` are ignored.  ``dv``
-        is one step (dV_A, dV_B, dV_C) or a stack of m steps, which share the
-        factorization and give dphi of shape (n, m).  Returns ``(dphi,
-        factor)``, the factor for later back-solves at ``sol.phi``.
-        """
-        factor = self._cholesky(self.jacobian(sol.phi, sol.bias))
-        return self._back_solve(factor, self._terminal_drive(sol.bias, dv)), factor
-
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
         out = {}
         for name in TERMINALS:
@@ -499,7 +472,7 @@ class SheetSystem:
         """One damped Newton descent from ``phi0`` (zeros when omitted).
 
         The result depends only on the arguments, and carries the last
-        band factor of the solve for ``chord_tangent``.  Raises
+        band factor of the solve for ``SolveChain``.  Raises
         ``ConvergenceError`` with the residual history when
         ``cfg.max_iters`` steps do not converge, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
@@ -532,6 +505,70 @@ class SheetSystem:
             factorizations=factorizations,
             factor=factor,
         )
+
+
+class SolveChain:
+    """A chain of solves on one system, each started from the one before.
+
+    Terminal voltages enter only the contact rows, so the change of the
+    converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is one
+    back-solve per step.  ``solve`` predicts its start from the held
+    solution ``held`` by that back-solve of the voltage change on the held
+    band factor, a Jacobian a few chord steps stale, so the predictor costs
+    no factorization; with no factor held it starts from the held
+    potential, with nothing held it starts cold.  A solve that takes no
+    step keeps the held factor, and a failed one drops ``held``.
+    ``tangent`` factors J at the held potential, so through the linear QD
+    field it gives exact field derivatives, and the chain then holds that
+    factor.  ``newton_iters`` and ``factorizations`` total the chain's
+    solves.  The chain never writes to its system, so chains may share one.
+    """
+
+    def __init__(self, system: SheetSystem, cfg: SolverConfig):
+        self.system = system
+        self.cfg = cfg
+        self.held: FieldSolution | None = None
+        self.newton_iters = 0
+        self.factorizations = 0
+
+    def solve(self, bias: BiasPoint) -> FieldSolution:
+        """The solution at ``bias``, predicted from the held one."""
+        held, system = self.held, self.system
+        if held is not None and held.bias == bias:
+            return held
+        if held is None:
+            phi0 = None
+        elif held.factor is None:
+            phi0 = held.phi
+        else:
+            pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
+            dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
+            drive = system._terminal_drive(held.bias, dv)
+            phi0 = held.phi + system._back_solve(held.factor, drive)
+        try:
+            sol = system.solve(bias, self.cfg, phi0=phi0)
+        except SolverError:
+            self.held = None
+            raise
+        if sol.factor is None and held is not None:
+            sol = replace(sol, factor=held.factor)
+        self.held = sol
+        self.newton_iters += sol.newton_iters
+        self.factorizations += sol.factorizations
+        return sol
+
+    def tangent(self, dv) -> np.ndarray:
+        """Exact first-order change of the held potential for terminal steps.
+
+        Factors J at the held solution once and solves J dphi = sum_k g_k
+        1_{pad k} dV_k; the steps of terminals floating in its bias are
+        ignored.  ``dv`` is one step (dV_A, dV_B, dV_C) or a stack of m
+        steps, which share the factorization and give dphi of shape (n, m).
+        """
+        held, system = self.held, self.system
+        factor = system._cholesky(system.jacobian(held.phi, held.bias))
+        self.held = replace(held, factor=factor)
+        return system._back_solve(factor, system._terminal_drive(held.bias, dv))
 
 
 def classify_regime(solution: FieldSolution, i_threshold: float) -> int:

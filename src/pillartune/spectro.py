@@ -305,10 +305,13 @@ def _scan_value_at(scan: PolarizationScan, theta: float) -> float:
     return float(np.interp(x, th_ext, y_ext))
 
 
+_SCAN_HEADER = ["angle_rad", "energy_ueV", "sigma_ueV"]  # exactly, in this order
+
+
 def scan_to_csv(scan: PolarizationScan, path: str) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["angle_rad", "energy_ueV", "sigma_ueV"])
+        out.writerow(_SCAN_HEADER)
         for a, e, s in zip(scan.angles, scan.peak_energies, scan.sigma):
             out.writerow([repr(float(a)), repr(float(e)), repr(float(s))])
 
@@ -321,12 +324,8 @@ def scan_from_csv(path: str) -> PolarizationScan:
         raise ScanInputError(f"cannot read scan {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ScanInputError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
-    if not rows or [h.strip() for h in rows[0][:3]] != [
-        "angle_rad",
-        "energy_ueV",
-        "sigma_ueV",
-    ]:
-        raise ScanInputError(f"{path}: expected header angle_rad,energy_ueV,sigma_ueV")
+    if not rows or [h.strip() for h in rows[0]] != _SCAN_HEADER:
+        raise ScanInputError(f"{path}: expected header {','.join(_SCAN_HEADER)}")
     angles, energies, sigmas = [], [], []
     for row_no, row in enumerate(rows[1:], start=2):
         if not row:

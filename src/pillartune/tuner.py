@@ -1,22 +1,14 @@
 """Bias-space orchestration: grid sweeps and zero-splitting search.
 
-Sweeps walk the (V_A, V_B) grid row by row; inside a row each solve warm
-starts from its neighbour (serpentine direction alternates per row), and
-rows are independent of each other, so row-parallel execution produces
-byte-identical output to a serial run.  The zero-splitting search solves
-the smooth splitting vector delta(V) = 0 by bounded least squares
-(trust-region reflective) with its exact Jacobian, started from the best
-points of a 3-per-axis grid whose solutions it keeps; its norm, the
-observable splitting, is not differentiable at the zero.  Every warm
-start, in a sweep row and in a search, is a held solution moved by one
-back-solve of the voltage change on its held band factor
-(``SheetSystem.chord_tangent``): an Euler predictor on a Jacobian a few
-chord steps stale, which costs no factorization.  A solve that takes no
-step keeps the factor its chain held before.  The held solution is the
-previous one, except at the start of a least-squares run, which is
-predicted from its seed's.  The search's Jacobian comes from the exact
-tangent (``SheetSystem.tangent``), whose fresh factor the search then
-holds.  A chain drops its warm start when a solve fails.
+Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
+(serpentine direction alternates per row), and rows are independent of each
+other, so row-parallel execution produces byte-identical output to a serial
+run.  The zero-splitting search solves the smooth splitting vector
+delta(V) = 0 by bounded least squares (trust-region reflective) with its
+exact Jacobian from the chain's tangent, started from the best points of a
+3-per-axis grid whose solutions it keeps; its norm, the observable
+splitting, is not differentiable at the zero.  The search is one chain,
+which holds a seed's solution at the start of each least-squares run.
 """
 
 from __future__ import annotations
@@ -37,6 +29,7 @@ from .solver import (
     BiasPoint,
     FieldSolution,
     SheetSystem,
+    SolveChain,
     SolverConfig,
     SolverError,
     classify_regime,
@@ -304,33 +297,6 @@ def zero_bias_reference(
     return theta_ref, state
 
 
-def _predict(system: SheetSystem, prev: FieldSolution, bias: BiasPoint) -> np.ndarray:
-    """Warm start for ``bias``: ``prev.phi`` plus one back-solve of the
-    voltage change on ``prev.factor``, or ``prev.phi`` alone without one."""
-    if prev.factor is None:
-        return prev.phi
-    dv = [
-        0.0 if a is None or b is None else b - a
-        for a, b in ((prev.bias.terminal(t), bias.terminal(t)) for t in "ABC")
-    ]
-    return prev.phi + system.chord_tangent(prev, dv)
-
-
-def _solve_next(
-    system: SheetSystem, prev: FieldSolution | None, bias: BiasPoint, cfg: SolverConfig
-) -> FieldSolution:
-    """Solve ``bias`` predicted from ``prev`` (cold when None).
-
-    A solve that takes no step factors nothing; it keeps ``prev.factor``,
-    so the chain's next prediction still needs no factorization.
-    """
-    phi0 = None if prev is None else _predict(system, prev, bias)
-    sol = system.solve(bias, cfg, phi0=phi0)
-    if sol.factor is None and prev is not None:
-        sol = replace(sol, factor=prev.factor)
-    return sol
-
-
 def run_bias_sweep(
     spec: SweepSpec,
     mesh: Mesh,
@@ -358,23 +324,20 @@ def run_bias_sweep(
         """The row's records, and the factorizations of its solves."""
         order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
         row: list[CellRecord | None] = [None] * len(va)
-        prev: FieldSolution | None = None
-        factorizations = 0
+        chain = SolveChain(system, cfg)
         for i_col in order:
             bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
-                prev = _solve_next(system, prev, bias, cfg)
-                factorizations += prev.factorizations
-                state = exciton_state(exciton_params, prev.field)
+                sol = chain.solve(bias)
+                state = exciton_state(exciton_params, sol.field)
                 _fill_record(
-                    rec, prev, state, exciton_params, theta_ref, cfg.regime_threshold
+                    rec, sol, state, exciton_params, theta_ref, cfg.regime_threshold
                 )
             except SolverError as exc:
                 rec.status = f"error:{type(exc).__name__}"
-                prev = None
             row[i_col] = rec
-        return row, factorizations  # type: ignore[return-value]
+        return row, chain.factorizations  # type: ignore[return-value]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -430,6 +393,9 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
     bad = [h for h in header if h not in _CODECS]
     if bad:
         raise TunerError(f"{path}: unknown sweep columns {bad}")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise TunerError(f"{path}: repeated sweep columns {repeated}")
     missing = [
         f.name
         for f in fields(CellRecord)
@@ -473,67 +439,19 @@ def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationChe
     )
 
 
-class _Splitting:
-    """Splitting vector versus free voltages, and its exact Jacobian.
+def _splitting_jacobian(
+    chain: SolveChain, params: ExcitonParams, free: tuple[str, ...]
+) -> np.ndarray:
+    """d(delta)/dV over the ``free`` terminals at the chain's held solution.
 
-    Holds one solution in ``prev``, the last one unless the caller sets
-    another (``find_zero_fss`` sets a seed's own before each least-squares
-    start): an evaluation at its bias reuses it, any other is predicted
-    from it (``_solve_next``).  The Jacobian d(delta)/dV is
-    (d(delta)/dE)(dE/dV), the constant matrix of the linear ``fss_vector``
-    times the QD field of the exact tangent of each free terminal, all from
-    one factorization at ``prev``, which ``prev`` then holds for the next
-    prediction.  ``evals`` counts the evaluations, ``newton_iters`` the
-    Newton steps of every successful solve.
+    (d(delta)/dE)(dE/dV): the constant matrix of the linear ``fss_vector``
+    times the QD field change of each free terminal's exact tangent, all
+    from one factorization, which the chain then holds.
     """
-
-    def __init__(
-        self,
-        system: SheetSystem,
-        exciton_params: ExcitonParams,
-        cfg: SolverConfig,
-        start: BiasPoint,
-        free: tuple[str, ...],
-    ):
-        self.system = system
-        self.params = exciton_params
-        self.cfg = cfg
-        self.start = start
-        self.free = free
-        self.prev: FieldSolution | None = None
-        self.evals = 0
-        self.newton_iters = 0
-
-    def bias_at(self, x) -> BiasPoint:
-        values = dict(zip(self.free, map(float, x)))
-        return BiasPoint(*(values.get(t, self.start.terminal(t)) for t in "ABC"))
-
-    def solve_at(self, x) -> FieldSolution:
-        bias, prev = self.bias_at(x), self.prev
-        if prev is not None and prev.bias == bias:
-            return prev
-        try:
-            self.prev = _solve_next(self.system, prev, bias, self.cfg)
-        except SolverError:
-            self.prev = None
-            raise
-        self.newton_iters += self.prev.newton_iters
-        return self.prev
-
-    def state_at(self, x) -> ExcitonState:
-        return exciton_state(self.params, self.solve_at(x).field)
-
-    def __call__(self, x) -> np.ndarray:
-        self.evals += 1
-        return np.array(fss_vector(self.params, self.solve_at(x).field))
-
-    def jac(self, x) -> np.ndarray:
-        sol = self.solve_at(x)
-        steps = [[float(t == name) for t in "ABC"] for name in self.free]
-        d_phi, factor = self.system.tangent(sol, steps)
-        self.prev = replace(sol, factor=factor)
-        d_field = np.column_stack([self.system.field_change_at_qd(d) for d in d_phi.T])
-        return self.params.field_matrix() @ d_field
+    steps = [[float(t == name) for t in "ABC"] for name in free]
+    d_phi = chain.tangent(steps)
+    d_field = np.column_stack([chain.system.field_change_at_qd(d) for d in d_phi.T])
+    return params.field_matrix() @ d_field
 
 
 def find_zero_fss(
@@ -544,23 +462,23 @@ def find_zero_fss(
     materials: MaterialParams,
     exciton_params: ExcitonParams,
     cfg: SolverConfig | None = None,
-    bounds: tuple[float, float] = (-1.0, 6.0),
+    bounds: tuple[float, float] = SweepSpec().tune_bounds(),
 ) -> TuneResult:
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
-    Bounded least squares (trust-region reflective, exact Jacobian from
-    the solution's tangent) on the smooth splitting vector delta(V), started
-    in turn from the best points of a 3-per-axis grid over ``bounds`` until
-    one lands below ``tol / 4``; seeds and starts whose solve fails are
-    skipped.  Every solve is predicted from the previous one, except the
-    first of each least-squares run, which is predicted from its seed's own
-    solution, kept from the grid.  ``tol`` must be positive and finite;
-    ``start`` gives the voltages of the terminals that are not free.  The
-    eigenaxis swap is verified by probing 0.05 V either side of the optimum
-    along the approach direction.  A failed search returns the best
-    candidate with ``converged=False``; ``iterations`` counts the splitting
-    evaluations of the search and ``newton_iters`` the Newton steps of all
-    its solves.
+    Bounded least squares (trust-region reflective, exact Jacobian from the
+    solution's tangent) on the smooth splitting vector delta(V), started in
+    turn from the best points of a 3-per-axis grid over ``bounds`` (by
+    default the default sweep window) until one lands below ``tol / 4``;
+    seeds and starts whose solve fails are skipped.  Every solve is
+    predicted from the previous one, except the first of each least-squares
+    run, which is predicted from its seed's own solution, kept from the
+    grid.  ``tol`` must be positive and finite; ``start`` gives the voltages
+    of the terminals that are not free.  The eigenaxis swap is verified by
+    probing 0.05 V either side of the optimum along the approach direction.
+    A failed search returns the best candidate with ``converged=False``;
+    ``iterations`` counts the splitting evaluations of the search and
+    ``newton_iters`` the Newton steps of all its solves.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -572,9 +490,24 @@ def find_zero_fss(
             raise ValueError(f"free terminal {t} is floating in the start bias")
     cfg = cfg or SolverConfig()
 
-    splitting = _Splitting(
-        SheetSystem(mesh, materials), exciton_params, cfg, start, free
-    )
+    chain = SolveChain(SheetSystem(mesh, materials), cfg)
+    evals = 0
+
+    def bias_at(x) -> BiasPoint:
+        values = dict(zip(free, map(float, x)))
+        return BiasPoint(*(values.get(t, start.terminal(t)) for t in "ABC"))
+
+    def splitting(x) -> np.ndarray:
+        nonlocal evals
+        evals += 1
+        return np.array(fss_vector(exciton_params, chain.solve(bias_at(x)).field))
+
+    def jacobian(x) -> np.ndarray:
+        chain.solve(bias_at(x))
+        return _splitting_jacobian(chain, exciton_params, free)
+
+    def state_at(x) -> ExcitonState:
+        return exciton_state(exciton_params, chain.solve(bias_at(x)).field)
 
     grid_axis = np.linspace(bounds[0], bounds[1], _GRID_POINTS)
     scored = []
@@ -585,7 +518,7 @@ def find_zero_fss(
         except SolverError:
             continue
         # the potential only: a held band factor costs about 1 MB per seed
-        scored.append((norm, x, replace(splitting.prev, factor=None)))
+        scored.append((norm, x, replace(chain.held, factor=None)))
     scored.sort(key=lambda t: t[0])
 
     # With every seed failed, the final solve at the first seed raises.
@@ -594,9 +527,9 @@ def find_zero_fss(
     )
     approach = None
     for _, x0, seed_solution in scored[:_N_STARTS]:
-        splitting.prev = seed_solution
+        chain.held = seed_solution
         try:
-            res = least_squares(splitting, x0, jac=splitting.jac, bounds=bounds)
+            res = least_squares(splitting, x0, jac=jacobian, bounds=bounds)
         except SolverError:
             continue
         f = math.hypot(*res.fun)
@@ -605,7 +538,7 @@ def find_zero_fss(
         if best_f < 0.25 * tol:
             break
 
-    best_state = splitting.state_at(best_x)
+    best_state = state_at(best_x)
     achieved = best_state.fss
 
     if approach is None or not np.any(np.abs(approach) > 1e-12):
@@ -613,14 +546,14 @@ def find_zero_fss(
     direction = approach / np.linalg.norm(approach)
 
     try:
-        state_lo = splitting.state_at(best_x - _PROBE_STEP * direction)
-        state_hi = splitting.state_at(best_x + _PROBE_STEP * direction)
+        state_lo = state_at(best_x - _PROBE_STEP * direction)
+        state_hi = state_at(best_x + _PROBE_STEP * direction)
         theta_before, theta_after = state_lo.theta0, state_hi.theta0
     except SolverError:
         theta_before = theta_after = None
     check = _rotation_check(theta_before, theta_after)
 
-    bias = splitting.bias_at(best_x)
+    bias = bias_at(best_x)
     return TuneResult(
         bias=(bias.v_a, bias.v_b, bias.v_c),
         achieved_fss=achieved,
@@ -629,8 +562,8 @@ def find_zero_fss(
         rotation=check.rotation,
         crossing_verified=check.crossing,
         mean_energy=best_state.mean_energy,
-        iterations=splitting.evals,
-        newton_iters=splitting.newton_iters,
+        iterations=evals,
+        newton_iters=chain.newton_iters,
         converged=achieved <= tol,
     )
 

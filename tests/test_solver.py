@@ -24,6 +24,7 @@ from pillartune.solver import (
     ConvergenceError,
     NumericalError,
     SheetSystem,
+    SolveChain,
     SolverConfig,
     classify_regime,
     diode_current_density,
@@ -520,12 +521,13 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
     "bias, dv",
     [(BiasPoint(2.0, 1.0, None), (1.0, 0.0, 0.0)), (BiasPoint(2.0, 1.0, 0.5), (0.0, 0.0, 1.0))],
 )
-def test_tangent_matches_central_differences(coarse_system, bias, dv):
+def test_tangent_matches_central_differences(coarse_system, monkeypatch, bias, dv):
     system = coarse_system
-    sol = system.solve(bias, CFG)
+    chain = SolveChain(system, CFG)
+    sol = chain.solve(bias)
     # the solve ended on chord steps, so its held factor is stale at sol.phi
     assert 0 < sol.factorizations < sol.newton_iters
-    tangent, factor = system.tangent(sol, dv)
+    tangent = chain.tangent(dv)
     h = 1e-4
 
     def shifted(sign):
@@ -535,32 +537,58 @@ def test_tangent_matches_central_differences(coarse_system, bias, dv):
 
     fd = (shifted(1.0) - shifted(-1.0)) / (2 * h)
     assert np.max(np.abs(tangent - fd)) <= 1e-5 * np.max(np.abs(fd))
-    # the exact factor it returns gives the same tangent by one back-solve
-    exact = dataclasses.replace(sol, factor=factor)
-    assert np.array_equal(system.chord_tangent(exact, dv), tangent)
     # a solve that takes no step carries no factor; the tangent is the same
     again = system.solve(bias, CFG, phi0=sol.phi)
     assert again.newton_iters == 0 and again.factor is None
-    assert np.max(np.abs(system.tangent(again, dv)[0] - fd)) <= 1e-5 * np.max(np.abs(fd))
+    chain.held = again
+    tangent = chain.tangent(dv)
+    assert np.max(np.abs(tangent - fd)) <= 1e-5 * np.max(np.abs(fd))
+    # the chain holds the exact factor: the next start is the tangent step
+    starts = []
+
+    def spy(b, cfg, phi0=None):
+        starts.append(phi0)
+        return again
+
+    monkeypatch.setattr(system, "solve", spy)
+    step = [x if x is None else x + d for x, d in zip((bias.v_a, bias.v_b, bias.v_c), dv)]
+    chain.solve(BiasPoint(*step))
+    assert np.array_equal(starts, [again.phi + tangent])
 
 
 def test_tangent_of_stacked_steps_equals_single_steps(coarse_system):
-    sol = coarse_system.solve(BiasPoint(2.0, 1.0, 0.5), CFG)
+    chain = SolveChain(coarse_system, CFG)
+    chain.solve(BiasPoint(2.0, 1.0, 0.5))
     steps = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.3, -0.2, 0.7]])
-    stacked, factor = coarse_system.tangent(sol, steps)
+    stacked = chain.tangent(steps)
+    factor = chain.held.factor
     assert stacked.shape == (coarse_system.n, len(steps))
     for column, dv in zip(stacked.T, steps):
-        single, single_factor = coarse_system.tangent(sol, dv)
-        assert np.array_equal(single_factor, factor)
+        single = chain.tangent(dv)
+        assert np.array_equal(chain.held.factor, factor)
         assert np.allclose(column, single, rtol=1e-12, atol=0.0)
 
 
 def test_tangent_ignores_floating_terminals(coarse_system):
-    sol = coarse_system.solve(BiasPoint(2.0, 1.0, None), CFG)
-    assert np.array_equal(
-        coarse_system.tangent(sol, (1.0, 0.0, 5.0))[0],
-        coarse_system.tangent(sol, (1.0, 0.0, 0.0))[0],
-    )
+    chain = SolveChain(coarse_system, CFG)
+    chain.solve(BiasPoint(2.0, 1.0, None))
+    assert np.array_equal(chain.tangent((1.0, 0.0, 5.0)), chain.tangent((1.0, 0.0, 0.0)))
+
+
+def test_chain_drops_its_held_solution_when_a_solve_fails(coarse_system, monkeypatch):
+    chain = SolveChain(coarse_system, CFG)
+    first = chain.solve(BiasPoint(2.0, 1.0, None))
+
+    def fail(bias, cfg, phi0=None):
+        raise ConvergenceError("forced failure")
+
+    monkeypatch.setattr(coarse_system, "solve", fail)
+    with pytest.raises(ConvergenceError):
+        chain.solve(BiasPoint(2.2, 1.0, None))
+    assert chain.held is None
+    # only successful solves are counted
+    assert chain.newton_iters == first.newton_iters
+    assert chain.factorizations == first.factorizations
 
 
 def _strip_system():

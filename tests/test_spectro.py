@@ -356,9 +356,11 @@ def test_scan_csv_round_trip(tmp_path):
 
 def test_scan_csv_bad_header_reports_error(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ScanInputError):
-        scan_from_csv(str(path))
+    # the header is exactly three names: an extra column is refused too
+    for header in ("a,b,c", "angle_rad,energy_ueV,sigma_ueV,extra"):
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(ScanInputError, match="expected header"):
+            scan_from_csv(str(path))
 
 
 def test_scan_csv_bad_row_reports_row_number(tmp_path):

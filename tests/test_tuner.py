@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from pillartune import solver, tuner
 from pillartune.device import MaterialParams
-from pillartune.exciton import ExcitonParams, exciton_state, fss_vector
-from pillartune.solver import BiasPoint, ConvergenceError, SheetSystem, SolverConfig
+from pillartune.exciton import ExcitonParams, fss_vector
+from pillartune.solver import (
+    BiasPoint,
+    ConvergenceError,
+    SheetSystem,
+    SolveChain,
+    SolverConfig,
+)
 from pillartune.tuner import (
     COLUMNS,
     CellRecord,
@@ -20,7 +26,7 @@ from pillartune.tuner import (
     SweepResult,
     SweepSpec,
     TunerError,
-    _Splitting,
+    _splitting_jacobian,
     eigenaxis_rotation_check,
     find_zero_fss,
     iso_fss_points,
@@ -182,6 +188,9 @@ def test_sweep_csv_keeps_failed_cells_and_fixed_vc(tmp_path):
         (None, "cannot read"),
         ("va,vb,status\n0.0,0.0,ok\n", "missing sweep columns \\['vc'\\]"),
         ("va,vb,vc,bogus\n0.0,0.0,floating,1\n", "unknown sweep columns"),
+        # a repeated column is refused, not read with its last value
+        ("va,vb,vc,status,va\n1.0,2.0,floating,ok,5.0\n",
+         "repeated sweep columns \\['va'\\]"),
         ("va,vb,vc\n0.0,zero,floating\n", "row 2"),
         # a short row is not an ok cell with missing values, and a long
         # row's extra fields are not dropped
@@ -309,14 +318,27 @@ def test_tangent_predictor_saves_newton_steps(coarse_mesh, default_config):
     assert result.metadata["newton_iters"] < plain
 
 
+def _solve_free(chain, free, x, vc):
+    """Solve the chain at voltages ``x`` of the ``free`` terminals, the
+    others at (0, 0, vc), as ``find_zero_fss`` does from that start."""
+    values = dict(zip(free, map(float, x)))
+    return chain.solve(
+        BiasPoint(values.get("A", 0.0), values.get("B", 0.0), values.get("C", vc))
+    )
+
+
 @pytest.mark.parametrize("vc", [None, 0.5])
 def test_splitting_jacobian_matches_central_differences(coarse_system, default_config, vc):
     params = default_config.exciton
     free = ("A", "B") if vc is None else ("A", "B", "C")
-    splitting = _Splitting(coarse_system, params, CFG, BiasPoint(0.0, 0.0, vc), free)
+    chain = SolveChain(coarse_system, CFG)
+
+    def splitting(x):
+        return np.array(fss_vector(params, _solve_free(chain, free, x, vc).field))
+
     x = np.array([1.0, 2.0, 0.5][: len(free)])
     splitting(x)
-    jac = splitting.jac(x)
+    jac = _splitting_jacobian(chain, params, free)
     assert jac.shape == (2, len(free))
     h = 1e-4
     fd = np.column_stack([
@@ -326,15 +348,17 @@ def test_splitting_jacobian_matches_central_differences(coarse_system, default_c
 
 
 def test_splitting_reuses_the_held_solution(coarse_system, default_config, monkeypatch):
-    splitting = _Splitting(
-        coarse_system, default_config.exciton, CFG, BiasPoint(0.0, 0.0, None), ("A", "B")
-    )
-    x = np.array([1.0, 2.0])
-    first = splitting(x)
+    chain = SolveChain(coarse_system, CFG)
+    bias = BiasPoint(1.0, 2.0, None)
+    first = chain.solve(bias)
     monkeypatch.setattr(coarse_system, "solve", None)  # any further solve fails
-    assert np.array_equal(splitting(x), first)
-    splitting.jac(x)
-    assert splitting.state_at(x) == exciton_state(default_config.exciton, splitting.prev.field)
+    assert chain.solve(bias) is first
+    _splitting_jacobian(chain, default_config.exciton, ("A", "B"))
+    # the tangent swaps in its exact factor and keeps the solution
+    again = chain.solve(bias)
+    assert again.phi is first.phi and again.factor is not first.factor
+    assert chain.newton_iters == first.newton_iters
+    assert chain.factorizations == first.factorizations
 
 
 def _count_factorizations(monkeypatch) -> list[str]:
@@ -369,14 +393,16 @@ def test_warm_row_factors_less_than_once_per_newton_step(
 
 
 def test_solve_without_a_step_keeps_the_chains_factor(coarse_system, monkeypatch):
-    bias = BiasPoint(2.0, 1.0, None)
-    first = tuner._solve_next(coarse_system, None, bias, CFG)
-    again = tuner._solve_next(coarse_system, first, bias, CFG)
+    chain = SolveChain(coarse_system, CFG)
+    first = chain.solve(BiasPoint(2.0, 1.0, None))
+    # a step far below the tolerance: the prediction is already converged
+    again = chain.solve(BiasPoint(2.0, 1.0 + 1e-12, None))
     assert again.newton_iters == again.factorizations == 0
-    assert again.factor is first.factor
+    assert again.factor is first.factor and chain.held is again
     callers = _count_factorizations(monkeypatch)
-    tuner._predict(coarse_system, again, BiasPoint(2.2, 1.0, None))
-    assert callers == []
+    # the prediction back-solves on the kept factor; only Newton factors
+    sol = chain.solve(BiasPoint(2.2, 1.0, None))
+    assert callers == ["_newton"] * sol.factorizations
 
 
 @pytest.mark.parametrize("vc", [None, 0.5])
@@ -384,20 +410,18 @@ def test_splitting_jacobian_at_a_held_seed_factors_once(
     coarse_system, default_config, monkeypatch, vc
 ):
     free = ("A", "B") if vc is None else ("A", "B", "C")
-    splitting = _Splitting(
-        coarse_system, default_config.exciton, CFG, BiasPoint(0.0, 0.0, vc), free
-    )
+    chain = SolveChain(coarse_system, CFG)
     x = np.array([1.0, 2.0, 0.5][: len(free)])
-    splitting(x)
+    sol = _solve_free(chain, free, x, vc)
     # a seed is held as its potential alone, as find_zero_fss keeps it
-    splitting.prev = dataclasses.replace(splitting.prev, factor=None)
+    chain.held = dataclasses.replace(sol, factor=None)
     callers = _count_factorizations(monkeypatch)
-    splitting.jac(x)
+    _splitting_jacobian(chain, default_config.exciton, free)
     assert callers == ["tangent"]
-    assert splitting.prev.factor is not None
+    assert chain.held.factor is not None
     # the next prediction back-solves on that factor and factors nothing
-    tuner._predict(coarse_system, splitting.prev, splitting.bias_at(x + 0.1))
-    assert callers == ["tangent"]
+    after = _solve_free(chain, free, x + 0.1, vc)
+    assert callers == ["tangent"] + ["_newton"] * after.factorizations
 
 
 def test_constructed_zero_found(coarse_mesh):
