@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Callable
 
@@ -51,56 +51,71 @@ def _parse_outputs(text: str) -> tuple[str, ...]:
     return items
 
 
-# section -> key -> parser; every default lives in configs/default.cfg
-SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+def _radians(degrees: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(math.radians(a) for a in degrees)
+
+
+def _rows(m: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """Row-major entries of a 2x2 matrix as its two rows."""
+    return (m[:2], m[2:])
+
+
+# section -> key -> (parser, field it fills); every default lives in
+# configs/default.cfg.  A field fed by several keys takes their values in
+# key order; a field that is RunConfig's own is set there, every other one
+# on the dataclass its section builds (``_SECTIONS``).
+SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], str]]] = {
     "run": {
-        "seed": _parse_int,
+        "seed": (_parse_int, "seed"),
     },
     "device": {
-        "pillar_diameter_um": _parse_float,
-        "ridge_width_um": _parse_float,
-        "ridge_length_um": _parse_float,
-        "ridge_angles_deg": _parse_float_list,
-        "pad_size_um": _parse_float,
-        "intrinsic_thickness_nm": _parse_float,
-        "built_in_voltage_v": _parse_float,
-        "mesh_edge_um": _parse_float,
+        "pillar_diameter_um": (_parse_float, "pillar_diameter"),
+        "ridge_width_um": (_parse_float, "ridge_width"),
+        "ridge_length_um": (_parse_float, "ridge_length"),
+        "ridge_angles_deg": (_parse_float_list, "ridge_angles"),
+        "pad_size_um": (_parse_float, "pad_size"),
+        "intrinsic_thickness_nm": (_parse_float, "intrinsic_thickness_nm"),
+        "built_in_voltage_v": (_parse_float, "built_in_voltage"),
+        "mesh_edge_um": (_parse_float, "mesh_edge"),
     },
     "materials": {
-        "sheet_conductance_s": _parse_float,
-        "saturation_current_a_per_um2": _parse_float,
-        "ideality": _parse_float,
-        "thermal_voltage_v": _parse_float,
-        "contact_resistance_a_ohm": _parse_float,
-        "contact_resistance_b_ohm": _parse_float,
-        "contact_resistance_c_ohm": _parse_float,
+        "sheet_conductance_s": (_parse_float, "sheet_conductance"),
+        "saturation_current_a_per_um2": (_parse_float, "saturation_current_density"),
+        "ideality": (_parse_float, "ideality"),
+        "thermal_voltage_v": (_parse_float, "thermal_voltage"),
+        "contact_resistance_a_ohm": (_parse_float, "contact_resistance"),
+        "contact_resistance_b_ohm": (_parse_float, "contact_resistance"),
+        "contact_resistance_c_ohm": (_parse_float, "contact_resistance"),
     },
     "exciton": {
-        "zero_field_energy_ev": _parse_float,
-        "zero_field_splitting_uev": _parse_float_list,
-        "inplane_coupling_uev_m_per_v": _parse_float_list,
-        "vertical_coupling_uev_m_per_v": _parse_float_list,
-        "dipole_uev_m_per_v": _parse_float,
-        "polarizability_uev_m2_per_v2": _parse_float,
+        "zero_field_energy_ev": (_parse_float, "zero_field_energy"),
+        "zero_field_splitting_uev": (_parse_float_list, "zero_field_splitting"),
+        "inplane_coupling_uev_m_per_v": (_parse_float_list, "inplane_coupling"),
+        "vertical_coupling_uev_m_per_v": (_parse_float_list, "vertical_coupling"),
+        "dipole_uev_m_per_v": (_parse_float, "dipole"),
+        "polarizability_uev_m2_per_v2": (_parse_float, "polarizability"),
     },
     "solver": {
-        "newton_tol": _parse_float,
-        "max_iters": _parse_int,
-        "damping": _parse_float,
-        "current_floor_a": _parse_float,
-        "regime_threshold_a": _parse_float,
+        "newton_tol": (_parse_float, "newton_tol"),
+        "max_iters": (_parse_int, "max_iters"),
+        "damping": (_parse_float, "damping"),
+        "current_floor_a": (_parse_float, "current_floor"),
+        "regime_threshold_a": (_parse_float, "regime_threshold"),
     },
     "sweep": {
-        "va_start_v": _parse_float,
-        "va_stop_v": _parse_float,
-        "va_step_v": _parse_float,
-        "vb_start_v": _parse_float,
-        "vb_stop_v": _parse_float,
-        "vb_step_v": _parse_float,
-        "vc_v": _parse_vc,
-        "outputs": _parse_outputs,
+        "va_start_v": (_parse_float, "va_start"),
+        "va_stop_v": (_parse_float, "va_stop"),
+        "va_step_v": (_parse_float, "va_step"),
+        "vb_start_v": (_parse_float, "vb_start"),
+        "vb_stop_v": (_parse_float, "vb_stop"),
+        "vb_step_v": (_parse_float, "vb_step"),
+        "vc_v": (_parse_vc, "vc"),
+        "outputs": (_parse_outputs, "outputs"),
     },
 }
+
+# fields whose dataclass value is converted from the resolved one
+_CONVERT = {"ridge_angles": _radians, "inplane_coupling": _rows}
 
 
 @dataclass(frozen=True)
@@ -116,6 +131,16 @@ class RunConfig:
     config_hash: str
 
 
+# section -> (RunConfig field, dataclass) that the section's keys build
+_SECTIONS = {
+    "device": ("geometry", DeviceGeometry),
+    "materials": ("materials", MaterialParams),
+    "exciton": ("exciton", ExcitonParams),
+    "solver": ("solver", SolverConfig),
+    "sweep": ("sweep", SweepSpec),
+}
+
+
 def _resolve(parser: configparser.ConfigParser, source: str) -> dict:
     """Parse every schema key; ``parser`` holds the defaults under the user text."""
     resolved: dict[str, dict] = {}
@@ -129,7 +154,7 @@ def _resolve(parser: configparser.ConfigParser, source: str) -> dict:
                 )
     for section, keys in SCHEMA.items():
         resolved[section] = {}
-        for key, parse in keys.items():
+        for key, (parse, _) in keys.items():
             try:
                 resolved[section][key] = parse(parser.get(section, key))
             except (ValueError, TypeError) as exc:
@@ -156,84 +181,25 @@ def config_hash(resolved: dict) -> str:
 
 
 def _build(resolved: dict) -> RunConfig:
-    dev = resolved["device"]
-    angles = tuple(math.radians(a) for a in dev["ridge_angles_deg"])
-    if len(angles) != 3:
-        raise ConfigError("device: ridge_angles_deg needs exactly three angles")
+    """Fill each ``SCHEMA`` field from its keys' resolved values."""
+    own = {f.name for f in fields(RunConfig)}
+    run: dict[str, object] = {}
     try:
-        geometry = DeviceGeometry(
-            pillar_diameter=dev["pillar_diameter_um"],
-            ridge_width=dev["ridge_width_um"],
-            ridge_length=dev["ridge_length_um"],
-            ridge_angles=angles,  # type: ignore[arg-type]
-            pad_size=dev["pad_size_um"],
-            intrinsic_thickness_nm=dev["intrinsic_thickness_nm"],
-            built_in_voltage=dev["built_in_voltage_v"],
-        )
-        mat = resolved["materials"]
-        materials = MaterialParams(
-            sheet_conductance=mat["sheet_conductance_s"],
-            saturation_current_density=mat["saturation_current_a_per_um2"],
-            ideality=mat["ideality"],
-            thermal_voltage=mat["thermal_voltage_v"],
-            contact_resistance=(
-                mat["contact_resistance_a_ohm"],
-                mat["contact_resistance_b_ohm"],
-                mat["contact_resistance_c_ohm"],
-            ),
-        )
-        exc = resolved["exciton"]
-        d0 = exc["zero_field_splitting_uev"]
-        m = exc["inplane_coupling_uev_m_per_v"]
-        gz = exc["vertical_coupling_uev_m_per_v"]
-        if len(d0) != 2 or len(m) != 4 or len(gz) != 2:
-            raise ConfigError(
-                "exciton: zero_field_splitting needs 2 values, "
-                "inplane_coupling 4, vertical_coupling 2"
-            )
-        exciton = ExcitonParams(
-            zero_field_energy=exc["zero_field_energy_ev"],
-            zero_field_splitting=(d0[0], d0[1]),
-            inplane_coupling=((m[0], m[1]), (m[2], m[3])),
-            vertical_coupling=(gz[0], gz[1]),
-            dipole=exc["dipole_uev_m_per_v"],
-            polarizability=exc["polarizability_uev_m2_per_v2"],
-        )
-        sol = resolved["solver"]
-        solver_cfg = SolverConfig(
-            newton_tol=sol["newton_tol"],
-            max_iters=sol["max_iters"],
-            damping=sol["damping"],
-            current_floor=sol["current_floor_a"],
-            regime_threshold=sol["regime_threshold_a"],
-        )
-        sw = resolved["sweep"]
-        sweep = SweepSpec(
-            va_start=sw["va_start_v"],
-            va_stop=sw["va_stop_v"],
-            va_step=sw["va_step_v"],
-            vb_start=sw["vb_start_v"],
-            vb_stop=sw["vb_stop_v"],
-            vb_step=sw["vb_step_v"],
-            vc=sw["vc_v"],
-            outputs=sw["outputs"],
-        )
-    except ConfigError:
-        raise
+        for section, keys in SCHEMA.items():
+            values: dict[str, list] = {}
+            for key, (_, name) in keys.items():
+                values.setdefault(name, []).append(resolved[section][key])
+            kwargs = {}
+            for name, vs in values.items():
+                value = vs[0] if len(vs) == 1 else tuple(vs)
+                value = _CONVERT[name](value) if name in _CONVERT else value
+                (run if name in own else kwargs)[name] = value
+            if section in _SECTIONS:
+                attr, cls = _SECTIONS[section]
+                run[attr] = cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-
-    return RunConfig(
-        geometry=geometry,
-        mesh_edge=dev["mesh_edge_um"],
-        materials=materials,
-        exciton=exciton,
-        solver=solver_cfg,
-        sweep=sweep,
-        seed=resolved["run"]["seed"],
-        resolved=resolved,
-        config_hash=config_hash(resolved),
-    )
+        raise ConfigError(f"invalid configuration in [{section}]: {exc}") from exc
+    return RunConfig(**run, resolved=resolved, config_hash=config_hash(resolved))
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:

@@ -41,6 +41,12 @@ class ExcitonParams:
     polarizability: float = 1.0e-12
 
     def __post_init__(self) -> None:
+        pairs = (self.zero_field_splitting, self.vertical_coupling)
+        if [len(v) for v in (*pairs, *self.inplane_coupling)] != [2, 2, 2, 2]:
+            raise ValueError(
+                "zero_field_splitting needs 2 values, inplane_coupling 2x2 "
+                "and vertical_coupling 2"
+            )
         values = [
             self.zero_field_energy,
             *self.zero_field_splitting,

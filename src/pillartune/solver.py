@@ -114,6 +114,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if not (self.current_floor > 0.0):
             raise ValueError("current_floor must be positive")
+        if not (self.regime_threshold > 0.0):
+            raise ValueError("regime_threshold must be positive")
 
 
 @dataclass(frozen=True)

@@ -61,37 +61,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_FLOAT = (float, _fmt)
-_INT = (int, _fmt)
+# A sweep CSV column: its output group (None: always written; the groups follow
+# in field order whatever order ``SweepSpec.outputs`` names them in) and the
+# (parse, format) codec of one cell.
+def _column(default=math.nan, group: str | None = None, codec=(float, _fmt)):
+    return field(default=default, metadata={"group": group, "codec": codec})
 
-# Sweep CSV columns in file order: (CellRecord field, output group, (parse,
-# format) of one cell).  Group None is always written; the other groups
-# follow in this order whatever order ``SweepSpec.outputs`` names them in.
-COLUMNS = (
-    ("va", None, _FLOAT),
-    ("vb", None, _FLOAT),
-    ("vc", None, (_parse_vc, _format_vc)),
-    ("status", None, (str, _fmt)),
-    ("iters", None, _INT),
-    ("residual", None, _FLOAT),
-    ("ex", "fields", _FLOAT),
-    ("ey", "fields", _FLOAT),
-    ("ez", "fields", _FLOAT),
-    ("ia", "currents", _FLOAT),
-    ("ib", "currents", _FLOAT),
-    ("ic", "currents", _FLOAT),
-    ("i_junction", "currents", _FLOAT),
-    ("region", "regime", _INT),
-    ("fss", "fss", _FLOAT),
-    ("theta0", "theta0", _FLOAT),
-    ("algebraic_fss", "algebraic_fss", _FLOAT),
-    ("mean_energy", "stark", _FLOAT),
-    ("stark", "stark", _FLOAT),
-)
 
-ALL_OUTPUTS = tuple(dict.fromkeys(group for _, group, _ in COLUMNS if group))
+@dataclass
+class CellRecord:
+    """One grid cell; its fields are the sweep CSV columns in file order."""
 
-_CODECS = {name: codec for name, _, codec in COLUMNS}
+    va: float = _column(MISSING)
+    vb: float = _column(MISSING)
+    vc: float | None = _column(MISSING, codec=(_parse_vc, _format_vc))
+    status: str = _column("ok", codec=(str, _fmt))
+    iters: int = _column(0, codec=(int, _fmt))
+    residual: float = _column()
+    ex: float = _column(group="fields")
+    ey: float = _column(group="fields")
+    ez: float = _column(group="fields")
+    ia: float = _column(group="currents")
+    ib: float = _column(group="currents")
+    ic: float = _column(group="currents")
+    i_junction: float = _column(group="currents")
+    region: int | None = _column(None, group="regime", codec=(int, _fmt))
+    fss: float = _column(group="fss")
+    theta0: float | None = _column(None, group="theta0")
+    algebraic_fss: float = _column(group="algebraic_fss")
+    mean_energy: float = _column(group="stark")
+    stark: float = _column(group="stark")
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    def __eq__(self, other) -> bool:
+        """Field-wise equality in which NaN equals NaN (failed cells hold NaN)."""
+        if not isinstance(other, CellRecord):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a == b or (a != a and b != b) for a, b in pairs)
+
+
+COLUMNS = {f.name: f.metadata["group"] for f in fields(CellRecord)}  # in file order
+ALL_OUTPUTS = tuple(dict.fromkeys(group for group in COLUMNS.values() if group))
+_CODECS = {f.name: f.metadata["codec"] for f in fields(CellRecord)}
 
 
 class TunerError(RuntimeError):
@@ -140,45 +155,7 @@ class SweepSpec:
         return (min(self.va_start, self.vb_start), max(self.va_stop, self.vb_stop))
 
     def columns(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, group, _ in COLUMNS if group is None or group in self.outputs
-        )
-
-
-@dataclass
-class CellRecord:
-    """One grid cell: solver outputs plus derived exciton quantities."""
-
-    va: float
-    vb: float
-    vc: float | None
-    status: str = "ok"
-    iters: int = 0
-    residual: float = float("nan")
-    ex: float = float("nan")
-    ey: float = float("nan")
-    ez: float = float("nan")
-    ia: float = float("nan")
-    ib: float = float("nan")
-    ic: float = float("nan")
-    i_junction: float = float("nan")
-    region: int | None = None
-    fss: float = float("nan")
-    theta0: float | None = None
-    mean_energy: float = float("nan")
-    stark: float = float("nan")
-    algebraic_fss: float = float("nan")
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def __eq__(self, other) -> bool:
-        """Field-wise equality in which NaN equals NaN (failed cells hold NaN)."""
-        if not isinstance(other, CellRecord):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(a == b or (a != a and b != b) for a, b in pairs)
+        return tuple(c for c, g in COLUMNS.items() if g is None or g in self.outputs)
 
 
 @dataclass
@@ -473,15 +450,19 @@ def find_zero_fss(
     seeds and starts whose solve fails are skipped.  Every solve is
     predicted from the previous one, except the first of each least-squares
     run, which is predicted from its seed's own solution, kept from the
-    grid.  ``tol`` must be positive and finite; ``start`` gives the voltages
-    of the terminals that are not free.  The eigenaxis swap is verified by
-    probing 0.05 V either side of the optimum along the approach direction.
+    grid.  ``tol`` must be positive and finite, and ``bounds`` finite with
+    lo < hi; ``start`` gives the voltages of the terminals that are not
+    free.  The eigenaxis swap is verified by probing 0.05 V either side of
+    the optimum along the approach direction.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    lo, hi = bounds
+    if not (-math.inf < lo < hi < math.inf):
+        raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
     free = tuple(free_terminals)
     if not free or len(set(free)) < len(free) or not set(free) <= {"A", "B", "C"}:
         raise ValueError("free_terminals must be distinct terminals among A, B, C")
@@ -509,7 +490,7 @@ def find_zero_fss(
     def state_at(x) -> ExcitonState:
         return exciton_state(exciton_params, chain.solve(bias_at(x)).field)
 
-    grid_axis = np.linspace(bounds[0], bounds[1], _GRID_POINTS)
+    grid_axis = np.linspace(lo, hi, _GRID_POINTS)
     scored = []
     for seed in itertools.product(grid_axis, repeat=len(free)):
         x = np.array(seed)
@@ -523,7 +504,7 @@ def find_zero_fss(
 
     # With every seed failed, the final solve at the first seed raises.
     best_f, best_x, _ = (
-        scored[0] if scored else (math.inf, np.full(len(free), bounds[0]), None)
+        scored[0] if scored else (math.inf, np.full(len(free), lo), None)
     )
     approach = None
     for _, x0, seed_solution in scored[:_N_STARTS]:

@@ -472,6 +472,32 @@ def test_non_finite_numeric_input_exits_2_naming_it(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        # both axes end where they start: the tune window is one point
+        (FAST_DEVICE.replace("stop_v = 3.0", "stop_v = 0.0"), ["tune"],
+         "bounds must be finite with lo < hi, got (0.0, 0.0)"),
+        (FAST_DEVICE + "\n[solver]\nregime_threshold_a = -1\n",
+         ["solve", "--va", "1", "--vb", "0"], "regime_threshold must be positive"),
+    ],
+    ids=["one-point-window", "negative-threshold"],
+)
+def test_bad_config_values_exit_2_before_any_solve(
+    tmp_path, monkeypatch, capsys, text, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    calls = []
+    monkeypatch.setattr(solver.SheetSystem, "solve", lambda *a, **k: calls.append(a))
+    code = main(["--config", str(cfg_path), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert calls == []
+
+
 def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     scan_path = tmp_path / "s.csv"
     assert main([

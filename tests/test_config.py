@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pillartune.config import (
+    _SECTIONS,
     SCHEMA,
     ConfigError,
+    RunConfig,
     config_hash,
     default_config_text,
     load_run_config,
@@ -43,10 +48,18 @@ def test_config_hashes_are_pinned():
 
 
 def test_schema_holds_parsers_only():
-    # the defaults live in default.cfg alone
-    parsers = [p for keys in SCHEMA.values() for p in keys.values()]
-    assert len(parsers) == 35
-    assert all(callable(p) for p in parsers)
+    # the defaults live in default.cfg alone; each key names the field it fills
+    entries = [
+        (section, parse, name)
+        for section, keys in SCHEMA.items()
+        for parse, name in keys.values()
+    ]
+    assert len(entries) == 35
+    own = {f.name for f in dataclasses.fields(RunConfig)}
+    for section, parse, name in entries:
+        assert callable(parse)
+        built = _SECTIONS[section][1] if section in _SECTIONS else RunConfig
+        assert name in own | {f.name for f in dataclasses.fields(built)}
 
 
 def test_default_config_matches_dataclass_defaults():
@@ -117,6 +130,43 @@ def test_outputs_validation():
         parse_config_text("[sweep]\noutputs = fields, nonsense\n")
     cfg = parse_config_text("[sweep]\noutputs = fields, regime\n")
     assert cfg.sweep.outputs == ("fields", "regime")
+
+
+def test_non_positive_regime_threshold_is_config_error():
+    for value in ("-1", "0"):
+        with pytest.raises(ConfigError, match="regime_threshold must be positive"):
+            parse_config_text(f"[solver]\nregime_threshold_a = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("zero_field_splitting_uev", "1.0, 2.0, 3.0"),
+        ("inplane_coupling_uev_m_per_v", "1.0, 2.0, 3.0"),
+        ("vertical_coupling_uev_m_per_v", "1.0"),
+    ],
+)
+def test_exciton_tuple_lengths_are_config_errors(key, value):
+    with pytest.raises(ConfigError, match="zero_field_splitting needs 2 values"):
+        parse_config_text(f"[exciton]\n{key} = {value}\n")
+
+
+def test_ridge_angle_count_is_config_error():
+    with pytest.raises(ConfigError, match=r"\[device\]: exactly three ridge_angles"):
+        parse_config_text("[device]\nridge_angles_deg = 10, 120\n")
+
+
+def test_formats_doc_lists_config_keys_in_schema_order():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    table = doc.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            _, section, keys, _ = line.split("|")
+            keys = re.sub(r"\([^)]*\)", "", keys)  # "(number or `floating`)"
+            documented[section.strip(" `")] = re.findall(r"`([a-z_0-9]+)`", keys)
+    assert list(documented) == list(SCHEMA)
+    assert documented == {section: list(keys) for section, keys in SCHEMA.items()}
 
 
 def test_invalid_geometry_from_config_is_config_error():

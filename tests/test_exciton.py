@@ -166,3 +166,18 @@ def test_state_energy_bookkeeping():
     assert s.mean_energy == pytest.approx(
         p.zero_field_energy + 1e-6 * stark_shift(p, field[2])
     )
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"zero_field_splitting": (1.0, 2.0, 3.0)},
+        {"zero_field_splitting": (1.0,)},
+        {"vertical_coupling": (1.0, 2.0, 3.0)},
+        {"inplane_coupling": ((1.0, 2.0), (3.0,))},
+        {"inplane_coupling": ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))},
+    ],
+)
+def test_tuple_shapes_are_checked_at_construction(kw):
+    with pytest.raises(ValueError, match="zero_field_splitting needs 2 values"):
+        ExcitonParams(**kw)

@@ -20,7 +20,7 @@ from pillartune.solver import (
     SolverConfig,
 )
 from pillartune.tuner import (
-    COLUMNS,
+    ALL_OUTPUTS,
     CellRecord,
     IsoFssPair,
     SweepResult,
@@ -145,9 +145,11 @@ def test_sweep_rejects_jobs_below_one(coarse_mesh, default_config):
 
 
 def test_column_table_covers_cell_record():
-    names = [name for name, _, _ in COLUMNS]
-    assert sorted(names) == sorted(f.name for f in dataclasses.fields(CellRecord))
-    assert SweepSpec().columns() == tuple(names)
+    names = tuple(f.name for f in dataclasses.fields(CellRecord))
+    assert SweepSpec().columns() == names
+    assert ALL_OUTPUTS == (
+        "fields", "currents", "regime", "fss", "theta0", "algebraic_fss", "stark"
+    )
 
 
 def test_formats_doc_lists_sweep_columns_in_file_order():
@@ -644,6 +646,26 @@ def test_find_zero_input_validation(coarse_mesh, default_config):
             BiasPoint(0.0, 0.0, None), ("C",), 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
         )
+
+
+@pytest.mark.parametrize(
+    "bounds", [(3.0, 1.0), (0.0, 0.0), (-math.inf, 1.0), (0.0, math.nan)]
+)
+def test_find_zero_rejects_bad_bounds_before_any_solve(
+    coarse_mesh, default_config, monkeypatch, bounds
+):
+    calls = []
+    solve = SheetSystem.solve
+    monkeypatch.setattr(
+        SheetSystem, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k)
+    )
+    with pytest.raises(ValueError, match=re.escape(f"got {bounds}")):
+        find_zero_fss(
+            BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
+            coarse_mesh, default_config.materials, default_config.exciton,
+            bounds=bounds,
+        )
+    assert calls == []
 
 
 @pytest.mark.parametrize("free", [("A", "A"), ("B", "A", "B")])
