@@ -180,7 +180,7 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(_canonical(resolved).encode("utf-8")).hexdigest()[:12]
 
 
-def _build(resolved: dict) -> RunConfig:
+def _build(resolved: dict, source: str) -> RunConfig:
     """Fill each ``SCHEMA`` field from its keys' resolved values."""
     own = {f.name for f in fields(RunConfig)}
     run: dict[str, object] = {}
@@ -198,7 +198,9 @@ def _build(resolved: dict) -> RunConfig:
                 attr, cls = _SECTIONS[section]
                 run[attr] = cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid configuration in [{section}]: {exc}") from exc
+        raise ConfigError(
+            f"{source}: invalid configuration in [{section}]: {exc}"
+        ) from exc
     return RunConfig(**run, resolved=resolved, config_hash=config_hash(resolved))
 
 
@@ -211,7 +213,7 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return _build(_resolve(parser, source))
+    return _build(_resolve(parser, source), source)
 
 
 def default_config_text() -> str:

@@ -149,27 +149,27 @@ def peak_centroid(model: SpectrumModel, theta: float) -> float:
         return model.e_low
 
     g2 = (0.5 * model.linewidth) ** 2
+    tol = 1e-15 * max(model.linewidth, delta)
     lo, hi = model.e_low, model.e_high
     e = wh * model.e_high + wl * model.e_low  # weighted-mean start
 
     for _ in range(200):
-        d1 = e - model.e_high
-        d2 = e - model.e_low
-        q1 = d1 * d1 + g2
-        q2 = d2 * d2 + g2
+        d1, d2 = e - model.e_high, e - model.e_low
+        q1, q2 = d1 * d1 + g2, d2 * d2 + g2
         fp = -2.0 * g2 * (wh * d1 / q1**2 + wl * d2 / q2**2)
-        if fp > 0.0:
-            lo = e
-        else:
-            hi = e
+        lo, hi = (e, hi) if fp > 0.0 else (lo, e)
         fpp = -2.0 * g2 * (
             wh * (q1 - 4.0 * d1 * d1) / q1**3 + wl * (q2 - 4.0 * d2 * d2) / q2**3
         )
-        step = -fp / fpp if fpp != 0.0 else 0.0
+        # f' is rounding noise near the root and may pull the bracket onto e:
+        # stop on a rounding-level Newton step; bisect where f'' >= 0.
+        step = -fp / fpp if fpp < 0.0 else math.inf
+        if abs(step) <= tol:
+            return e
         e_new = e + step
         if not (lo < e_new < hi):
             e_new = 0.5 * (lo + hi)
-        if abs(e_new - e) <= 1e-15 * max(model.linewidth, delta):
+        if abs(e_new - e) <= tol:
             return e_new
         e = e_new
     return e
@@ -309,11 +309,10 @@ _SCAN_HEADER = ["angle_rad", "energy_ueV", "sigma_ueV"]  # exactly, in this orde
 
 
 def scan_to_csv(scan: PolarizationScan, path: str) -> None:
+    rows = zip(scan.angles.tolist(), scan.peak_energies.tolist(), scan.sigma.tolist())
+    text = "".join(f"{a!r},{e!r},{s!r}\n" for a, e, s in rows)
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_SCAN_HEADER)
-        for a, e, s in zip(scan.angles, scan.peak_energies, scan.sigma):
-            out.writerow([repr(float(a)), repr(float(e)), repr(float(s))])
+        fh.write(",".join(_SCAN_HEADER) + "\n" + text)
 
 
 def scan_from_csv(path: str) -> PolarizationScan:

@@ -156,6 +156,17 @@ def test_ridge_angle_count_is_config_error():
         parse_config_text("[device]\nridge_angles_deg = 10, 120\n")
 
 
+def test_dataclass_check_names_the_user_source():
+    # prefixed like a parse error ("u.cfg: bad value for ...")
+    with pytest.raises(
+        ConfigError,
+        match=r"^u\.cfg: invalid configuration in \[device\]: exactly three",
+    ):
+        parse_config_text("[device]\nridge_angles_deg = 1, 2\n", "u.cfg")
+    with pytest.raises(ConfigError, match=r"^u\.cfg: bad value for 'ideality'"):
+        parse_config_text("[materials]\nideality = banana\n", "u.cfg")
+
+
 def test_formats_doc_lists_config_keys_in_schema_order():
     doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
     table = doc.split("## Config files", 1)[1].split("\n## ", 1)[0]

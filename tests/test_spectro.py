@@ -91,6 +91,46 @@ def test_centroid_amplitude_converges_to_splitting():
     assert abs(amp - delta) <= 0.01 * delta
 
 
+def _intensity_gain(m, theta, c, h):
+    """I(c + h) - I(c) for the model, free of cancellation.
+
+    For a Lorentzian L(x) = g^2 / (x^2 + g^2) the difference is
+    -g^2 h (2x + h) / ((x^2 + g^2)((x + h)^2 + g^2)), so it keeps its
+    relative precision even where h is far below the rounding of I itself.
+    """
+    wh, wl = m.amplitudes(theta)
+    g2 = (0.5 * m.linewidth) ** 2
+
+    def lorentz_gain(centre):
+        x = c - centre
+        return -g2 * h * (2.0 * x + h) / ((x * x + g2) * ((x + h) ** 2 + g2))
+
+    return wh * lorentz_gain(m.e_high) + wl * lorentz_gain(m.e_low)
+
+
+@pytest.mark.parametrize("ratio", [0.02, 0.2, 0.4])
+@pytest.mark.parametrize("theta0", [0.0, 0.7, 2.5])
+def test_centroid_is_stationary_at_rounding_level(ratio, theta0):
+    linewidth = 30.0
+    delta = ratio * linewidth
+    m = SpectrumModel(
+        e_high=1.0 + 0.5 * delta, e_low=1.0 - 0.5 * delta,
+        linewidth=linewidth, theta0=theta0,
+    )
+    near_axis = math.asin(math.sqrt(1e-13))  # the other line's weight ~1e-13
+    thetas = list(np.linspace(0.0, math.pi, 37)) + [
+        theta0 + math.pi / 4.0, theta0 - math.pi / 4.0,
+        theta0 + near_axis, theta0 - near_axis,
+        theta0 + math.pi / 2.0 + near_axis, theta0 + math.pi / 2.0 - near_axis,
+    ]
+    h = 1e-12 * max(linewidth, delta)
+    for theta in thetas:
+        c = peak_centroid(m, theta)
+        assert m.e_low <= c <= m.e_high
+        assert _intensity_gain(m, theta, c, h) <= 0.0, theta
+        assert _intensity_gain(m, theta, c, -h) <= 0.0, theta
+
+
 # -- synthesis -----------------------------------------------------------------
 
 
@@ -352,6 +392,28 @@ def test_scan_csv_round_trip(tmp_path):
     assert np.array_equal(back.angles, scan.angles)
     assert np.array_equal(back.peak_energies, scan.peak_energies)
     assert np.array_equal(back.sigma, scan.sigma)
+
+
+def test_scan_csv_bytes_are_pinned(tmp_path):
+    scan = PolarizationScan(
+        angles=np.arange(6) * (math.pi / 6.0),
+        peak_energies=[-1.25, 0.0, 1e-310, 0.1 + 0.2, -123456.78901234567, -0.0],
+        sigma=[0.0, 0.3, 2.0 / 3.0, 1e-17, 5.0, 1.0],
+    )
+    path = tmp_path / "scan.csv"
+    scan_to_csv(scan, str(path))
+    assert path.read_bytes() == (
+        b"angle_rad,energy_ueV,sigma_ueV\n"
+        b"0.0,-1.25,0.0\n"
+        b"0.5235987755982988,0.0,0.3\n"
+        b"1.0471975511965976,1e-310,0.6666666666666666\n"
+        b"1.5707963267948966,0.30000000000000004,1e-17\n"
+        b"2.0943951023931953,-123456.78901234567,5.0\n"
+        b"2.617993877991494,-0.0,1.0\n"
+    )
+    back = scan_from_csv(str(path))
+    for name in ("angles", "peak_energies", "sigma"):
+        assert getattr(back, name).tobytes() == getattr(scan, name).tobytes()
 
 
 def test_scan_csv_bad_header_reports_error(tmp_path):
