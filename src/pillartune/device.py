@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -162,6 +162,8 @@ class Mesh:
     boundary.  ``qd_node`` is the node of interest at the pillar centre.
     The two vertical-stack scalars are copied from the generating geometry
     so field post-processing does not need the geometry object.
+    ``footprint`` is the outline ``generate_mesh`` meshed, so the same
+    device can be meshed again at another edge; other meshes have none.
     """
 
     nodes: np.ndarray                  # (N, 2) float64, um
@@ -171,7 +173,7 @@ class Mesh:
     built_in_voltage: float = 1.4
     intrinsic_thickness_nm: float = 270.0
     target_edge: float = 0.0
-    meta: dict = field(default_factory=dict)
+    footprint: Footprint | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -384,7 +386,7 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
         built_in_voltage=g.built_in_voltage,
         intrinsic_thickness_nm=g.intrinsic_thickness_nm,
         target_edge=edge,
-        meta={"n_theta": n_theta, "n_rings": n_rings},
+        footprint=footprint,
     )
     mesh.boundary_tags["FREE"] = _free_boundary(mesh)
     validate_mesh(mesh, require_all_pads=True)

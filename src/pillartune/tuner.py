@@ -5,10 +5,10 @@ Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
 other, so row-parallel execution produces byte-identical output to a serial
 run.  The zero-splitting search solves the smooth splitting vector
 delta(V) = 0 by bounded least squares (trust-region reflective) with its
-exact Jacobian from the chain's tangent, started from the best points of a
-3-per-axis grid whose solutions it keeps; its norm, the observable
-splitting, is not differentiable at the zero.  The search is one chain,
-which holds a seed's solution at the start of each least-squares run.
+exact Jacobian from the chain's tangent; its norm, the observable splitting,
+is not differentiable at the zero.  It is a two-grid search: a 3-per-axis
+grid of seeds is ranked on a mesh of twice the edge, and the best seeds are
+refined on the caller's mesh.  Each mesh has one chain.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .device import MaterialParams, Mesh
+from .device import MaterialParams, Mesh, generate_mesh
 from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, stark_shift
 from .solver import (
     BiasPoint,
@@ -401,6 +401,7 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 # -- zero-splitting search ---------------------------------------------------
 
 _GRID_POINTS = 3     # seed grid points per free terminal, spanning the bounds
+_SEED_EDGE_FACTOR = 2.0  # the seed grid is ranked on a mesh of this times the edge
 _N_STARTS = 3        # best seeds refined by least squares
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 
@@ -443,20 +444,23 @@ def find_zero_fss(
 ) -> TuneResult:
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
-    Bounded least squares (trust-region reflective, exact Jacobian from the
-    solution's tangent) on the smooth splitting vector delta(V), started in
-    turn from the best points of a 3-per-axis grid over ``bounds`` (by
-    default the default sweep window) until one lands below ``tol / 4``;
-    seeds and starts whose solve fails are skipped.  Every solve is
-    predicted from the previous one, except the first of each least-squares
-    run, which is predicted from its seed's own solution, kept from the
-    grid.  ``tol`` must be positive and finite, and ``bounds`` finite with
-    lo < hi; ``start`` gives the voltages of the terminals that are not
-    free.  The eigenaxis swap is verified by probing 0.05 V either side of
-    the optimum along the approach direction.
+    Two grids: a 3-per-axis grid of seeds over ``bounds`` (by default the
+    default sweep window) is ranked on a mesh of the same footprint at
+    twice the edge, and the best seeds are refined on ``mesh`` in turn by
+    bounded least squares (trust-region reflective, exact Jacobian from
+    the solution's tangent) on the smooth splitting vector delta(V), until
+    one lands below ``tol / 4``; seeds and starts whose solve fails are
+    skipped.  Each mesh has one chain, whose solves are predicted from the
+    one before; the first solve on ``mesh`` starts cold.  ``mesh`` must
+    come from ``generate_mesh``, which records its footprint (a
+    ``make_strip_mesh`` mesh has none and raises ``ValueError``).  ``tol``
+    must be positive and finite, and ``bounds`` finite with lo < hi;
+    ``start`` gives the voltages of the terminals that are not free.  The
+    eigenaxis swap is verified by probing 0.05 V either side of the
+    optimum along the approach direction.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
-    ``newton_iters`` the Newton steps of all its solves.
+    ``newton_iters`` the Newton steps of all its solves, on both meshes.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -469,8 +473,12 @@ def find_zero_fss(
     for t in free:
         if start.terminal(t) is None:
             raise ValueError(f"free terminal {t} is floating in the start bias")
+    if mesh.footprint is None:
+        raise ValueError("mesh has no footprint to rank seeds on; use generate_mesh")
     cfg = cfg or SolverConfig()
 
+    seed_mesh = generate_mesh(mesh.footprint, _SEED_EDGE_FACTOR * mesh.target_edge)
+    seed_chain = SolveChain(SheetSystem(seed_mesh, materials), cfg)
     chain = SolveChain(SheetSystem(mesh, materials), cfg)
     evals = 0
 
@@ -478,10 +486,10 @@ def find_zero_fss(
         values = dict(zip(free, map(float, x)))
         return BiasPoint(*(values.get(t, start.terminal(t)) for t in "ABC"))
 
-    def splitting(x) -> np.ndarray:
+    def splitting(x, on: SolveChain = chain) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return np.array(fss_vector(exciton_params, chain.solve(bias_at(x)).field))
+        return np.array(fss_vector(exciton_params, on.solve(bias_at(x)).field))
 
     def jacobian(x) -> np.ndarray:
         chain.solve(bias_at(x))
@@ -495,20 +503,17 @@ def find_zero_fss(
     for seed in itertools.product(grid_axis, repeat=len(free)):
         x = np.array(seed)
         try:
-            norm = math.hypot(*splitting(x))
+            scored.append((math.hypot(*splitting(x, seed_chain)), x))
         except SolverError:
             continue
-        # the potential only: a held band factor costs about 1 MB per seed
-        scored.append((norm, x, replace(chain.held, factor=None)))
     scored.sort(key=lambda t: t[0])
 
-    # With every seed failed, the final solve at the first seed raises.
-    best_f, best_x, _ = (
-        scored[0] if scored else (math.inf, np.full(len(free), lo), None)
-    )
+    # Coarse norms only rank the seeds: any refined run beats them.  With
+    # every seed failed the search reports the first seed, solved on ``mesh``.
+    best_f = math.inf
+    best_x = scored[0][1] if scored else np.full(len(free), lo)
     approach = None
-    for _, x0, seed_solution in scored[:_N_STARTS]:
-        chain.held = seed_solution
+    for _, x0 in scored[:_N_STARTS]:
         try:
             res = least_squares(splitting, x0, jac=jacobian, bounds=bounds)
         except SolverError:
@@ -544,7 +549,7 @@ def find_zero_fss(
         crossing_verified=check.crossing,
         mean_energy=best_state.mean_energy,
         iterations=evals,
-        newton_iters=chain.newton_iters,
+        newton_iters=seed_chain.newton_iters + chain.newton_iters,
         converged=achieved <= tol,
     )
 

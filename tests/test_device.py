@@ -107,6 +107,7 @@ def test_refinement_node_count_ratio():
     fp = build_geometry(DeviceGeometry())
     coarse = generate_mesh(fp, 1.0)
     fine = generate_mesh(fp, 0.5)
+    assert coarse.footprint is fine.footprint is fp
     ratio = fine.n_nodes / coarse.n_nodes
     assert 2.0 <= ratio <= 6.0  # ~4x when the edge halves
 
@@ -231,3 +232,28 @@ def test_refinement_convergence_of_qd_potential(default_config):
         phi_f = fine.solve(bias, cfg).phi[fine.mesh.qd_node]
         scale = max(abs(phi_f), 0.1)
         assert abs(phi_c - phi_f) / scale < 0.01
+
+
+def test_refinement_convergence_of_qd_field(default_config):
+    """The in-plane QD field converges under refinement: against 0.5 um, its
+    relative error shrinks from 2 to 1 um with an observed order >= 0.5.
+    (At 4 um the mesh is pre-asymptotic and the error is not monotone.)"""
+    from pillartune.solver import BiasPoint, SheetSystem
+
+    fp = build_geometry(default_config.geometry)
+    cfg = default_config.solver
+    biases = [
+        BiasPoint(-1.0, -0.5, None),
+        BiasPoint(2.0, 1.0, None),
+        BiasPoint(4.0, 4.0, None),
+        BiasPoint(2.0, 1.0, 0.5),  # C driven
+    ]
+    systems = [
+        SheetSystem(generate_mesh(fp, edge), default_config.materials)
+        for edge in (2.0, 1.0, 0.5)
+    ]
+    for bias in biases:
+        e2, e1, ref = (np.asarray(s.solve(bias, cfg).e_inplane) for s in systems)
+        err2, err1 = (np.linalg.norm(e - ref) / np.linalg.norm(ref) for e in (e2, e1))
+        assert err1 < err2, (bias, err2, err1)
+        assert math.log2(err2 / err1) >= 0.5, (bias, err2, err1)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pillartune import solver, tuner
-from pillartune.device import MaterialParams
+from pillartune.device import MaterialParams, make_strip_mesh
 from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import (
     BiasPoint,
@@ -415,7 +415,7 @@ def test_splitting_jacobian_at_a_held_seed_factors_once(
     chain = SolveChain(coarse_system, CFG)
     x = np.array([1.0, 2.0, 0.5][: len(free)])
     sol = _solve_free(chain, free, x, vc)
-    # a seed is held as its potential alone, as find_zero_fss keeps it
+    # the chain holds a potential alone, with no band factor
     chain.held = dataclasses.replace(sol, factor=None)
     callers = _count_factorizations(monkeypatch)
     _splitting_jacobian(chain, default_config.exciton, free)
@@ -592,34 +592,36 @@ def test_tune_newton_iters_totals_every_solve(coarse_mesh, default_config, monke
     assert result.to_dict()["newton_iters"] == result.newton_iters
 
 
-def test_least_squares_starts_from_its_seed_solution(
+def test_seeds_are_ranked_on_twice_the_edge_and_refined_on_the_mesh(
     coarse_mesh, default_config, monkeypatch
 ):
-    """Each least-squares run first evaluates at its seed, or just inside
-    the bounds from it, predicted from the seed's own grid solution: at most
-    one Newton step, where a start predicted from the grid's last point
-    takes several (7 here)."""
-    steps = _record_newton_steps(monkeypatch)
-    runs, first_eval_steps = [], []
+    """The seed grid solves on a mesh of twice the caller's edge; every
+    later solve is on the caller's mesh, the first of them cold and inside
+    the first least-squares run."""
+    solves = []  # (mesh, phi0 given) of every SheetSystem.solve, in order
+    real_solve = SheetSystem.solve
+
+    def spy_solve(self, bias, cfg, phi0=None):
+        solves.append((self.mesh, phi0 is not None))
+        return real_solve(self, bias, cfg, phi0=phi0)
+
+    run_marks = []  # solves made before each least-squares run started
     real_least_squares = tuner.least_squares
 
-    def spy(fun, x0, **kwargs):
-        mark = len(steps)
+    def spy_least_squares(*args, **kwargs):
+        run_marks.append(len(solves))
+        return real_least_squares(*args, **kwargs)
 
-        def fun_first(x):
-            out = fun(x)
-            if len(first_eval_steps) < len(runs):
-                first_eval_steps.append(sum(steps[mark:]))
-            return out
-
-        runs.append(x0)
-        return real_least_squares(fun_first, x0, **kwargs)
-
-    monkeypatch.setattr(tuner, "least_squares", spy)
+    monkeypatch.setattr(SheetSystem, "solve", spy_solve)
+    monkeypatch.setattr(tuner, "least_squares", spy_least_squares)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged
-    assert runs and len(first_eval_steps) == len(runs)
-    assert max(first_eval_steps) <= 1, first_eval_steps
+    seed_phase, refinement = solves[: run_marks[0]], solves[run_marks[0] :]
+    assert len(seed_phase) == 9
+    assert all(m.target_edge == 2.0 * coarse_mesh.target_edge for m, _ in seed_phase)
+    assert refinement and all(m is coarse_mesh for m, _ in refinement)
+    assert refinement[0] == (coarse_mesh, False)  # the first fine solve is cold
+    assert all(mark > run_marks[0] for mark in run_marks[1:])  # made by run 1
 
 
 @pytest.mark.parametrize("scale_a", [0.8, 1.0, 1.2])
@@ -664,6 +666,25 @@ def test_find_zero_rejects_bad_bounds_before_any_solve(
             BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
             bounds=bounds,
+        )
+    assert calls == []
+
+
+def test_find_zero_rejects_a_mesh_without_footprint_before_any_solve(
+    default_config, monkeypatch
+):
+    # a strip mesh has pads A and B but no footprint to mesh the seeds on
+    strip = make_strip_mesh(20.0, 6.0, 1.0)
+    assert strip.footprint is None
+    calls = []
+    solve = SheetSystem.solve
+    monkeypatch.setattr(
+        SheetSystem, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k)
+    )
+    with pytest.raises(ValueError, match="footprint"):
+        find_zero_fss(
+            BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
+            strip, laplace_materials(), default_config.exciton,
         )
     assert calls == []
 
