@@ -5,7 +5,11 @@ also drains vertically through a Shockley junction into the grounded
 substrate.  Contacts are lumped: the tagged pad-edge nodes of a driven
 terminal connect to the terminal voltage through one series resistance per
 ridge, split evenly over the pad nodes.  A floating terminal simply has no
-such connection, so it carries exactly zero current.
+such connection, so it carries exactly zero current.  Per bias the contacts
+are two node vectors (``_contacts``): the conductance g, 1 / (R_k |pad k|)
+on the pad nodes of each driven terminal k and 0 elsewhere, and the
+terminal voltage v on the same nodes.  They add g (phi - v) to the
+residual and g to the Jacobian diagonal.
 
 Discretisation is node-centred finite volume on the triangle mesh (P1
 stiffness for the lateral term, lumped nodal areas for the junction term).
@@ -251,15 +255,15 @@ class SheetSystem:
         self.total_area = float(area.sum())
 
     def _build_contacts(self) -> None:
-        self.pad_nodes: dict[str, np.ndarray] = {}
-        self.pad_conductance: dict[str, float] = {}
-        for name, r in zip(TERMINALS, self.materials.contact_resistance):
-            ids = self.mesh.pad_nodes(f"PAD_{name}")
-            self.pad_nodes[name] = ids
-            # Series resistance split evenly across the pad-edge nodes.
-            self.pad_conductance[name] = (
-                1.0 / (r * len(ids)) if len(ids) else 0.0
-            )
+        # Pad incidence (n, 3), and each terminal's series resistance split
+        # evenly across its pad-edge nodes: g_k = 1 / (R_k |pad k|).
+        pads = np.zeros((self.n, len(TERMINALS)), order="F")
+        for k, name in enumerate(TERMINALS):
+            pads[self.mesh.pad_nodes(f"PAD_{name}"), k] = 1.0
+        count = pads.sum(axis=0)
+        r = np.asarray(self.materials.contact_resistance)
+        self._pads = pads
+        self._pad_g = np.where(count > 0, 1.0 / (r * np.maximum(count, 1.0)), 0.0)
 
     def _build_qd_gradient(self) -> None:
         qd = self.mesh.qd_node
@@ -280,29 +284,34 @@ class SheetSystem:
 
     # -- physics ------------------------------------------------------------
 
-    def _driven(self, bias: BiasPoint) -> list[tuple[str, float]]:
-        out = []
-        for name in TERMINALS:
+    def _contacts(self, bias: BiasPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node contact conductance g and terminal voltage v at ``bias``.
+
+        Both are 0 off the pads and at floating terminals, so the contacts
+        add g (phi - v) to the residual.
+        """
+        gv = np.zeros((len(TERMINALS), 2))
+        for k, name in enumerate(TERMINALS):
             v = bias.terminal(name)
-            if v is not None:
-                if len(self.pad_nodes[name]) == 0:
-                    raise SolverError(
-                        f"terminal {name} is driven but has no contact nodes"
-                    )
-                out.append((name, v))
-        return out
+            if v is None:
+                continue
+            if not self._pad_g[k]:
+                raise SolverError(f"terminal {name} is driven but has no contact nodes")
+            gv[k] = self._pad_g[k], v
+        g, v = gv.T @ self._pads.T
+        return g, v
 
     def residual(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
+        g, v = self._contacts(bias)
         f = self.conduction @ phi
         f += diode_current_density(self.materials, phi) * self.node_area
-        for name, v in self._driven(bias):
-            ids = self.pad_nodes[name]
-            f[ids] += self.pad_conductance[name] * (phi[ids] - v)
+        f += g * (phi - v)
         return f
 
     def energy(self, phi: np.ndarray, bias: BiasPoint) -> float:
         """Convex sheet energy whose gradient is ``residual``."""
         m = self.materials
+        g, v = self._contacts(bias)
         nvt = m.ideality * m.thermal_voltage
         u = phi / nvt
         x = np.maximum(u - EXP_CLAMP, 0.0)
@@ -310,17 +319,8 @@ class SheetSystem:
         prim = np.exp(np.minimum(u, EXP_CLAMP)) * (1.0 + x + 0.5 * x * x)
         e = 0.5 * float(phi @ (self.conduction @ phi))
         e += m.saturation_current_density * nvt * float(self.node_area @ (prim - u))
-        for name, v in self._driven(bias):
-            r = phi[self.pad_nodes[name]] - v
-            e += 0.5 * self.pad_conductance[name] * float(r @ r)
+        e += 0.5 * float(g @ (phi - v) ** 2)
         return e
-
-    def _conductance_diagonal(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
-        """Junction plus contact conductances: the Jacobian less the stiffness."""
-        diag = _diode_conductance(self.materials, phi) * self.node_area
-        for name, _ in self._driven(bias):
-            diag[self.pad_nodes[name]] += self.pad_conductance[name]
-        return diag
 
     def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
         """A fresh lower band of the Jacobian in RCM order (``_build_band``).
@@ -328,8 +328,10 @@ class SheetSystem:
         A copy of the stiffness band with the junction and contact
         conductances added to its diagonal, row 0.
         """
+        g, _ = self._contacts(bias)
+        diag = _diode_conductance(self.materials, phi) * self.node_area + g
         band = self._stiffness_band.copy(order="F")
-        band[0] += self._conductance_diagonal(phi, bias)[self._perm]
+        band[0] += diag[self._perm]
         return band
 
     @staticmethod
@@ -356,28 +358,16 @@ class SheetSystem:
         ``dv`` is one step (dV_A, dV_B, dV_C) or a stack of them, shape
         (m, 3); a stack gives one column per step.
         """
-        dv = np.asarray(dv, dtype=float)
-        rhs = np.zeros((self.n,) + dv.shape[:-1])
-        for k, name in enumerate(TERMINALS):
-            if bias.terminal(name) is not None:
-                rhs[self.pad_nodes[name]] += self.pad_conductance[name] * dv[..., k]
-        return rhs
+        g, _ = self._contacts(bias)
+        return (g[:, None] * self._pads) @ np.asarray(dv, dtype=float).T
 
     def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
-        out = {}
-        for name in TERMINALS:
-            v = bias.terminal(name)
-            if v is None:
-                out[name] = 0.0
-            else:
-                ids = self.pad_nodes[name]
-                out[name] = float(
-                    np.sum(self.pad_conductance[name] * (v - phi[ids]))
-                )
+        g, v = self._contacts(bias)
+        i_a, i_b, i_c = self._pads.T @ (g * (v - phi))
         i_junction = float(
             np.sum(diode_current_density(self.materials, phi) * self.node_area)
         )
-        return out["A"], out["B"], out["C"], i_junction
+        return float(i_a), float(i_b), float(i_c), i_junction
 
     def field_at_qd(self, phi: np.ndarray) -> tuple[float, float]:
         """In-plane field (V/m) from the area-weighted P1 gradient at qd_node."""

@@ -26,6 +26,7 @@ from scipy.optimize import least_squares
 from .device import MaterialParams, Mesh, generate_mesh
 from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, stark_shift
 from .solver import (
+    TERMINALS,
     BiasPoint,
     FieldSolution,
     SheetSystem,
@@ -426,7 +427,7 @@ def _splitting_jacobian(
     times the QD field change of each free terminal's exact tangent, all
     from one factorization, which the chain then holds.
     """
-    steps = [[float(t == name) for t in "ABC"] for name in free]
+    steps = [[float(t == name) for t in TERMINALS] for name in free]
     d_phi = chain.tangent(steps)
     d_field = np.column_stack([chain.system.field_change_at_qd(d) for d in d_phi.T])
     return params.field_matrix() @ d_field
@@ -461,6 +462,11 @@ def find_zero_fss(
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves, on both meshes.
+    ``converged`` means only ``achieved_fss <= tol``; ``crossing_verified``
+    is the zero test.  A best point on the edge of ``bounds`` can be
+    converged but not crossing-verified: a minimum on the bound, not a
+    zero, such as the dot with zero-field splitting (10.29, 1.95) ueV
+    that ends on V_B = -1 V at 0.154 ueV.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -468,7 +474,7 @@ def find_zero_fss(
     if not (-math.inf < lo < hi < math.inf):
         raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
     free = tuple(free_terminals)
-    if not free or len(set(free)) < len(free) or not set(free) <= {"A", "B", "C"}:
+    if not free or len(set(free)) < len(free) or not set(free) <= set(TERMINALS):
         raise ValueError("free_terminals must be distinct terminals among A, B, C")
     for t in free:
         if start.terminal(t) is None:
@@ -484,7 +490,7 @@ def find_zero_fss(
 
     def bias_at(x) -> BiasPoint:
         values = dict(zip(free, map(float, x)))
-        return BiasPoint(*(values.get(t, start.terminal(t)) for t in "ABC"))
+        return BiasPoint(*(values.get(t, start.terminal(t)) for t in TERMINALS))
 
     def splitting(x, on: SolveChain = chain) -> np.ndarray:
         nonlocal evals

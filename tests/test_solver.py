@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -26,6 +27,7 @@ from pillartune.solver import (
     SheetSystem,
     SolveChain,
     SolverConfig,
+    SolverError,
     classify_regime,
     diode_current_density,
     kirchhoff_bound,
@@ -52,9 +54,10 @@ def _conductance_diagonal(system, phi, bias):
     nvt = m.ideality * m.thermal_voltage
     g_junction = m.saturation_current_density * np.exp(np.minimum(phi / nvt, EXP_CLAMP))
     diag = g_junction / nvt * system.node_area
-    for name in TERMINALS:
+    for name, r in zip(TERMINALS, m.contact_resistance):
         if bias.terminal(name) is not None:
-            diag[system.pad_nodes[name]] += system.pad_conductance[name]
+            ids = system.mesh.pad_nodes(f"PAD_{name}")
+            diag[ids] += 1.0 / (r * len(ids))
     return diag
 
 
@@ -636,12 +639,70 @@ def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
         coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
 
 
-def test_driven_terminal_without_contact_nodes_fails():
-    mesh = make_strip_mesh(4.0, 2.0, 1.0)  # no PAD_C nodes
-    from pillartune.solver import SolverError
+# every driven/floating pattern of the three terminals (one at least driven)
+_PATTERNS = [
+    p for p in itertools.product((True, False), repeat=len(TERMINALS)) if any(p)
+]
 
-    with pytest.raises(SolverError):
-        SheetSystem(mesh, MaterialParams()).solve(BiasPoint(0.0, 0.0, 1.0), CFG)
+
+@pytest.mark.parametrize(
+    "driven",
+    _PATTERNS,
+    ids=["".join(t for t, d in zip(TERMINALS, p) if d) for p in _PATTERNS],
+)
+def test_contact_vectors_match_a_per_terminal_reference(coarse_system, driven):
+    # the contact model written out per terminal, from the mesh's pad tags
+    # and the materials' contact resistances
+    system = coarse_system
+    voltages = [v if d else None for v, d in zip((0.8, -0.4, 0.3), driven)]
+    bias = BiasPoint(*voltages)
+    pads = []  # (terminal index, pad nodes, per-node conductance, voltage)
+    for k, (name, v) in enumerate(zip(TERMINALS, voltages)):
+        if v is not None:
+            ids = system.mesh.pad_nodes(f"PAD_{name}")
+            r = system.materials.contact_resistance[k]
+            pads.append((k, ids, 1.0 / (r * len(ids)), v))
+    rng = np.random.default_rng(5)
+    phi = system.solve(bias, CFG).phi + 0.01 * rng.standard_normal(system.n)
+
+    f = system.conduction @ phi
+    f += diode_current_density(system.materials, phi) * system.node_area
+    for _, ids, g, v in pads:
+        f[ids] += g * (phi[ids] - v)
+    assert np.array_equal(system.residual(phi, bias), f)
+
+    diag = _conductance_diagonal(system, phi, bias)
+    band = system.jacobian(phi, bias)
+    assert np.array_equal(band[0], system._stiffness_band[0] + diag[system._perm])
+
+    dv = rng.standard_normal((2, len(TERMINALS)))
+    drive = np.zeros((system.n, 2))
+    for k, ids, g, _ in pads:
+        drive[ids] += g * dv[:, k]
+    assert np.array_equal(system._terminal_drive(bias, dv), drive)
+    assert np.array_equal(system._terminal_drive(bias, dv[0]), drive[:, 0])
+
+    currents = [0.0] * len(TERMINALS)
+    for k, ids, g, v in pads:
+        currents[k] = float(np.sum(g * (v - phi[ids])))
+    got = system.terminal_currents(phi, bias)[:3]
+    scale = max(map(abs, currents))
+    assert all(abs(a - b) <= 1e-15 * scale for a, b in zip(got, currents))
+    # a floating terminal's current is +0.0, never -0.0, in the sweep CSV
+    for i, d in zip(got, driven):
+        if not d:
+            assert i == 0.0 and math.copysign(1.0, i) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call", ["solve", "residual", "energy", "jacobian", "terminal_currents"]
+)
+def test_driven_terminal_without_contact_nodes_fails(call):
+    system = SheetSystem(make_strip_mesh(4.0, 2.0, 1.0), MaterialParams())  # no PAD_C
+    bias = BiasPoint(0.0, 0.0, 1.0)
+    args = (bias, CFG) if call == "solve" else (np.zeros(system.n), bias)
+    with pytest.raises(SolverError, match="terminal C is driven but has no contact"):
+        getattr(system, call)(*args)
 
 
 # -- regime classification ----------------------------------------------------
