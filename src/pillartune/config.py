@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Callable
@@ -198,8 +199,15 @@ def _build(resolved: dict, source: str) -> RunConfig:
                 attr, cls = _SECTIONS[section]
                 run[attr] = cls(**kwargs)
     except ValueError as exc:
+        keys = [
+            key
+            for key, (_, name) in SCHEMA[section].items()
+            if re.search(rf"\b{name}\b", str(exc))
+        ]
+        label = "keys" if len(keys) > 1 else "key"
+        named = f" ({label} {', '.join(keys)})" if keys else ""
         raise ConfigError(
-            f"{source}: invalid configuration in [{section}]: {exc}"
+            f"{source}: invalid configuration in [{section}]: {exc}{named}"
         ) from exc
     return RunConfig(**run, resolved=resolved, config_hash=config_hash(resolved))
 

@@ -31,10 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 PAD_TAGS = ("PAD_A", "PAD_B", "PAD_C")
 
-# Vertices of the pillar outline polygon in ``Footprint.pillar``; the mesh
-# builds its own rim and does not use it.
-_PILLAR_VERTICES = 64
-
 
 class GeometryError(ValueError):
     """Raised for invalid or self-intersecting device layouts."""
@@ -145,10 +141,9 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class Footprint:
-    """Polygonal outline of the device: pillar disc, three ridges, three pads."""
+    """Outline of the device round the geometry's pillar: three ridges, three pads."""
 
     geometry: DeviceGeometry
-    pillar: np.ndarray                 # (_PILLAR_VERTICES, 2)
     ridges: tuple[np.ndarray, ...]     # three (4, 2) rectangles
     pads: tuple[np.ndarray, ...]       # three (4, 2) squares
 
@@ -157,9 +152,10 @@ class Footprint:
 class Mesh:
     """Conforming triangle mesh with tagged contact nodes.
 
-    ``boundary_tags`` maps PAD_A/PAD_B/PAD_C/FREE to node-index arrays; the
-    pad tags sit on the outer edge of each pad, FREE is the remaining
-    boundary.  ``qd_node`` is the node of interest at the pillar centre.
+    ``boundary_tags`` maps PAD_A/PAD_B/PAD_C to node-index arrays on the
+    outer edge of each pad; the rest of the boundary, FREE, exists only in
+    the tags file of ``export_mesh_csv``.  ``qd_node`` is the node of
+    interest at the pillar centre.
     The two vertical-stack scalars are copied from the generating geometry
     so field post-processing does not need the geometry object.
     ``footprint`` is the outline ``generate_mesh`` meshed, so the same
@@ -226,7 +222,6 @@ def build_geometry(config: DeviceGeometry) -> Footprint:
     Raises ``GeometryError`` when ridge attachment windows overlap on the
     pillar rim or when ridge/pad rectangles of different arms intersect.
     """
-    r = config.pillar_radius
     beta = config.attach_half_angle
     d = config.chord_distance
     w = config.ridge_width
@@ -241,9 +236,6 @@ def build_geometry(config: DeviceGeometry) -> Footprint:
                     "ridge attachment windows overlap on the pillar rim "
                     f"(ridges {i} and {j}, separation {sep:.4f} rad <= {2 * beta:.4f})"
                 )
-
-    theta = np.arange(_PILLAR_VERTICES) * (TWO_PI / _PILLAR_VERTICES)
-    pillar = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
     ridges = []
     pads = []
@@ -279,12 +271,7 @@ def build_geometry(config: DeviceGeometry) -> Footprint:
                             f"{a_name} and {b_name} overlap; ridge_angles too close"
                         )
 
-    return Footprint(
-        geometry=config,
-        pillar=pillar,
-        ridges=tuple(ridges),
-        pads=tuple(pads),
-    )
+    return Footprint(geometry=config, ridges=tuple(ridges), pads=tuple(pads))
 
 
 def _subdiv(length: float, edge: float) -> int:
@@ -388,7 +375,6 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
         target_edge=edge,
         footprint=footprint,
     )
-    mesh.boundary_tags["FREE"] = _free_boundary(mesh)
     validate_mesh(mesh, require_all_pads=True)
     return mesh
 
@@ -515,13 +501,15 @@ def make_strip_mesh(
         intrinsic_thickness_nm=intrinsic_thickness_nm,
         target_edge=edge,
     )
-    mesh.boundary_tags["FREE"] = _free_boundary(mesh)
     validate_mesh(mesh, require_all_pads=False)
     return mesh
 
 
 def export_mesh_csv(mesh: Mesh, directory: str, prefix: str = "mesh") -> dict[str, str]:
-    """Write nodes, cells and tags as three CSV files; returns their paths."""
+    """Write nodes, cells and tags as three CSV files; returns their paths.
+
+    The tags file lists the pad tags, then FREE: the boundary nodes on no pad.
+    """
     os.makedirs(directory, exist_ok=True)
     paths = {
         "nodes": os.path.join(directory, f"{prefix}_nodes.csv"),
@@ -541,7 +529,7 @@ def export_mesh_csv(mesh: Mesh, directory: str, prefix: str = "mesh") -> dict[st
     with open(paths["tags"], "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["tag", "node_id"])
-        for tag in (*PAD_TAGS, "FREE"):
-            for i in mesh.boundary_tags.get(tag, ()):
-                out.writerow([tag, int(i)])
+        for tag in PAD_TAGS:
+            out.writerows([tag, int(i)] for i in mesh.pad_nodes(tag))
+        out.writerows(["FREE", int(i)] for i in _free_boundary(mesh))
     return paths

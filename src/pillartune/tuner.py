@@ -1,13 +1,13 @@
 """Bias-space orchestration: grid sweeps and zero-splitting search.
 
 Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
-(serpentine direction alternates per row), and rows are independent of each
-other, so row-parallel execution produces byte-identical output to a serial
-run.  The zero-splitting search solves the smooth splitting vector
-delta(V) = 0 by bounded least squares (trust-region reflective) with its
-exact Jacobian from the chain's tangent; its norm, the observable splitting,
-is not differentiable at the zero.  It is a two-grid search: a 3-per-axis
-grid of seeds is ranked on a mesh of twice the edge, and the best seeds are
+that runs in ascending V_A, and rows are independent of each other, so
+row-parallel execution produces byte-identical output to a serial run.
+The zero-splitting search solves the smooth splitting vector delta(V) = 0
+by bounded least squares (trust-region reflective) with its exact Jacobian
+from the chain's tangent; its norm, the observable splitting, is not
+differentiable at the zero.  It is a two-grid search: a 3-per-axis grid of
+seeds is ranked on a mesh of twice the edge, and the best seeds are
 refined on the caller's mesh.  Each mesh has one chain.
 """
 
@@ -298,13 +298,12 @@ def run_bias_sweep(
     vb = spec.vb_values()
     theta_ref, state0 = zero_bias_reference(system, exciton_params, cfg, spec.vc)
 
-    def run_row(i_row: int) -> tuple[list[CellRecord], int]:
-        """The row's records, and the factorizations of its solves."""
-        order = range(len(va)) if i_row % 2 == 0 else range(len(va) - 1, -1, -1)
-        row: list[CellRecord | None] = [None] * len(va)
+    def run_row(v_b: float) -> tuple[list[CellRecord], int]:
+        """The row's records in ascending V_A, and its solves' factorizations."""
+        row = []
         chain = SolveChain(system, cfg)
-        for i_col in order:
-            bias = BiasPoint(float(va[i_col]), float(vb[i_row]), spec.vc)
+        for v_a in va:
+            bias = BiasPoint(float(v_a), float(v_b), spec.vc)
             rec = CellRecord(va=bias.v_a, vb=bias.v_b, vc=spec.vc)
             try:
                 sol = chain.solve(bias)
@@ -314,14 +313,14 @@ def run_bias_sweep(
                 )
             except SolverError as exc:
                 rec.status = f"error:{type(exc).__name__}"
-            row[i_col] = rec
-        return row, chain.factorizations  # type: ignore[return-value]
+            row.append(rec)
+        return row, chain.factorizations
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, range(len(vb))))
+            rows = list(pool.map(run_row, vb))
     else:
-        rows = [run_row(i) for i in range(len(vb))]
+        rows = [run_row(v_b) for v_b in vb]
 
     records = [rec for row, _ in rows for rec in row]
     iters = [r.iters for r in records if r.ok]

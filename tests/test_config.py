@@ -167,6 +167,18 @@ def test_dataclass_check_names_the_user_source():
         parse_config_text("[materials]\nideality = banana\n", "u.cfg")
 
 
+def test_dataclass_check_names_the_key():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("[device]\nridge_angles_deg = 1, 2\n", "u.cfg")
+    assert str(info.value) == (
+        "u.cfg: invalid configuration in [device]: "
+        "exactly three ridge_angles are required (key ridge_angles_deg)"
+    )
+    # a message that names no field is left as it is
+    with pytest.raises(ConfigError, match=r"va range is empty$"):
+        parse_config_text("[sweep]\nva_stop_v = -5\n", "u.cfg")
+
+
 def test_formats_doc_lists_config_keys_in_schema_order():
     doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
     table = doc.split("## Config files", 1)[1].split("\n## ", 1)[0]

@@ -106,6 +106,19 @@ def test_sweep_deterministic_across_concurrency(
     assert paths[0] == paths[1] == paths[2]
 
 
+def test_a_row_swept_alone_equals_its_row_of_the_grid(coarse_mesh, default_config):
+    """Every row runs the same path however the grid is split into calls."""
+    spec = dataclasses.replace(default_config.sweep, va_step=0.875, vb_step=0.875)
+    args = (coarse_mesh, default_config.materials, default_config.exciton, CFG)
+    full = run_bias_sweep(spec, *args)
+    assert full.grid_shape() == (9, 9)
+    vb = spec.vb_values()
+    for i in (1, 3):
+        one_row = dataclasses.replace(spec, vb_start=vb[i], vb_stop=vb[i])
+        row = run_bias_sweep(one_row, *args).records
+        assert row == [full.record(i, j) for j in range(9)]
+
+
 def test_sweep_csv_round_trip(tmp_path, coarse_mesh, default_config):
     result = run_bias_sweep(
         _small_spec(),
