@@ -19,12 +19,7 @@ from pillartune.config import load_run_config
 from pillartune.device import build_geometry, generate_mesh
 from pillartune.solver import BiasPoint, SheetSystem
 from pillartune.spectro import fit_fss_sine, synth_polarization_scan
-from pillartune.tuner import (
-    eigenaxis_rotation_check,
-    find_zero_fss,
-    iso_fss_points,
-    run_bias_sweep,
-)
+from pillartune.tuner import find_zero_fss, iso_fss_points, run_bias_sweep
 
 
 def main() -> int:
@@ -59,17 +54,6 @@ def main() -> int:
             f"(pi/2 = {math.pi / 2:.4f}; swap "
             f"{'verified' if result.crossing_verified else 'not seen'})"
         )
-
-    # independent two-endpoint check straddling the optimum
-    step = 0.2
-    check = eigenaxis_rotation_check(
-        (
-            BiasPoint(result.bias[0] - step, result.bias[1] - step, cfg.sweep.vc),
-            BiasPoint(result.bias[0] + step, result.bias[1] + step, cfg.sweep.vc),
-        ),
-        mesh, cfg.materials, cfg.exciton, cfg.solver,
-    )
-    print(f"segment check: status={check.status} rotation={check.rotation}")
 
     # synthesize and re-fit a polarization scan near the optimum
     system = SheetSystem(mesh, cfg.materials)

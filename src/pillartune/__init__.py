@@ -12,7 +12,6 @@ from .device import (
     Mesh,
     MeshError,
     build_geometry,
-    export_mesh_csv,
     generate_mesh,
     make_strip_mesh,
 )
@@ -25,7 +24,6 @@ from .exciton import (
     stark_shift,
 )
 from .solver import (
-    FLOATING,
     BiasPoint,
     ConvergenceError,
     FieldSolution,
@@ -44,7 +42,6 @@ from .spectro import (
     SpectrumModel,
     algebraic_fss,
     fit_fss_sine,
-    hwp_to_detection_angle,
     peak_centroid,
     scan_from_csv,
     scan_to_csv,
@@ -53,11 +50,9 @@ from .spectro import (
 from .tuner import (
     CellRecord,
     IsoFssPair,
-    RotationCheck,
     SweepResult,
     SweepSpec,
     TuneResult,
-    eigenaxis_rotation_check,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,

@@ -18,9 +18,7 @@ symmetric to floating point rounding.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +151,8 @@ class Mesh:
     """Conforming triangle mesh with tagged contact nodes.
 
     ``boundary_tags`` maps PAD_A/PAD_B/PAD_C to node-index arrays on the
-    outer edge of each pad; the rest of the boundary, FREE, exists only in
-    the tags file of ``export_mesh_csv``.  ``qd_node`` is the node of
-    interest at the pillar centre.
+    outer edge of each pad.  ``qd_node`` is the node of interest at the
+    pillar centre.
     The two vertical-stack scalars are copied from the generating geometry
     so field post-processing does not need the geometry object.
     ``footprint`` is the outline ``generate_mesh`` meshed, so the same
@@ -411,23 +408,6 @@ def cell_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * _signed_area2(mesh.nodes, mesh.cells)
 
 
-def _edges(mesh: Mesh) -> np.ndarray:
-    """The three edges of every cell as (low, high) node pairs, (3M, 2)."""
-    c = mesh.cells
-    return np.sort(np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]]), axis=1)
-
-
-def _boundary_nodes(mesh: Mesh) -> np.ndarray:
-    """Nodes on edges that belong to exactly one triangle, ascending."""
-    edges, counts = np.unique(_edges(mesh), axis=0, return_counts=True)
-    return np.unique(edges[counts == 1]).astype(np.int32)
-
-
-def _free_boundary(mesh: Mesh) -> np.ndarray:
-    tagged = np.concatenate([mesh.pad_nodes(tag) for tag in PAD_TAGS])
-    return np.setdiff1d(_boundary_nodes(mesh), tagged).astype(np.int32)
-
-
 def validate_mesh(mesh: Mesh, require_all_pads: bool = True) -> None:
     """Check structural invariants; raises ``MeshError`` on violation."""
     areas = cell_areas(mesh)
@@ -443,7 +423,8 @@ def validate_mesh(mesh: Mesh, require_all_pads: bool = True) -> None:
             if lengths.max() > 2.0 * mesh.target_edge + 1e-9:
                 raise MeshError("mesh edge exceeds twice the target edge length")
 
-    edges = _edges(mesh)
+    c = mesh.cells
+    edges = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]])
     graph = sp.coo_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
         shape=(mesh.n_nodes, mesh.n_nodes),
@@ -503,33 +484,3 @@ def make_strip_mesh(
     )
     validate_mesh(mesh, require_all_pads=False)
     return mesh
-
-
-def export_mesh_csv(mesh: Mesh, directory: str, prefix: str = "mesh") -> dict[str, str]:
-    """Write nodes, cells and tags as three CSV files; returns their paths.
-
-    The tags file lists the pad tags, then FREE: the boundary nodes on no pad.
-    """
-    os.makedirs(directory, exist_ok=True)
-    paths = {
-        "nodes": os.path.join(directory, f"{prefix}_nodes.csv"),
-        "cells": os.path.join(directory, f"{prefix}_cells.csv"),
-        "tags": os.path.join(directory, f"{prefix}_tags.csv"),
-    }
-    with open(paths["nodes"], "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["node_id", "x_um", "y_um"])
-        for i, (x, y) in enumerate(mesh.nodes):
-            out.writerow([i, repr(float(x)), repr(float(y))])
-    with open(paths["cells"], "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["cell_id", "n0", "n1", "n2"])
-        for i, (a, b, c) in enumerate(mesh.cells):
-            out.writerow([i, int(a), int(b), int(c)])
-    with open(paths["tags"], "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["tag", "node_id"])
-        for tag in PAD_TAGS:
-            out.writerows([tag, int(i)] for i in mesh.pad_nodes(tag))
-        out.writerows(["FREE", int(i)] for i in _free_boundary(mesh))
-    return paths

@@ -59,8 +59,6 @@ _KIRCHHOFF_FRACTION = 1e-9
 
 TERMINALS = ("A", "B", "C")
 
-FLOATING = None
-
 
 class SolverError(RuntimeError):
     """Base class for solver failures."""
@@ -84,7 +82,7 @@ class BiasPoint:
 
     v_a: float | None
     v_b: float | None
-    v_c: float | None = FLOATING
+    v_c: float | None = None
 
     def __post_init__(self) -> None:
         values = (self.v_a, self.v_b, self.v_c)

@@ -127,11 +127,6 @@ def shift_law(theta, delta: float, theta0: float, offset: float):
     return offset + 0.5 * delta * (np.cos(2.0 * (th - theta0)) + 1.0)
 
 
-def hwp_to_detection_angle(theta_hwp: float) -> float:
-    """Detected polarization angle for half-wave-plate angle ``theta_hwp``."""
-    return (2.0 * theta_hwp) % math.pi
-
-
 def peak_centroid(model: SpectrumModel, theta: float) -> float:
     """Apparent peak position (ueV) of the weighted doublet at angle ``theta``.
 

@@ -207,13 +207,6 @@ class TuneResult:
 
 
 @dataclass(frozen=True)
-class RotationCheck:
-    rotation: float | None     # rad, folded to [0, pi/2]
-    crossing: bool
-    status: str                # "ok" or "indeterminate"
-
-
-@dataclass(frozen=True)
 class IsoFssPair:
     index_a: int
     index_b: int
@@ -406,15 +399,14 @@ _N_STARTS = 3        # best seeds refined by least squares
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 
 
-def _rotation_check(theta_a: float | None, theta_b: float | None) -> RotationCheck:
-    """Eigenaxis rotation folded to [0, pi/2]; a crossing reaches pi/2 - 0.1 rad."""
+def _eigenaxis_rotation(
+    theta_a: float | None, theta_b: float | None
+) -> float | None:
+    """Eigenaxis rotation folded to [0, pi/2] rad; None if either axis is undefined."""
     if theta_a is None or theta_b is None:
-        return RotationCheck(rotation=None, crossing=False, status="indeterminate")
+        return None
     d = abs(theta_a - theta_b) % math.pi
-    rotation = min(d, math.pi - d)
-    return RotationCheck(
-        rotation=rotation, crossing=rotation >= 0.5 * math.pi - 0.1, status="ok"
-    )
+    return min(d, math.pi - d)
 
 
 def _splitting_jacobian(
@@ -457,7 +449,8 @@ def find_zero_fss(
     must be positive and finite, and ``bounds`` finite with lo < hi;
     ``start`` gives the voltages of the terminals that are not free.  The
     eigenaxis swap is verified by probing 0.05 V either side of the
-    optimum along the approach direction.
+    optimum along the approach direction: ``crossing_verified`` holds when
+    the axes of the two probes differ by at least pi/2 - 0.1 rad.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves, on both meshes.
@@ -542,7 +535,7 @@ def find_zero_fss(
         theta_before, theta_after = state_lo.theta0, state_hi.theta0
     except SolverError:
         theta_before = theta_after = None
-    check = _rotation_check(theta_before, theta_after)
+    rotation = _eigenaxis_rotation(theta_before, theta_after)
 
     bias = bias_at(best_x)
     return TuneResult(
@@ -550,8 +543,8 @@ def find_zero_fss(
         achieved_fss=achieved,
         theta_before=theta_before,
         theta_after=theta_after,
-        rotation=check.rotation,
-        crossing_verified=check.crossing,
+        rotation=rotation,
+        crossing_verified=rotation is not None and rotation >= 0.5 * math.pi - 0.1,
         mean_energy=best_state.mean_energy,
         iterations=evals,
         newton_iters=seed_chain.newton_iters + chain.newton_iters,
@@ -559,34 +552,12 @@ def find_zero_fss(
     )
 
 
-def eigenaxis_rotation_check(
-    path: tuple[BiasPoint, BiasPoint],
-    mesh: Mesh,
-    materials: MaterialParams,
-    exciton_params: ExcitonParams,
-    cfg: SolverConfig | None = None,
-) -> RotationCheck:
-    """Eigenaxis rotation between the two endpoints of a bias segment.
-
-    The rotation is folded to [0, pi/2]; a crossing is flagged when it
-    reaches pi/2 - 0.1 rad.  Degenerate endpoints give an indeterminate
-    result.
-    """
-    cfg = cfg or SolverConfig()
-    system = SheetSystem(mesh, materials)
-    theta_a, theta_b = (
-        exciton_state(exciton_params, system.solve(bias, cfg).field).theta0
-        for bias in path
-    )
-    return _rotation_check(theta_a, theta_b)
-
-
 def check_iso_fss_args(
     target_fss: float, min_energy_separation: float, max_pairs: int | None
 ) -> None:
     """Raise ValueError for arguments ``iso_fss_points`` cannot honour."""
-    if not (target_fss > 0.0):
-        raise ValueError("target_fss must be positive")
+    if not (0.0 < target_fss < math.inf):
+        raise ValueError("target_fss must be positive and finite")
     if not math.isfinite(min_energy_separation):
         raise ValueError("min_energy_separation must be finite")
     if max_pairs is not None and max_pairs < 0:
@@ -601,11 +572,11 @@ def iso_fss_points(
 ) -> list[IsoFssPair]:
     """Grid-point pairs with similar splitting at well-separated mean energies.
 
-    Both members must lie within 10 % of ``target_fss``; the pair qualifies
-    when the mean transition energies differ by at least
-    ``min_energy_separation`` (ueV, finite).  Pairs come widest separation
-    first, ties by index; at most ``max_pairs`` (None or a count >= 0) are
-    kept.  An empty list is a valid outcome.
+    Both members must lie within 10 % of ``target_fss`` (ueV, positive and
+    finite); the pair qualifies when the mean transition energies differ
+    by at least ``min_energy_separation`` (ueV, finite).  Pairs come widest
+    separation first, ties by index; at most ``max_pairs`` (None or a count
+    >= 0) are kept.  An empty list is a valid outcome.
     """
     check_iso_fss_args(target_fss, min_energy_separation, max_pairs)
     cand = np.array(

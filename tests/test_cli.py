@@ -428,6 +428,7 @@ def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
     "target, separation, max_pairs, message",
     [
         ("0", "1.0", "5", "target_fss must be positive"),
+        ("inf", "1.0", "5", "target_fss must be positive and finite"),
         ("5.0", "nan", "5", "min_energy_separation must be finite"),
         ("5.0", "inf", "5", "min_energy_separation must be finite"),
         ("5.0", "1.0", "-1", "max_pairs must be at least 0"),

@@ -13,7 +13,6 @@ from pillartune.device import (
     _stitch_rows,
     build_geometry,
     cell_areas,
-    export_mesh_csv,
     generate_mesh,
     make_strip_mesh,
     validate_mesh,
@@ -84,6 +83,7 @@ def test_material_params_validation():
 def test_mesh_structure_and_tags():
     mesh = generate_mesh(build_geometry(DeviceGeometry()), 1.0)
     validate_mesh(mesh)
+    assert tuple(mesh.boundary_tags) == PAD_TAGS
     areas = cell_areas(mesh)
     assert np.all(areas > 0)
     for tag in ("PAD_A", "PAD_B", "PAD_C"):
@@ -152,33 +152,11 @@ def test_bad_edge_length_rejected():
 
 def test_strip_mesh_tags_and_probe():
     mesh = make_strip_mesh(50.0, 10.0, 1.0)
+    assert tuple(mesh.boundary_tags) == PAD_TAGS
     assert len(mesh.pad_nodes("PAD_A")) == len(mesh.pad_nodes("PAD_B"))
     assert len(mesh.pad_nodes("PAD_C")) == 0
     x, y = mesh.nodes[mesh.qd_node]
     assert abs(x - 25.0) <= 0.5 and abs(y - 5.0) <= 0.5
-
-
-def _boundary_nodes_by_loop(mesh):
-    """Reference: nodes on edges that one cell alone uses, by counting."""
-    counts = {}
-    for tri in mesh.cells.tolist():
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    return sorted({n for edge, c in counts.items() if c == 1 for n in edge})
-
-
-def test_free_boundary_matches_loop_reference(tmp_path):
-    for mesh in (
-        generate_mesh(build_geometry(DeviceGeometry()), 2.0),
-        make_strip_mesh(20.0, 6.0, 1.0),
-    ):
-        assert tuple(mesh.boundary_tags) == PAD_TAGS
-        pads = {int(i) for tag in PAD_TAGS for i in mesh.pad_nodes(tag)}
-        expected = [n for n in _boundary_nodes_by_loop(mesh) if n not in pads]
-        with open(export_mesh_csv(mesh, str(tmp_path))["tags"]) as fh:
-            rows = [line.strip().split(",") for line in fh.readlines()[1:]]
-        assert [int(i) for tag, i in rows if tag == "FREE"] == expected
 
 
 def test_disconnected_mesh_rejected():
@@ -194,18 +172,6 @@ def test_disconnected_mesh_rejected():
     with pytest.raises(MeshError, match="not connected"):
         validate_mesh(mesh, require_all_pads=False)
     validate_mesh(strip, require_all_pads=False)
-
-
-def test_mesh_csv_export(tmp_path):
-    mesh = generate_mesh(build_geometry(DeviceGeometry()), 2.0)
-    paths = export_mesh_csv(mesh, str(tmp_path))
-    nodes = np.loadtxt(paths["nodes"], delimiter=",", skiprows=1)
-    assert nodes.shape == (mesh.n_nodes, 3)
-    cells = np.loadtxt(paths["cells"], delimiter=",", skiprows=1, dtype=int)
-    assert cells.shape == (mesh.n_cells, 4)
-    with open(paths["tags"]) as fh:
-        tags = {line.split(",")[0] for line in fh.readlines()[1:]}
-    assert {"PAD_A", "PAD_B", "PAD_C", "FREE"} <= tags
 
 
 def test_refinement_convergence_of_qd_potential(default_config):

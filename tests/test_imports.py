@@ -1,12 +1,17 @@
-"""Every name a package module imports or keeps private is used in that module."""
+"""Every name a package module imports or keeps private is used in that module,
+every public name has a reader, and every script imports."""
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parents[1] / "src" / "pillartune"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "pillartune"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,3 +72,90 @@ def test_private_guard_sees_read_and_unread_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text()) == []
+
+
+def defined_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and assigned names, with their statement."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node
+    return defined
+
+
+def names_read(node: ast.AST) -> Counter:
+    """Names a tree reads: loaded names, attributes and ``from`` imports."""
+    read = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            read[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+    return read
+
+
+def unread_public_names(source: str, readers: Counter) -> list[str]:
+    """Public module-level names of ``source`` read nowhere but in their own
+    definition; ``readers`` counts the reads of every reading file, this
+    module's own included."""
+    defined = defined_names(ast.parse(source))
+    return sorted(
+        name
+        for name, node in defined.items()
+        if not name.startswith("_") and readers[name] <= names_read(node)[name]
+    )
+
+
+def test_public_guard_sees_read_and_unread_names():
+    source = (
+        "LIMIT = 1\nUNUSED = 2\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Thing:\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    readers = names_read(ast.parse(source)) + names_read(
+        ast.parse("from m import used\nimport m\nm.Thing()\n")
+    )
+    assert unread_public_names(source, readers) == ["UNUSED", "recursive"]
+
+
+# Reference code that tests compare against; no program path reads it.
+PUBLIC_ALLOWLIST = {
+    "make_strip_mesh",  # Laplace-limit strip of criterion 5 and the solver tests
+    "splitting_hamiltonian",  # dense oracle of criterion 6
+}
+
+
+def test_no_unread_public_names():
+    reader_files = [
+        *MODULES,
+        *SCRIPTS,
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    readers = Counter()
+    for path in reader_files:
+        readers += names_read(ast.parse(path.read_text()))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in unread_public_names(path.read_text(), readers)
+        if name not in PUBLIC_ALLOWLIST
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # a __main__ guard keeps main() from running
+    assert callable(module.main)

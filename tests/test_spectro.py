@@ -14,7 +14,6 @@ from pillartune.spectro import (
     SpectrumModel,
     algebraic_fss,
     fit_fss_sine,
-    hwp_to_detection_angle,
     peak_centroid,
     scan_from_csv,
     scan_to_csv,
@@ -173,35 +172,6 @@ def test_synth_rejects_too_few_angles():
     params = exciton_params_with_splitting(5.0, 0.0)
     with pytest.raises(ScanInputError):
         synth_polarization_scan(params, (0, 0, 0), 60.0, 0.0, 5, seed=1)
-
-
-# -- half-wave plate -----------------------------------------------------------
-
-
-def test_hwp_doubling():
-    assert hwp_to_detection_angle(0.0) == 0.0
-    assert hwp_to_detection_angle(math.pi / 4.0) == pytest.approx(math.pi / 2.0)
-
-
-@given(st.floats(0.0, 10.0))
-@settings(max_examples=100, deadline=None)
-def test_hwp_half_turn_period(theta):
-    a = hwp_to_detection_angle(theta)
-    b = hwp_to_detection_angle(theta + math.pi / 2.0)
-    assert a == pytest.approx(b, abs=1e-9)
-
-
-def test_hwp_period_in_fitted_signal():
-    # composing the shift law with the plate mapping gives period pi/2 in
-    # plate angle, measured numerically from the composed signal
-    delta, theta0 = 8.0, 0.5
-    hwp = np.arange(720) * (math.pi / 720.0)
-    signal = shift_law(
-        np.array([hwp_to_detection_angle(h) for h in hwp]), delta, theta0, 0.0
-    )
-    quarter, half = 180, 360  # pi/4 and pi/2 in samples
-    assert np.max(np.abs(signal - np.roll(signal, quarter))) > 1.0
-    assert np.max(np.abs(signal - np.roll(signal, half))) <= 1e-9
 
 
 # -- fitting -------------------------------------------------------------------

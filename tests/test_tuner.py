@@ -26,8 +26,8 @@ from pillartune.tuner import (
     SweepResult,
     SweepSpec,
     TunerError,
+    _eigenaxis_rotation,
     _splitting_jacobian,
-    eigenaxis_rotation_check,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
@@ -650,6 +650,19 @@ def test_dots_around_the_default_converge_and_cross(
     assert result.converged and result.crossing_verified, result
 
 
+def test_a_minimum_on_the_window_edge_is_not_crossing_verified(
+    coarse_mesh, default_config
+):
+    # the dot docs/formats.md names: a minimum on the V_B = -1 V bound, not a zero
+    params = dataclasses.replace(
+        default_config.exciton, zero_field_splitting=(10.29, 1.95)
+    )
+    result = _tune_default(coarse_mesh, default_config, params)
+    assert result.converged and result.bias[1] == pytest.approx(-1.0), result
+    assert result.rotation < 0.5 * math.pi - 0.1
+    assert not result.crossing_verified
+
+
 def test_find_zero_input_validation(coarse_mesh, default_config):
     with pytest.raises(ValueError):
         find_zero_fss(
@@ -711,49 +724,29 @@ def test_find_zero_rejects_repeated_free_terminals(coarse_mesh, default_config, 
         )
 
 
-def test_rotation_check_through_and_beside_zero(coarse_mesh):
-    # splitting proportional to the in-plane field: zero on the va = vb line
-    params = ExcitonParams(
-        zero_field_energy=1.34,
-        zero_field_splitting=(0.0, 0.0),
-        inplane_coupling=((5e-2, 0.0), (0.0, 5e-2)),
-        vertical_coupling=(0.0, 0.0),
-        dipole=0.0,
-        polarizability=0.0,
-    )
-    materials = laplace_materials()
-    through = eigenaxis_rotation_check(
-        (BiasPoint(0.5, -0.5, None), BiasPoint(-0.5, 0.5, None)),
-        coarse_mesh, materials, params, CFG,
-    )
-    assert through.status == "ok"
-    assert through.crossing
-    assert through.rotation == pytest.approx(math.pi / 2.0, abs=1e-6)
-
-    beside = eigenaxis_rotation_check(
-        (BiasPoint(1.0, -1.0, None), BiasPoint(2.0, -2.0, None)),
-        coarse_mesh, materials, params, CFG,
-    )
-    assert beside.status == "ok"
-    assert not beside.crossing
-    assert beside.rotation < math.pi / 4.0
-
-
-def test_rotation_check_degenerate_endpoint_is_indeterminate(coarse_mesh):
-    params = ExcitonParams(
-        zero_field_energy=1.34,
-        zero_field_splitting=(0.0, 0.0),
-        inplane_coupling=((5e-2, 0.0), (0.0, 5e-2)),
-        vertical_coupling=(0.0, 0.0),
-        dipole=0.0,
-        polarizability=0.0,
-    )
-    check = eigenaxis_rotation_check(
-        (BiasPoint(0.0, 0.0, None), BiasPoint(1.0, -1.0, None)),
-        coarse_mesh, laplace_materials(), params, CFG,
-    )
-    assert check.status == "indeterminate"
-    assert check.rotation is None
+@pytest.mark.parametrize(
+    "theta_a, theta_b, rotation, crossing",
+    [
+        (0.0, 0.5 * math.pi, 0.5 * math.pi, True),
+        (-0.25 * math.pi, 0.25 * math.pi, 0.5 * math.pi, True),
+        (0.1, math.pi - 0.1, 0.2, False),
+        (0.0, 0.5 * math.pi - 0.1, 0.5 * math.pi - 0.1, True),
+        (None, 0.3, None, False),
+        (0.3, None, None, False),
+    ],
+    ids=[
+        "quarter-turn", "symmetric", "wraps-through-pi", "at-threshold",
+        "undefined-a", "undefined-b",
+    ],
+)
+def test_eigenaxis_rotation_fold(theta_a, theta_b, rotation, crossing):
+    folded = _eigenaxis_rotation(theta_a, theta_b)
+    if rotation is None:
+        assert folded is None
+    else:
+        assert folded == pytest.approx(rotation, abs=1e-15)
+    # the crossing rule of find_zero_fss: a fold of at least pi/2 - 0.1 rad
+    assert (folded is not None and folded >= 0.5 * math.pi - 0.1) == crossing
 
 
 def _record(idx, fss, energy):
@@ -800,6 +793,17 @@ def test_iso_fss_rejects_negative_max_pairs(max_pairs):
     assert len(iso_fss_points(sweep, 5.0, 50.0)) == 3
     with pytest.raises(ValueError, match="max_pairs"):
         iso_fss_points(sweep, 5.0, 50.0, max_pairs)
+
+
+@pytest.mark.parametrize("target", [0.0, -5.0, math.inf, math.nan])
+def test_iso_fss_rejects_target_not_positive_and_finite(target):
+    spec = SweepSpec(
+        va_start=0.0, va_stop=2.0, va_step=1.0,
+        vb_start=0.0, vb_stop=0.0, vb_step=1.0,
+    )
+    sweep = SweepResult(spec=spec, records=[_record(i, 5.0, 1.34) for i in range(3)])
+    with pytest.raises(ValueError, match="target_fss must be positive and finite"):
+        iso_fss_points(sweep, target, 0.0)
 
 
 def _iso_pairs_reference(sweep, target_fss, min_energy_separation, max_pairs):
