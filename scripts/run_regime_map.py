@@ -48,6 +48,8 @@ def main() -> int:
     recs = result.ok_records()
     counts = {k: sum(1 for r in recs if r.region == k) for k in (1, 2, 3, 4)}
     print(f"regimes: {counts}")
+    quadrant = [r for r in result.records if r.va <= 0 and r.vb <= 0]
+    print(f"reverse quadrant all region 1: {all(r.region == 1 for r in quadrant)}")
 
     uc = np.array([
         math.cos(cfg.geometry.ridge_angles[2]),

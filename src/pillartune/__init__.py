@@ -19,6 +19,7 @@ from .exciton import (
     AXIS_TOLERANCE_UEV,
     ExcitonParams,
     ExcitonState,
+    algebraic_fss,
     exciton_state,
     fss_vector,
     stark_shift,
@@ -40,7 +41,6 @@ from .spectro import (
     PolarizationScan,
     ScanInputError,
     SpectrumModel,
-    algebraic_fss,
     fit_fss_sine,
     peak_centroid,
     scan_from_csv,

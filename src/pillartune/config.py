@@ -22,7 +22,7 @@ from typing import Callable
 from .device import DeviceGeometry, MaterialParams
 from .exciton import ExcitonParams
 from .solver import SolverConfig
-from .tuner import ALL_OUTPUTS, SweepSpec, _parse_vc
+from .tuner import SweepSpec, _parse_vc
 
 
 class ConfigError(ValueError):
@@ -45,11 +45,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_outputs(text: str) -> tuple[str, ...]:
-    items = tuple(p.strip() for p in text.split(",") if p.strip())
-    unknown = set(items) - set(ALL_OUTPUTS)
-    if unknown:
-        raise ValueError(f"unknown outputs {sorted(unknown)}")
-    return items
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _radians(degrees: tuple[float, ...]) -> tuple[float, ...]:

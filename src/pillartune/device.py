@@ -78,11 +78,14 @@ class DeviceGeometry:
         for a in self.ridge_angles:
             if not math.isfinite(a):
                 raise GeometryError("ridge_angles must be finite")
+        beta = self.attach_half_angle
         for i in range(3):
             for j in range(i + 1, 3):
-                if _circ_dist(self.ridge_angles[i], self.ridge_angles[j]) < 1e-9:
+                sep = _circ_dist(self.ridge_angles[i], self.ridge_angles[j])
+                if sep <= 2.0 * beta + 1e-9:
                     raise GeometryError(
-                        "ridge_angles must be pairwise distinct modulo 2*pi"
+                        f"ridge_angles too close: windows of ridges {i} and {j} overlap "
+                        f"on the pillar rim (separation {sep:.4f} rad <= {2 * beta:.4f})"
                     )
         if not (self.intrinsic_thickness_nm > 0.0):
             raise GeometryError("intrinsic_thickness_nm must be positive")
@@ -214,25 +217,16 @@ def _convex_overlap(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def build_geometry(config: DeviceGeometry) -> Footprint:
-    """Assemble the footprint polygons and validate that components fit.
+    """Assemble the footprint polygons and check that the arms stay apart.
 
-    Raises ``GeometryError`` when ridge attachment windows overlap on the
-    pillar rim or when ridge/pad rectangles of different arms intersect.
+    ``DeviceGeometry`` already rejects attachment windows that overlap on
+    the pillar rim; this raises ``GeometryError`` when the ridge or pad
+    rectangles of two different arms intersect.
     """
-    beta = config.attach_half_angle
     d = config.chord_distance
     w = config.ridge_width
     length = config.ridge_length
     pad = config.pad_size
-
-    for i in range(3):
-        for j in range(i + 1, 3):
-            sep = _circ_dist(config.ridge_angles[i], config.ridge_angles[j])
-            if sep <= 2.0 * beta + 1e-9:
-                raise GeometryError(
-                    "ridge attachment windows overlap on the pillar rim "
-                    f"(ridges {i} and {j}, separation {sep:.4f} rad <= {2 * beta:.4f})"
-                )
 
     ridges = []
     pads = []
@@ -312,8 +306,6 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
         rim.extend(d * u + t * v for t in t_chord)
         alpha_next = sorted_angles[(pos + 1) % 3] + (TWO_PI if pos == 2 else 0.0)
         arc_span = (alpha_next - beta) - (alpha + beta)
-        if arc_span <= 0.0:
-            raise MeshError("ridge windows overlap; footprint is unmeshable")
         n_arc = _subdiv(r * arc_span, edge)
         rim.extend(
             r * _unit(alpha + beta + arc_span * i / n_arc) for i in range(1, n_arc)

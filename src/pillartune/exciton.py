@@ -122,3 +122,15 @@ def exciton_state(params: ExcitonParams, field) -> ExcitonState:
         e_high=mean + half,
         e_low=mean - half,
     )
+
+
+def algebraic_fss(state: ExcitonState, theta_ref: float) -> float:
+    """Signed splitting along the fixed basis (theta_ref, theta_ref + pi/2).
+
+    ``theta_ref`` is normally the eigenaxis found at zero bias.  The value
+    fss * cos(2*(theta_ref - theta0)) flips sign when the splitting vector
+    crosses zero; it is 0 for a degenerate state (``theta0`` None).
+    """
+    if state.theta0 is None:
+        return 0.0
+    return state.fss * math.cos(2.0 * (theta_ref - state.theta0))

@@ -6,7 +6,8 @@ two lines are equal-width Lorentzians weighted by Malus's law, and the peak
 of their sum moves between the low and high line.  The fit recovers the
 shift law  offset + delta * (cos(2*(theta - theta0)) + 1) / 2  in closed
 form, as a weighted linear fit of its 2-theta harmonic, with Jacobian-based
-uncertainties.
+uncertainties.  The signed splitting of a sweep is read off the exciton
+state, not a scan (``exciton.algebraic_fss``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exciton import ExcitonParams, ExcitonState, exciton_state
+from .exciton import ExcitonParams, exciton_state
 
 
 class ScanInputError(ValueError):
@@ -258,46 +259,6 @@ def fit_fss_sine(scan: PolarizationScan) -> FitResult:
         covariance=cov,
         uncertainties=sig,
     )
-
-
-def _check_axes(axes) -> float:
-    ref, second = float(axes[0]), float(axes[1])
-    if abs(((second - ref) % math.pi) - 0.5 * math.pi) > 1e-9:
-        raise ValueError("fixed axes must be orthogonal (theta_ref, theta_ref + pi/2)")
-    return ref
-
-
-def algebraic_fss(obj, axes) -> float:
-    """Signed splitting: peak-energy difference along a fixed orthogonal basis.
-
-    ``axes`` is (theta_ref, theta_ref + pi/2), normally the eigenaxes found
-    at zero bias.  For an ``ExcitonState`` the closed form
-    fss * cos(2*(theta_ref - theta0)) is used (zero for a degenerate state);
-    for a ``PolarizationScan`` the scan is interpolated periodically at the
-    two axis angles.  The sign flips when the splitting vector crosses zero.
-    """
-    ref = _check_axes(axes)
-    if isinstance(obj, ExcitonState):
-        if obj.theta0 is None:
-            return 0.0
-        return obj.fss * math.cos(2.0 * (ref - obj.theta0))
-    if isinstance(obj, PolarizationScan):
-        return _scan_value_at(obj, ref) - _scan_value_at(obj, ref + 0.5 * math.pi)
-    raise TypeError(f"expected ExcitonState or PolarizationScan, got {type(obj)!r}")
-
-
-def _scan_value_at(scan: PolarizationScan, theta: float) -> float:
-    """Periodic (period pi) linear interpolation of the scan."""
-    th = np.mod(scan.angles, math.pi)
-    order = np.argsort(th, kind="stable")
-    th = th[order]
-    y = scan.peak_energies[order]
-    x = theta % math.pi
-    th_ext = np.concatenate([th, th[:1] + math.pi])
-    y_ext = np.concatenate([y, y[:1]])
-    if x < th_ext[0]:
-        x += math.pi
-    return float(np.interp(x, th_ext, y_ext))
 
 
 _SCAN_HEADER = ["angle_rad", "energy_ueV", "sigma_ueV"]  # exactly, in this order

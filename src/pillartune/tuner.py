@@ -24,7 +24,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .device import MaterialParams, Mesh, generate_mesh
-from .exciton import ExcitonParams, ExcitonState, exciton_state, fss_vector, stark_shift
+from .exciton import (
+    ExcitonParams,
+    ExcitonState,
+    algebraic_fss,
+    exciton_state,
+    fss_vector,
+    stark_shift,
+)
 from .solver import (
     TERMINALS,
     BiasPoint,
@@ -35,7 +42,6 @@ from .solver import (
     SolverError,
     classify_regime,
 )
-from .spectro import algebraic_fss
 
 _FLOATING = "floating"  # spelling of a floating V_C in configs, CSVs and reports
 
@@ -249,9 +255,7 @@ def _fill_record(
     rec.theta0 = state.theta0
     rec.mean_energy = state.mean_energy
     rec.stark = stark_shift(params, sol.e_z)
-    rec.algebraic_fss = algebraic_fss(
-        state, (theta_ref, theta_ref + 0.5 * math.pi)
-    )
+    rec.algebraic_fss = algebraic_fss(state, theta_ref)
 
 
 def zero_bias_reference(

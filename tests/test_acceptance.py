@@ -28,7 +28,7 @@ from pillartune.exciton import (
     fss_vector,
     splitting_hamiltonian,
 )
-from pillartune.solver import BiasPoint, SheetSystem, SolverConfig
+from pillartune.solver import BiasPoint, SheetSystem
 from pillartune.spectro import (
     PolarizationScan,
     fit_fss_sine,

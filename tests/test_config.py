@@ -195,6 +195,8 @@ def test_formats_doc_lists_config_keys_in_schema_order():
 def test_invalid_geometry_from_config_is_config_error():
     with pytest.raises(ConfigError):
         parse_config_text("[device]\nridge_length_um = 0\n")
+    with pytest.raises(ConfigError, match="key ridge_angles_deg"):
+        parse_config_text("[device]\nridge_angles_deg = 0, 20, 180\n")
 
 
 def test_syntax_error_reports_source():

@@ -1,5 +1,6 @@
-"""Every name a package module imports or keeps private is used in that module,
-every public name has a reader, and every script imports."""
+"""Every name a package module, test or script imports is used there, every
+name a package module keeps private is used in that module, every public name
+has a reader, and every script imports."""
 
 import ast
 import importlib.util
@@ -12,6 +13,7 @@ ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "pillartune"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +35,7 @@ def test_guard_sees_used_and_unused_names():
     assert unused_imports(source) == ["os", "tau"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *TESTS, *SCRIPTS], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

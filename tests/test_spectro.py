@@ -6,13 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from pillartune.exciton import ExcitonParams, exciton_state
+from pillartune.exciton import ExcitonParams, algebraic_fss, exciton_state
 from pillartune.spectro import (
     FitError,
     PolarizationScan,
     ScanInputError,
     SpectrumModel,
-    algebraic_fss,
     fit_fss_sine,
     peak_centroid,
     scan_from_csv,
@@ -309,46 +308,22 @@ def test_fit_covariance_is_symmetric_psd():
 def test_algebraic_sign_convention():
     params = exciton_params_with_splitting(9.0, 0.0)  # theta0 = 0
     state = exciton_state(params, (0.0, 0.0, 0.0))
-    axes = (0.0, math.pi / 2.0)
-    assert algebraic_fss(state, axes) == pytest.approx(9.0)
+    assert algebraic_fss(state, 0.0) == pytest.approx(9.0)
     rotated = exciton_state(exciton_params_with_splitting(-9.0, 0.0), (0, 0, 0))
-    assert algebraic_fss(rotated, axes) == pytest.approx(-9.0)
-
-
-def test_algebraic_requires_orthogonal_axes():
-    state = exciton_state(exciton_params_with_splitting(5.0, 0.0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        algebraic_fss(state, (0.0, 1.0))
+    assert algebraic_fss(rotated, 0.0) == pytest.approx(-9.0)
 
 
 def test_algebraic_sign_change_across_cancellation():
-    axes = (0.0, math.pi / 2.0)
     values = []
     for dx in np.linspace(6.0, -6.0, 13):
         state = exciton_state(exciton_params_with_splitting(dx, 0.5), (0, 0, 0))
-        values.append(algebraic_fss(state, axes))
+        values.append(algebraic_fss(state, 0.0))
     assert values[0] > 0 > values[-1]
-
-
-def test_algebraic_equals_fitted_amplitude_when_axes_align():
-    delta, theta0 = 7.5, 0.0
-    scan = sinusoid_scan(delta, theta0, offset=0.0, n=72)
-    fit = fit_fss_sine(scan)
-    value = algebraic_fss(scan, (0.0, math.pi / 2.0))
-    assert value == pytest.approx(fit.delta_fss, rel=0.01)
-
-
-def test_algebraic_from_scan_interpolates():
-    scan = sinusoid_scan(4.0, 0.3, offset=1.0, n=36)
-    closed = 4.0 * math.cos(2.0 * (0.3 - 0.0))
-    assert algebraic_fss(scan, (0.0, math.pi / 2.0)) == pytest.approx(
-        closed, abs=0.05
-    )
 
 
 def test_degenerate_state_has_zero_algebraic_value():
     state = exciton_state(exciton_params_with_splitting(0.0, 0.0), (0, 0, 0))
-    assert algebraic_fss(state, (0.2, 0.2 + math.pi / 2)) == 0.0
+    assert algebraic_fss(state, 0.2) == 0.0
 
 
 # -- CSV round trip --------------------------------------------------------------
