@@ -46,7 +46,7 @@ def main() -> int:
         f"(V_A, V_B) = ({result.bias[0]:.3f}, {result.bias[1]:.3f}) V "
         f"after {result.iterations} splitting evaluations, "
         f"{result.newton_iters} Newton steps "
-        f"({'converged' if result.converged else 'NOT converged'})"
+        f"(status {result.status})"
     )
     if result.rotation is not None:
         print(

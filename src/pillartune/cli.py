@@ -5,7 +5,7 @@ are written atomically (temp file + rename) and carry the hash of the fully
 resolved configuration, so outputs from different calibrations never
 collide.  Exit codes: 0 success, 2 config/input error or an artifact that
 cannot be written, 3 solver failure, 4 fit failure, 5 tuner did not reach
-tolerance.
+tolerance or found only a minimum on the bound of its window.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_run_config
 from .device import GeometryError, MeshError, build_geometry, generate_mesh
 from .exciton import exciton_state
-from .solver import BiasPoint, SheetSystem, SolverError, classify_regime
+from .solver import TERMINALS, BiasPoint, SheetSystem, SolverError, classify_regime
 from .spectro import (
     FitError,
     ScanInputError,
@@ -218,6 +218,7 @@ def cmd_tune(args) -> int:
     mesh = _mesh(cfg)
     start = _bias_from_args(args, cfg)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
+    bounds = cfg.sweep.tune_bounds()
     result = find_zero_fss(
         start,
         free,
@@ -226,7 +227,7 @@ def cmd_tune(args) -> int:
         cfg.materials,
         cfg.exciton,
         cfg.solver,
-        bounds=cfg.sweep.tune_bounds(),
+        bounds=bounds,
     )
     payload = result.to_dict()
     payload["config_hash"] = cfg.config_hash
@@ -241,6 +242,16 @@ def cmd_tune(args) -> int:
         print(
             f"tuner did not reach tol={args.tol} ueV; best candidate emitted",
             file=sys.stderr,
+        )
+        return EXIT_TUNER
+    if result.status == "bound_minimum":
+        edges = [
+            f"V_{t} = {v:g} V"
+            for t, v in zip(TERMINALS, result.bias)
+            if t in free and v in bounds
+        ]
+        print(
+            f"minimum on the {' and '.join(edges)} bound, not a zero", file=sys.stderr
         )
         return EXIT_TUNER
     return EXIT_OK

@@ -4,11 +4,11 @@ Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
 that runs in ascending V_A, and rows are independent of each other, so
 row-parallel execution produces byte-identical output to a serial run.
 The zero-splitting search solves the smooth splitting vector delta(V) = 0
-by bounded least squares (trust-region reflective) with its exact Jacobian
-from the chain's tangent; its norm, the observable splitting, is not
-differentiable at the zero.  It is a two-grid search: a 3-per-axis grid of
-seeds is ranked on a mesh of twice the edge, and the best seeds are
-refined on the caller's mesh.  Each mesh has one chain.
+by a projected Gauss-Newton iteration inside the bias window, with its
+exact Jacobian from the chain's tangent; its norm, the observable
+splitting, is not differentiable at the zero.  It is a two-grid search: a
+3-per-axis grid of seeds is ranked on a mesh of twice the edge, and the
+best seeds are refined on the caller's mesh.  Each mesh has one chain.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .device import MaterialParams, Mesh, generate_mesh
 from .exciton import (
@@ -193,6 +192,7 @@ class TuneResult:
     iterations: int
     newton_iters: int
     converged: bool
+    status: str  # "zero", "bound_minimum" or "above_tol", see find_zero_fss
 
     def to_dict(self) -> dict:
         va, vb, vc = self.bias
@@ -209,6 +209,7 @@ class TuneResult:
             "iterations": self.iterations,
             "newton_iters": self.newton_iters,
             "converged": self.converged,
+            "status": self.status,
         }
 
 
@@ -399,8 +400,12 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 
 _GRID_POINTS = 3     # seed grid points per free terminal, spanning the bounds
 _SEED_EDGE_FACTOR = 2.0  # the seed grid is ranked on a mesh of this times the edge
-_N_STARTS = 3        # best seeds refined by least squares
+_N_STARTS = 3        # best seeds refined by the projected Newton iteration
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
+_XTOL = 1e-8         # a run ends on an accepted step below _XTOL * (_XTOL + |x|)
+_AHEAD_FRACTION = 0.01  # ... or on a predicted next step below this times that
+_MIN_STEP_FRACTION = 2.0**-6  # a run ends when backtracking halves below this
+_MAX_EVALS = 30      # splitting evaluations of one run, its start included
 
 
 def _eigenaxis_rotation(
@@ -428,6 +433,62 @@ def _splitting_jacobian(
     return params.field_matrix() @ d_field
 
 
+def _projected_newton(fun, jac, x0, lo: float, hi: float):
+    """Gauss-Newton on ``fun(x) = 0`` with every variable in [lo, hi].
+
+    Each iteration takes ``jac`` at the accepted point, holds each
+    variable that sits on a bound while its step points out of the box,
+    and solves for the others by ``lstsq``, so the system may be square,
+    under- or over-determined.  The step is clipped to the box and halved
+    until |fun| decreases.  A run stops when |fun| is zero, on a zero step,
+    on an accepted step shorter than ``_XTOL * (_XTOL + |x|)`` or a next
+    step, predicted on the same Jacobian, shorter than ``_AHEAD_FRACTION``
+    of that, when the halving falls below ``_MIN_STEP_FRACTION``, or after
+    ``_MAX_EVALS`` evaluations of ``fun``.  Returns x, fun(x) and the
+    active-bound mask of the last iteration: -1 for a variable held on
+    ``lo``, +1 on ``hi``.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f = fun(x)
+    evals = 1
+    active = np.zeros(x.size, dtype=int)
+    while evals < _MAX_EVALS and np.any(f != 0.0):
+        J = jac(x)
+        held = np.zeros(x.size, dtype=bool)
+        step = np.zeros(x.size)
+        while not held.all():
+            step[:] = 0.0
+            step[~held] = np.linalg.lstsq(J[:, ~held], -f, rcond=None)[0]
+            outward = ((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))
+            if not outward.any():
+                break
+            held |= outward
+        step[held] = 0.0
+        active = np.where(held, np.where(x <= lo, -1, 1), 0)
+        if not step.any():
+            break
+        f_norm = np.linalg.norm(f)
+        t = 1.0
+        while True:
+            x_new = np.clip(x + t * step, lo, hi)
+            f_new = fun(x_new)
+            evals += 1
+            if np.linalg.norm(f_new) < f_norm:
+                break
+            t *= 0.5
+            if t < _MIN_STEP_FRACTION or evals >= _MAX_EVALS:
+                return x, f, active
+        moved = np.linalg.norm(x_new - x)
+        x, f = x_new, f_new
+        # A run at its zero (or bound minimum) stops here, not after one
+        # more Jacobian and halvings that rounding keeps from decreasing |fun|.
+        ahead = np.linalg.norm(np.linalg.lstsq(J[:, ~held], -f, rcond=None)[0])
+        xtol = _XTOL * (_XTOL + np.linalg.norm(x))
+        if moved < xtol or ahead < _AHEAD_FRACTION * xtol:
+            break
+    return x, f, active
+
+
 def find_zero_fss(
     start: BiasPoint,
     free_terminals,
@@ -443,15 +504,16 @@ def find_zero_fss(
     Two grids: a 3-per-axis grid of seeds over ``bounds`` (by default the
     default sweep window) is ranked on a mesh of the same footprint at
     twice the edge, and the best seeds are refined on ``mesh`` in turn by
-    bounded least squares (trust-region reflective, exact Jacobian from
-    the solution's tangent) on the smooth splitting vector delta(V), until
-    one lands below ``tol / 4``; seeds and starts whose solve fails are
-    skipped.  Each mesh has one chain, whose solves are predicted from the
-    one before; the first solve on ``mesh`` starts cold.  ``mesh`` must
-    come from ``generate_mesh``, which records its footprint (a
-    ``make_strip_mesh`` mesh has none and raises ``ValueError``).  ``tol``
-    must be positive and finite, and ``bounds`` finite with lo < hi;
-    ``start`` gives the voltages of the terminals that are not free.  The
+    a projected Gauss-Newton iteration (``_projected_newton``, exact
+    Jacobian from the solution's tangent) on the smooth splitting vector
+    delta(V), until one lands below ``tol / 4``; seeds and starts whose
+    solve fails are skipped.  Each mesh has one chain, whose solves are
+    predicted from the one before; the first solve on ``mesh`` starts
+    cold.  ``mesh`` must come from ``generate_mesh``, which records its
+    footprint (a ``make_strip_mesh`` mesh has none and raises
+    ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
+    finite with lo < hi; ``start`` gives the voltages of the terminals
+    that are not free.  The
     eigenaxis swap is verified by probing 0.05 V either side of the
     optimum along the approach direction: ``crossing_verified`` holds when
     the axes of the two probes differ by at least pi/2 - 0.1 rad.
@@ -459,10 +521,11 @@ def find_zero_fss(
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves, on both meshes.
     ``converged`` means only ``achieved_fss <= tol``; ``crossing_verified``
-    is the zero test.  A best point on the edge of ``bounds`` can be
-    converged but not crossing-verified: a minimum on the bound, not a
-    zero, such as the dot with zero-field splitting (10.29, 1.95) ueV
-    that ends on V_B = -1 V at 0.154 ueV.
+    is the eigenaxis test.  ``status`` says what the search found:
+    ``above_tol`` when not converged, ``bound_minimum`` when converged and
+    the best run ends with a free terminal held on a bound (a minimum on
+    the bound, not a zero, such as the dot with zero-field splitting
+    (10.29, 1.95) ueV that ends on V_B = -1 V at 0.154 ueV), else ``zero``.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -514,15 +577,17 @@ def find_zero_fss(
     # every seed failed the search reports the first seed, solved on ``mesh``.
     best_f = math.inf
     best_x = scored[0][1] if scored else np.full(len(free), lo)
+    on_bound = False
     approach = None
     for _, x0 in scored[:_N_STARTS]:
         try:
-            res = least_squares(splitting, x0, jac=jacobian, bounds=bounds)
+            x, f, active = _projected_newton(splitting, jacobian, x0, lo, hi)
         except SolverError:
             continue
-        f = math.hypot(*res.fun)
+        f = math.hypot(*f)
         if f < best_f:
-            best_f, best_x, approach = f, res.x, res.x - x0
+            best_f, best_x, approach = f, x, x - x0
+            on_bound = bool(active.any())
         if best_f < 0.25 * tol:
             break
 
@@ -542,6 +607,8 @@ def find_zero_fss(
     rotation = _eigenaxis_rotation(theta_before, theta_after)
 
     bias = bias_at(best_x)
+    converged = achieved <= tol
+    status = "bound_minimum" if on_bound else "zero"
     return TuneResult(
         bias=(bias.v_a, bias.v_b, bias.v_c),
         achieved_fss=achieved,
@@ -552,7 +619,8 @@ def find_zero_fss(
         mean_energy=best_state.mean_energy,
         iterations=evals,
         newton_iters=seed_chain.newton_iters + chain.newton_iters,
-        converged=achieved <= tol,
+        converged=converged,
+        status=status if converged else "above_tol",
     )
 
 

@@ -314,6 +314,7 @@ def test_tune_constructed_zero_converges(tmp_path, monkeypatch, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["converged"] is True
+    assert payload["status"] == "zero"
     assert payload["achieved_fss_uev"] < 0.1
 
 
@@ -327,7 +328,29 @@ def test_tune_nonconvergence_exits_5_with_report(tmp_path, monkeypatch, capsys):
     assert code == 5
     payload = json.loads(out.read_text())
     assert payload["converged"] is False
+    assert payload["status"] == "above_tol"
     assert payload["achieved_fss_uev"] == pytest.approx(40.0, rel=1e-6)
+
+
+def test_tune_minimum_on_the_window_edge_exits_5_with_report(
+    tmp_path, monkeypatch, capsys
+):
+    # converged (0.15 ueV < tol) but on the V_B = -1 V bound: not a zero
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "edge.cfg"
+    cfg_path.write_text(
+        "[device]\nmesh_edge_um = 2.0\n\n"
+        "[exciton]\nzero_field_splitting_uev = 10.29, 1.95\n"
+    )
+    out = tmp_path / "tune.json"
+    code = main(["--config", str(cfg_path), "tune", "--tol", "1.5",
+                 "--out", str(out)])
+    assert code == 5
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is True
+    assert payload["status"] == "bound_minimum"
+    assert payload["vb"] == -1.0
+    assert "minimum on the V_B = -1 V bound, not a zero" in capsys.readouterr().err
 
 
 def test_tune_searches_the_span_of_both_sweep_axes(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,13 @@
 """Every name a package module, test or script imports is used there, every
 name a package module keeps private is used in that module, every public name
-has a reader, and every script imports."""
+has a reader, every script imports, and the command line starts without
+``scipy.optimize``."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -161,3 +165,19 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # a __main__ guard keeps main() from running
     assert callable(module.main)
+
+
+def test_cli_starts_without_scipy_optimize():
+    # a fresh interpreter: this test process may import scipy.optimize itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = "import sys, pillartune.cli; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    modules = ast.literal_eval(out.stdout)
+    assert "pillartune.cli" in modules
+    assert "scipy.optimize" not in modules

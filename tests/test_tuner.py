@@ -610,7 +610,7 @@ def test_seeds_are_ranked_on_twice_the_edge_and_refined_on_the_mesh(
 ):
     """The seed grid solves on a mesh of twice the caller's edge; every
     later solve is on the caller's mesh, the first of them cold and inside
-    the first least-squares run."""
+    the first projected Newton run."""
     solves = []  # (mesh, phi0 given) of every SheetSystem.solve, in order
     real_solve = SheetSystem.solve
 
@@ -618,15 +618,15 @@ def test_seeds_are_ranked_on_twice_the_edge_and_refined_on_the_mesh(
         solves.append((self.mesh, phi0 is not None))
         return real_solve(self, bias, cfg, phi0=phi0)
 
-    run_marks = []  # solves made before each least-squares run started
-    real_least_squares = tuner.least_squares
+    run_marks = []  # solves made before each projected Newton run started
+    real_projected_newton = tuner._projected_newton
 
-    def spy_least_squares(*args, **kwargs):
+    def spy_projected_newton(*args, **kwargs):
         run_marks.append(len(solves))
-        return real_least_squares(*args, **kwargs)
+        return real_projected_newton(*args, **kwargs)
 
     monkeypatch.setattr(SheetSystem, "solve", spy_solve)
-    monkeypatch.setattr(tuner, "least_squares", spy_least_squares)
+    monkeypatch.setattr(tuner, "_projected_newton", spy_projected_newton)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged
     seed_phase, refinement = solves[: run_marks[0]], solves[run_marks[0] :]
@@ -648,6 +648,7 @@ def test_dots_around_the_default_converge_and_cross(
     )
     result = _tune_default(coarse_mesh, default_config, params)
     assert result.converged and result.crossing_verified, result
+    assert result.status == "zero"
 
 
 def test_a_minimum_on_the_window_edge_is_not_crossing_verified(
@@ -658,9 +659,107 @@ def test_a_minimum_on_the_window_edge_is_not_crossing_verified(
         default_config.exciton, zero_field_splitting=(10.29, 1.95)
     )
     result = _tune_default(coarse_mesh, default_config, params)
-    assert result.converged and result.bias[1] == pytest.approx(-1.0), result
+    assert result.converged and result.bias[1] == -1.0, result
     assert result.rotation < 0.5 * math.pi - 0.1
     assert not result.crossing_verified
+    assert result.status == "bound_minimum"
+    assert result.to_dict()["status"] == "bound_minimum"
+
+
+class _Counted:
+    """``fun`` with a count of its evaluations."""
+
+    def __init__(self, fun):
+        self.fun, self.evals = fun, 0
+
+    def __call__(self, x):
+        self.evals += 1
+        return np.asarray(self.fun(x), dtype=float)
+
+
+def test_projected_newton_solves_an_affine_square_map_exactly():
+    a = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    c = np.array([-4.0, 5.0])
+    fun = _Counted(lambda x: a @ x + c)
+    x, f, active = tuner._projected_newton(fun, lambda x: a, [0.5, 0.5], -5.0, 5.0)
+    assert np.allclose(x, np.linalg.solve(a, -c), rtol=0, atol=1e-14)
+    assert np.max(np.abs(f)) <= 1e-14
+    assert active.tolist() == [0, 0]
+    # the start, then one full step; the step predicted after it is zero
+    assert fun.evals == 2
+
+
+def test_projected_newton_with_one_variable_reaches_the_least_squares_minimum():
+    j = np.array([[2.0], [1.0]])
+    c = np.array([-3.0, 1.0])
+    fun = _Counted(lambda x: j @ x + c)
+    x, f, active = tuner._projected_newton(fun, lambda x: j, [0.0], -5.0, 5.0)
+    x_star = -(j[:, 0] @ c) / (j[:, 0] @ j[:, 0])  # 1.0
+    assert x[0] == pytest.approx(x_star, abs=1e-14)
+    assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(j[:, 0] * x_star + c))
+    assert active.tolist() == [0]
+    assert fun.evals == 2
+
+
+def test_projected_newton_holds_a_variable_on_the_bound_its_zero_lies_beyond():
+    # the zero is at (1, -2), below the lower bound of x1: x1 is held on
+    # -1 and x0 minimises |fun| alone, at 1 exactly (fun is decoupled)
+    fun = _Counted(lambda x: (x[0] - 1.0, x[1] + 2.0))
+    x, f, active = tuner._projected_newton(
+        fun, lambda x: np.eye(2), [0.0, 0.0], -1.0, 3.0
+    )
+    assert x.tolist() == [1.0, -1.0]
+    assert f.tolist() == [0.0, 1.0]
+    assert active.tolist() == [0, -1]
+    # the start, the step clipped onto the bound; then x1 is held, x0 is
+    # already at its minimum and the step is zero
+    assert fun.evals == 2
+
+
+def test_projected_newton_stops_at_once_on_a_constant_map():
+    fun = _Counted(lambda x: (40.0, 0.0))
+    x, f, active = tuner._projected_newton(
+        fun, lambda x: np.zeros((2, 2)), [0.5, 7.0], -1.0, 3.0
+    )
+    assert x.tolist() == [0.5, 3.0]  # the start, clipped to the bounds
+    assert f.tolist() == [40.0, 0.0]
+    assert active.tolist() == [0, 0]
+    assert fun.evals == 1
+
+
+def test_projected_newton_converges_on_a_nonlinear_map():
+    fun = _Counted(lambda x: (x[0] ** 2 - 2.0, x[1] - 1.0))
+    x, f, active = tuner._projected_newton(
+        fun, lambda x: np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]), [3.0, 0.0], 0.0, 4.0
+    )
+    assert x == pytest.approx([math.sqrt(2.0), 1.0], abs=1e-12)
+    assert np.linalg.norm(f) <= 1e-12
+    assert active.tolist() == [0, 0]
+    # quadratic convergence from 3: one evaluation per Newton step
+    assert fun.evals == 6
+
+
+def test_projected_newton_stops_on_a_map_that_never_decreases():
+    # every trial point evaluates higher than the start: the step halves
+    # until it falls below its floor, and the run returns the start
+    fun = _Counted(lambda x: (1.0 + np.linalg.norm(x - 0.25), 0.0))
+    x, f, active = tuner._projected_newton(
+        fun, lambda x: np.eye(2), [0.25, 0.25], -1.0, 3.0
+    )
+    assert x.tolist() == [0.25, 0.25] and f.tolist() == [1.0, 0.0]
+    halvings = int(math.log2(1.0 / tuner._MIN_STEP_FRACTION)) + 1
+    assert fun.evals == 1 + halvings <= tuner._MAX_EVALS
+
+
+def test_projected_newton_stops_within_its_evaluation_cap():
+    # a Jacobian 100 times too steep: every step is accepted but covers 1 %
+    # of the way, so only the cap ends the run
+    fun = _Counted(lambda x: x - 2.0)
+    x, f, active = tuner._projected_newton(
+        fun, lambda x: 100.0 * np.eye(2), [0.0, 0.0], -1.0, 3.0
+    )
+    assert fun.evals == tuner._MAX_EVALS
+    assert np.all((0.0 < x) & (x < 2.0)) and np.all(f == x - 2.0)
 
 
 def test_find_zero_input_validation(coarse_mesh, default_config):
