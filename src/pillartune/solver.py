@@ -6,10 +6,10 @@ substrate.  Contacts are lumped: the tagged pad-edge nodes of a driven
 terminal connect to the terminal voltage through one series resistance per
 ridge, split evenly over the pad nodes.  A floating terminal simply has no
 such connection, so it carries exactly zero current.  Per bias the contacts
-are two node vectors (``_contacts``): the conductance g, 1 / (R_k |pad k|)
-on the pad nodes of each driven terminal k and 0 elsewhere, and the
-terminal voltage v on the same nodes.  They add g (phi - v) to the
-residual and g to the Jacobian diagonal.
+are two node vectors (``_contacts``, computed once per solve): the
+conductance g, 1 / (R_k |pad k|) on the pad nodes of each driven terminal
+k and 0 elsewhere, and the terminal voltage v on the same nodes.  They
+add g (phi - v) to the residual and g to the Jacobian diagonal.
 
 Discretisation is node-centred finite volume on the triangle mesh (P1
 stiffness for the lateral term, lumped nodal areas for the junction term).
@@ -58,6 +58,7 @@ _CHORD_CONTRACTION = 0.1
 _KIRCHHOFF_FRACTION = 1e-9
 
 TERMINALS = ("A", "B", "C")
+_VOLTAGE_FIELDS = {"A": "v_a", "B": "v_b", "C": "v_c"}
 
 
 class SolverError(RuntimeError):
@@ -93,7 +94,7 @@ class BiasPoint:
                 raise ValueError("bias values must be finite")
 
     def terminal(self, name: str) -> float | None:
-        return {"A": self.v_a, "B": self.v_b, "C": self.v_c}[name]
+        return getattr(self, _VOLTAGE_FIELDS[name])
 
     def max_drive(self) -> float:
         return max(abs(v) for v in (self.v_a, self.v_b, self.v_c) if v is not None)
@@ -146,12 +147,13 @@ class FieldSolution:
 
 
 def _exp_clamped(u: np.ndarray) -> np.ndarray:
-    """exp(u) for u <= EXP_CLAMP, continued linearly (C^1) beyond."""
-    u = np.asarray(u, dtype=float)
+    """exp(u) for u <= EXP_CLAMP, continued linearly (C^1) beyond.
+
+    ``u`` is a float array or NumPy scalar.
+    """
     out = np.exp(np.minimum(u, EXP_CLAMP))
-    over = u > EXP_CLAMP
-    if np.any(over):
-        out = np.where(over, _E_CLAMP * (1.0 + (u - EXP_CLAMP)), out)
+    if not u.max(initial=-math.inf) <= EXP_CLAMP:  # a NaN takes this branch too
+        out = np.where(u > EXP_CLAMP, _E_CLAMP * (1.0 + (u - EXP_CLAMP)), out)
     return out
 
 
@@ -286,7 +288,9 @@ class SheetSystem:
         """Per-node contact conductance g and terminal voltage v at ``bias``.
 
         Both are 0 off the pads and at floating terminals, so the contacts
-        add g (phi - v) to the residual.
+        add g (phi - v) to the residual.  ``residual``, ``energy``,
+        ``jacobian`` and ``terminal_currents`` take them as ``contacts``,
+        computed from ``bias`` when omitted; a solve computes them once.
         """
         gv = np.zeros((len(TERMINALS), 2))
         for k, name in enumerate(TERMINALS):
@@ -299,17 +303,17 @@ class SheetSystem:
         g, v = gv.T @ self._pads.T
         return g, v
 
-    def residual(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
-        g, v = self._contacts(bias)
+    def residual(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> np.ndarray:
+        g, v = contacts or self._contacts(bias)
         f = self.conduction @ phi
         f += diode_current_density(self.materials, phi) * self.node_area
         f += g * (phi - v)
         return f
 
-    def energy(self, phi: np.ndarray, bias: BiasPoint) -> float:
+    def energy(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> float:
         """Convex sheet energy whose gradient is ``residual``."""
         m = self.materials
-        g, v = self._contacts(bias)
+        g, v = contacts or self._contacts(bias)
         nvt = m.ideality * m.thermal_voltage
         u = phi / nvt
         x = np.maximum(u - EXP_CLAMP, 0.0)
@@ -320,13 +324,13 @@ class SheetSystem:
         e += 0.5 * float(g @ (phi - v) ** 2)
         return e
 
-    def jacobian(self, phi: np.ndarray, bias: BiasPoint) -> np.ndarray:
+    def jacobian(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> np.ndarray:
         """A fresh lower band of the Jacobian in RCM order (``_build_band``).
 
         A copy of the stiffness band with the junction and contact
         conductances added to its diagonal, row 0.
         """
-        g, _ = self._contacts(bias)
+        g, _ = contacts or self._contacts(bias)
         diag = _diode_conductance(self.materials, phi) * self.node_area + g
         band = self._stiffness_band.copy(order="F")
         band[0] += diag[self._perm]
@@ -359,8 +363,8 @@ class SheetSystem:
         g, _ = self._contacts(bias)
         return (g[:, None] * self._pads) @ np.asarray(dv, dtype=float).T
 
-    def terminal_currents(self, phi: np.ndarray, bias: BiasPoint):
-        g, v = self._contacts(bias)
+    def terminal_currents(self, phi: np.ndarray, bias: BiasPoint, contacts=None):
+        g, v = contacts or self._contacts(bias)
         i_a, i_b, i_c = self._pads.T @ (g * (v - phi))
         i_junction = float(
             np.sum(diode_current_density(self.materials, phi) * self.node_area)
@@ -389,8 +393,8 @@ class SheetSystem:
             1e-3 * cfg.current_floor,
         )
 
-    def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig):
-        """Damped Newton from ``phi0``.
+    def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig, contacts):
+        """Damped Newton from ``phi0``; ``contacts`` is ``_contacts(bias)``.
 
         Returns ``(phi, converged, iters, history, factor, factorizations)``.
         A step factors the Jacobian at the current iterate (``_cholesky``)
@@ -411,7 +415,7 @@ class SheetSystem:
         balance_tol = _KIRCHHOFF_FRACTION * cfg.current_floor
 
         phi = phi0.copy()
-        f = self.residual(phi, bias)
+        f = self.residual(phi, bias, contacts)
         norm = float(np.max(np.abs(f)))
         if not math.isfinite(norm):
             raise NumericalError("NaN in residual at Newton start")
@@ -424,7 +428,7 @@ class SheetSystem:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history, factor, factorizations
             if refactor:
-                factor = self._cholesky(self.jacobian(phi, bias))
+                factor = self._cholesky(self.jacobian(phi, bias, contacts))
                 factorizations += 1
             delta = self._back_solve(factor, -f)
             if not np.all(np.isfinite(delta)):
@@ -434,12 +438,12 @@ class SheetSystem:
             lam = cfg.damping
             while True:
                 phi_try = phi + lam * delta
-                f_try = self.residual(phi_try, bias)
+                f_try = self.residual(phi_try, bias, contacts)
                 if float(f_try @ delta) <= 0.0:
                     break
                 if energy is None:
-                    energy = self.energy(phi, bias)
-                if self.energy(phi_try, bias) <= energy + 1e-4 * lam * slope:
+                    energy = self.energy(phi, bias, contacts)
+                if self.energy(phi_try, bias, contacts) <= energy + 1e-4 * lam * slope:
                     break
                 lam *= 0.5
                 if lam < 2.0**-24:
@@ -468,14 +472,17 @@ class SheetSystem:
         when a residual, a step or a Jacobian factorization breaks down.
         """
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
-        phi, ok, iters, history, factor, factorizations = self._newton(bias, phi0, cfg)
+        contacts = self._contacts(bias)
+        phi, ok, iters, history, factor, factorizations = self._newton(
+            bias, phi0, cfg, contacts
+        )
         if not ok:
             raise ConvergenceError(
                 f"no convergence at bias {bias} after {iters} Newton iterations "
                 f"(last residual {history[-1]:.3e})",
                 history,
             )
-        i_a, i_b, i_c, i_j = self.terminal_currents(phi, bias)
+        i_a, i_b, i_c, i_j = self.terminal_currents(phi, bias, contacts)
         ex, ey = self.field_at_qd(phi)
         mesh = self.mesh
         e_z = (mesh.built_in_voltage - float(phi[mesh.qd_node])) / (

@@ -7,8 +7,8 @@ The zero-splitting search solves the smooth splitting vector delta(V) = 0
 by a projected Gauss-Newton iteration inside the bias window, with its
 exact Jacobian from the chain's tangent; its norm, the observable
 splitting, is not differentiable at the zero.  It is a two-grid search: a
-3-per-axis grid of seeds is ranked on a mesh of twice the edge, and the
-best seeds are refined on the caller's mesh.  Each mesh has one chain.
+3-per-axis grid of seeds is ranked on a mesh of three times the edge, and
+the best seeds are refined on the caller's mesh.  Each mesh has one chain.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 # -- zero-splitting search ---------------------------------------------------
 
 _GRID_POINTS = 3     # seed grid points per free terminal, spanning the bounds
-_SEED_EDGE_FACTOR = 2.0  # the seed grid is ranked on a mesh of this times the edge
+_SEED_EDGE_FACTOR = 3.0  # the seed grid is ranked on a mesh of this times the edge
 _N_STARTS = 3        # best seeds refined by the projected Newton iteration
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 _XTOL = 1e-8         # a run ends on an accepted step below _XTOL * (_XTOL + |x|)
@@ -503,20 +503,20 @@ def find_zero_fss(
 
     Two grids: a 3-per-axis grid of seeds over ``bounds`` (by default the
     default sweep window) is ranked on a mesh of the same footprint at
-    twice the edge, and the best seeds are refined on ``mesh`` in turn by
-    a projected Gauss-Newton iteration (``_projected_newton``, exact
-    Jacobian from the solution's tangent) on the smooth splitting vector
-    delta(V), until one lands below ``tol / 4``; seeds and starts whose
-    solve fails are skipped.  Each mesh has one chain, whose solves are
-    predicted from the one before; the first solve on ``mesh`` starts
+    three times the edge, and the best seeds are refined on ``mesh`` in
+    turn by a projected Gauss-Newton iteration (``_projected_newton``,
+    exact Jacobian from the solution's tangent) on the smooth splitting
+    vector delta(V), until one lands below ``tol / 4``; seeds and starts
+    whose solve fails are skipped.  Each mesh has one chain, whose solves
+    are predicted from the one before; the first solve on ``mesh`` starts
     cold.  ``mesh`` must come from ``generate_mesh``, which records its
     footprint (a ``make_strip_mesh`` mesh has none and raises
     ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
     finite with lo < hi; ``start`` gives the voltages of the terminals
-    that are not free.  The
-    eigenaxis swap is verified by probing 0.05 V either side of the
-    optimum along the approach direction: ``crossing_verified`` holds when
-    the axes of the two probes differ by at least pi/2 - 0.1 rad.
+    that are not free.  The eigenaxis swap is verified by probing 0.05 V
+    either side of the optimum along the approach direction, each probe
+    clipped to ``bounds``: ``crossing_verified`` holds when the axes of
+    the two probes differ by at least pi/2 - 0.1 rad.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves, on both meshes.
@@ -599,8 +599,8 @@ def find_zero_fss(
     direction = approach / np.linalg.norm(approach)
 
     try:
-        state_lo = state_at(best_x - _PROBE_STEP * direction)
-        state_hi = state_at(best_x + _PROBE_STEP * direction)
+        state_lo = state_at(np.clip(best_x - _PROBE_STEP * direction, lo, hi))
+        state_hi = state_at(np.clip(best_x + _PROBE_STEP * direction, lo, hi))
         theta_before, theta_after = state_lo.theta0, state_hi.theta0
     except SolverError:
         theta_before = theta_after = None

@@ -67,7 +67,9 @@ def test_bias_point_validation():
     with pytest.raises(ValueError):
         BiasPoint(float("nan"), 0.0, None)
     b = BiasPoint(1.0, -2.0, None)
-    assert b.terminal("C") is None
+    assert [b.terminal(t) for t in TERMINALS] == [1.0, -2.0, None]
+    with pytest.raises(KeyError):
+        b.terminal("D")
 
 
 # -- diode law ---------------------------------------------------------------
@@ -105,6 +107,15 @@ def test_diode_strictly_increasing_through_clamp():
     phis = np.linspace(-1.0, (EXP_CLAMP + 20.0) * nvt, 400)
     j = diode_current_density(m, phis)
     assert np.all(np.diff(j) > 0)
+
+
+def test_diode_clamp_holds_beside_a_nan_and_on_no_nodes():
+    # a NaN must not switch the linear branch off for the other nodes
+    m = MaterialParams()
+    phi = (EXP_CLAMP + 1.0) * m.ideality * m.thermal_voltage
+    j = diode_current_density(m, np.array([math.nan, phi]))
+    assert math.isnan(j[0]) and j[1] == diode_current_density(m, phi)
+    assert diode_current_density(m, np.empty(0)).shape == (0,)
 
 
 def test_diode_clamp_is_linear_beyond_threshold():
@@ -395,8 +406,9 @@ def test_monotone_current_on_bias_ladder(coarse_system):
 
 def test_newton_residual_history_decreases(coarse_system):
     phi0 = np.zeros(coarse_system.n)
+    bias = BiasPoint(1.5, 1.0, None)
     phi, ok, iters, history, *_ = coarse_system._newton(
-        BiasPoint(1.5, 1.0, None), phi0, CFG
+        bias, phi0, CFG, coarse_system._contacts(bias)
     )
     assert ok
     assert all(b < a for a, b in zip(history, history[1:]))
@@ -459,22 +471,24 @@ def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
     evaluated, iterates, factored = [], [], []
     residual, back_solve, jacobian = system.residual, system._back_solve, system.jacobian
 
-    def residual_spy(phi, b):
+    def residual_spy(phi, b, contacts):
         evaluated.append(phi)
-        return residual(phi, b)
+        return residual(phi, b, contacts)
 
     def back_solve_spy(chol, rhs):
         iterates.append(evaluated[-1])
         return back_solve(chol, rhs)
 
-    def jacobian_spy(phi, b):
+    def jacobian_spy(phi, b, contacts):
         factored.append(phi)
-        return jacobian(phi, b)
+        return jacobian(phi, b, contacts)
 
     monkeypatch.setattr(system, "residual", residual_spy)
     monkeypatch.setattr(system, "_back_solve", back_solve_spy)
     monkeypatch.setattr(system, "jacobian", jacobian_spy)
-    phi, ok, iters, _, _, factorizations = system._newton(bias, np.zeros(system.n), CFG)
+    phi, ok, iters, _, _, factorizations = system._newton(
+        bias, np.zeros(system.n), CFG, system._contacts(bias)
+    )
     assert ok and len(iterates) == iters
     assert len(factored) == factorizations <= iters
     assert all(any(p is q for q in iterates) for p in factored)
@@ -518,6 +532,31 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
         coarse_system.solve(other, CFG)
     again = coarse_system.solve(bias, CFG, phi0)
     assert again.phi.tobytes() == fresh.phi.tobytes()
+
+
+@pytest.mark.parametrize("bias", [BiasPoint(3.0, 2.0, None), BiasPoint(6.0, 6.0, 6.0)])
+def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
+    # every residual, energy, Jacobian and terminal current of a solve
+    # reads the one pair of contact vectors the solve computed
+    system = coarse_system
+    contacts, energies = [], []
+    real_contacts, real_energy = system._contacts, system.energy
+
+    def contacts_spy(b):
+        contacts.append(b)
+        return real_contacts(b)
+
+    def energy_spy(*args):
+        energies.append(args)
+        return real_energy(*args)
+
+    monkeypatch.setattr(system, "_contacts", contacts_spy)
+    monkeypatch.setattr(system, "energy", energy_spy)
+    cold = system.solve(bias, CFG)
+    assert cold.newton_iters > 0 and energies  # the line search ran too
+    assert contacts == [bias]
+    again = system.solve(bias, CFG, cold.phi)
+    assert again.newton_iters == 0 and contacts == [bias, bias]
 
 
 @pytest.mark.parametrize(

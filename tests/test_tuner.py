@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pillartune import solver, tuner
-from pillartune.device import MaterialParams, make_strip_mesh
+from pillartune.device import MaterialParams, build_geometry, generate_mesh, make_strip_mesh
 from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import (
     BiasPoint,
@@ -605,10 +606,10 @@ def test_tune_newton_iters_totals_every_solve(coarse_mesh, default_config, monke
     assert result.to_dict()["newton_iters"] == result.newton_iters
 
 
-def test_seeds_are_ranked_on_twice_the_edge_and_refined_on_the_mesh(
+def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     coarse_mesh, default_config, monkeypatch
 ):
-    """The seed grid solves on a mesh of twice the caller's edge; every
+    """The seed grid solves on a mesh of three times the caller's edge; every
     later solve is on the caller's mesh, the first of them cold and inside
     the first projected Newton run."""
     solves = []  # (mesh, phi0 given) of every SheetSystem.solve, in order
@@ -631,10 +632,92 @@ def test_seeds_are_ranked_on_twice_the_edge_and_refined_on_the_mesh(
     assert result.converged
     seed_phase, refinement = solves[: run_marks[0]], solves[run_marks[0] :]
     assert len(seed_phase) == 9
-    assert all(m.target_edge == 2.0 * coarse_mesh.target_edge for m, _ in seed_phase)
+    assert all(m.target_edge == 3.0 * coarse_mesh.target_edge for m, _ in seed_phase)
     assert refinement and all(m is coarse_mesh for m, _ in refinement)
     assert refinement[0] == (coarse_mesh, False)  # the first fine solve is cold
     assert all(mark > run_marks[0] for mark in run_marks[1:])  # made by run 1
+
+
+@pytest.fixture(scope="module")
+def default_mesh(default_config):
+    return generate_mesh(build_geometry(default_config.geometry), default_config.mesh_edge)
+
+
+def _seed_norms(mesh, config, params) -> np.ndarray:
+    """|delta| at each point of the seed grid, solved in grid order on ``mesh``."""
+    lo, hi = config.sweep.tune_bounds()
+    axis = np.linspace(lo, hi, tuner._GRID_POINTS)
+    chain = SolveChain(SheetSystem(mesh, config.materials), config.solver)
+    return np.array([
+        math.hypot(*fss_vector(params, chain.solve(BiasPoint(va, vb, config.sweep.vc)).field))
+        for va, vb in itertools.product(axis, repeat=2)
+    ])
+
+
+@pytest.mark.parametrize(
+    "scale, same_order",
+    [((1.0, 1.0), False), ((0.8, 0.8), True), ((0.8, 1.2), True),
+     ((1.2, 0.8), True), ((1.2, 1.2), True)],
+)
+def test_seed_mesh_ranks_the_seeds_as_the_default_mesh_does(
+    default_config, default_mesh, scale, same_order
+):
+    """On the default 1 um mesh the seed mesh picks the same best seed, and
+    each of its top ``_N_STARTS`` seeds is within 0.5 % of the seed of the
+    same rank on the 1 um mesh.  Only the default calibration swaps two
+    seeds, its third and fourth, whose 1 um norms lie 0.2 % apart (a mesh
+    of twice the edge swaps them too); its search ends after one run."""
+    d0 = default_config.exciton.zero_field_splitting
+    params = dataclasses.replace(
+        default_config.exciton, zero_field_splitting=(d0[0] * scale[0], d0[1] * scale[1])
+    )
+    seed_mesh = generate_mesh(
+        default_mesh.footprint, tuner._SEED_EDGE_FACTOR * default_mesh.target_edge
+    )
+    fine = _seed_norms(default_mesh, default_config, params)
+    coarse = _seed_norms(seed_mesh, default_config, params)
+    top = tuner._N_STARTS
+    fine_order = np.argsort(fine, kind="stable")[:top]
+    coarse_order = np.argsort(coarse, kind="stable")[:top]
+    assert coarse_order[0] == fine_order[0]
+    assert np.all(fine[coarse_order] <= 1.005 * fine[fine_order])
+    if same_order:
+        assert np.array_equal(coarse_order, fine_order)
+
+
+@pytest.mark.parametrize(
+    "zero_field, bounds, status",
+    [
+        # the dot whose search ends on the V_B = -1 V bound
+        ((10.29, 1.95), (-1.0, 6.0), "bound_minimum"),
+        # the default zero, near (0.428, 0.428) V, 0.022 V inside the upper
+        # bound: the probe 0.05 V along the diagonal approach would cross it
+        (None, (-1.0, 0.45), "zero"),
+    ],
+)
+def test_eigenaxis_probes_stay_inside_the_window(
+    coarse_mesh, default_config, monkeypatch, zero_field, bounds, status
+):
+    biases = []
+    real_solve = SheetSystem.solve
+
+    def spy_solve(self, bias, cfg, phi0=None):
+        biases.append(bias)
+        return real_solve(self, bias, cfg, phi0=phi0)
+
+    monkeypatch.setattr(SheetSystem, "solve", spy_solve)
+    params = default_config.exciton
+    if zero_field is not None:
+        params = dataclasses.replace(params, zero_field_splitting=zero_field)
+    result = find_zero_fss(
+        BiasPoint(0.0, 0.0, default_config.sweep.vc), ("A", "B"), tol=1.5,
+        mesh=coarse_mesh, materials=default_config.materials,
+        exciton_params=params, cfg=default_config.solver, bounds=bounds,
+    )
+    assert result.status == status
+    assert result.crossing_verified == (status == "zero")
+    lo, hi = bounds
+    assert biases and all(lo <= v <= hi for b in biases for v in (b.v_a, b.v_b))
 
 
 @pytest.mark.parametrize("scale_a", [0.8, 1.0, 1.2])
