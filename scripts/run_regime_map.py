@@ -36,10 +36,7 @@ def main() -> int:
     print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_cells} cells")
 
     t0 = time.perf_counter()
-    result = run_bias_sweep(
-        cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver,
-        extra_meta={"config_hash": cfg.config_hash},
-    )
+    result = run_bias_sweep(cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver)
     print(f"sweep: {len(result.records)} cells in {time.perf_counter() - t0:.1f} s, "
           f"{result.metadata['n_failed']} failed")
 

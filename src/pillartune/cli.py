@@ -17,13 +17,12 @@ import sys
 import tempfile
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_run_config
-from .device import GeometryError, MeshError, build_geometry, generate_mesh
+from .config import RunConfig, load_run_config
+from .device import build_geometry, generate_mesh
 from .exciton import exciton_state
 from .solver import TERMINALS, BiasPoint, SheetSystem, SolverError, classify_regime
 from .spectro import (
     FitError,
-    ScanInputError,
     fit_fss_sine,
     scan_from_csv,
     scan_to_csv,
@@ -99,6 +98,8 @@ def _bias_from_args(args, cfg: RunConfig) -> BiasPoint:
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
+    if args.phi_out:
+        _check_out_dir(args.phi_out)
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
     bias = _bias_from_args(args, cfg)
@@ -148,14 +149,9 @@ def cmd_sweep(args) -> int:
     _check_out_dir(csv_path)
     mesh = _mesh(cfg)
     result = run_bias_sweep(
-        cfg.sweep,
-        mesh,
-        cfg.materials,
-        cfg.exciton,
-        cfg.solver,
-        jobs=args.jobs,
-        extra_meta={"config_hash": cfg.config_hash, "version": __version__},
+        cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=args.jobs
     )
+    result.metadata.update(config_hash=cfg.config_hash, version=__version__)
     _atomic_write(csv_path, lambda tmp: write_sweep_csv(result, tmp))
     _write_json(meta_path, result.metadata)
     print(f"sweep written to {csv_path}")
@@ -169,6 +165,8 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load(args)
     scan = scan_from_csv(args.scan)
+    out = args.out or f"{os.path.splitext(args.scan)[0]}_fit_{cfg.config_hash}.json"
+    _check_out_dir(out)
     result = fit_fss_sine(scan)
     print(
         f"delta_fss = {result.delta_fss:.6g} +/- {result.uncertainties[0]:.3g} ueV"
@@ -181,7 +179,6 @@ def cmd_fit(args) -> int:
     payload = result.to_dict()
     payload["config_hash"] = cfg.config_hash
     payload["scan_file"] = os.path.basename(args.scan)
-    out = args.out or f"{os.path.splitext(args.scan)[0]}_fit_{cfg.config_hash}.json"
     _write_json(out, payload)
     print(f"fit written to {out}")
     return EXIT_OK
@@ -189,6 +186,8 @@ def cmd_fit(args) -> int:
 
 def cmd_synth_scan(args) -> int:
     cfg = _load(args)
+    out = args.out or f"scan_{cfg.config_hash}.csv"
+    _check_out_dir(out)
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
     bias = _bias_from_args(args, cfg)
@@ -203,7 +202,6 @@ def cmd_synth_scan(args) -> int:
         seed=seed,
     )
     state = exciton_state(cfg.exciton, sol.field)
-    out = args.out or f"scan_{cfg.config_hash}.csv"
     _atomic_write(out, lambda tmp: scan_to_csv(scan, tmp))
     theta = "undefined" if state.theta0 is None else f"{state.theta0:.6g}"
     print(f"true fss = {state.fss:.6g} ueV, true theta0 = {theta} rad")
@@ -379,15 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        GeometryError,
-        MeshError,
-        OutputError,
-        ScanInputError,
-        TunerError,
-        ValueError,
-    ) as exc:
+    except (OutputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -34,7 +34,7 @@ class GeometryError(ValueError):
     """Raised for invalid or self-intersecting device layouts."""
 
 
-class MeshError(RuntimeError):
+class MeshError(ValueError):
     """Raised when a footprint cannot be meshed or a mesh check fails."""
 
 

@@ -5,11 +5,13 @@ also drains vertically through a Shockley junction into the grounded
 substrate.  Contacts are lumped: the tagged pad-edge nodes of a driven
 terminal connect to the terminal voltage through one series resistance per
 ridge, split evenly over the pad nodes.  A floating terminal simply has no
-such connection, so it carries exactly zero current.  Per bias the contacts
-are two node vectors (``_contacts``, computed once per solve): the
-conductance g, 1 / (R_k |pad k|) on the pad nodes of each driven terminal
-k and 0 elsewhere, and the terminal voltage v on the same nodes.  They
-add g (phi - v) to the residual and g to the Jacobian diagonal.
+such connection, so it carries exactly zero current.  A bias reaches the
+sheet only through the contacts: ``_contacts`` turns it, once per solve,
+into two node vectors, the conductance g, 1 / (R_k |pad k|) on the pad
+nodes of each driven terminal k and 0 elsewhere, and the terminal voltage
+v on the same nodes.  They add g (phi - v) to the residual and g to the
+Jacobian diagonal, and the residual, energy, Jacobian and terminal
+currents take the pair (g, v) in place of the bias.
 
 Discretisation is node-centred finite volume on the triangle mesh (P1
 stiffness for the lateral term, lumped nodal areas for the junction term).
@@ -95,9 +97,6 @@ class BiasPoint:
 
     def terminal(self, name: str) -> float | None:
         return getattr(self, _VOLTAGE_FIELDS[name])
-
-    def max_drive(self) -> float:
-        return max(abs(v) for v in (self.v_a, self.v_b, self.v_c) if v is not None)
 
 
 @dataclass(frozen=True)
@@ -288,9 +287,10 @@ class SheetSystem:
         """Per-node contact conductance g and terminal voltage v at ``bias``.
 
         Both are 0 off the pads and at floating terminals, so the contacts
-        add g (phi - v) to the residual.  ``residual``, ``energy``,
-        ``jacobian`` and ``terminal_currents`` take them as ``contacts``,
-        computed from ``bias`` when omitted; a solve computes them once.
+        add g (phi - v) to the residual.  This is the one place a bias
+        becomes node vectors: ``residual``, ``energy``, ``jacobian`` and
+        ``terminal_currents`` take the pair as ``contacts``, and a solve
+        computes it once.
         """
         gv = np.zeros((len(TERMINALS), 2))
         for k, name in enumerate(TERMINALS):
@@ -303,17 +303,17 @@ class SheetSystem:
         g, v = gv.T @ self._pads.T
         return g, v
 
-    def residual(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> np.ndarray:
-        g, v = contacts or self._contacts(bias)
+    def residual(self, phi: np.ndarray, contacts) -> np.ndarray:
+        g, v = contacts
         f = self.conduction @ phi
         f += diode_current_density(self.materials, phi) * self.node_area
         f += g * (phi - v)
         return f
 
-    def energy(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> float:
+    def energy(self, phi: np.ndarray, contacts) -> float:
         """Convex sheet energy whose gradient is ``residual``."""
         m = self.materials
-        g, v = contacts or self._contacts(bias)
+        g, v = contacts
         nvt = m.ideality * m.thermal_voltage
         u = phi / nvt
         x = np.maximum(u - EXP_CLAMP, 0.0)
@@ -324,13 +324,13 @@ class SheetSystem:
         e += 0.5 * float(g @ (phi - v) ** 2)
         return e
 
-    def jacobian(self, phi: np.ndarray, bias: BiasPoint, contacts=None) -> np.ndarray:
+    def jacobian(self, phi: np.ndarray, contacts) -> np.ndarray:
         """A fresh lower band of the Jacobian in RCM order (``_build_band``).
 
         A copy of the stiffness band with the junction and contact
         conductances added to its diagonal, row 0.
         """
-        g, _ = contacts or self._contacts(bias)
+        g, _ = contacts
         diag = _diode_conductance(self.materials, phi) * self.node_area + g
         band = self._stiffness_band.copy(order="F")
         band[0] += diag[self._perm]
@@ -360,11 +360,11 @@ class SheetSystem:
         ``dv`` is one step (dV_A, dV_B, dV_C) or a stack of them, shape
         (m, 3); a stack gives one column per step.
         """
-        g, _ = self._contacts(bias)
-        return (g[:, None] * self._pads) @ np.asarray(dv, dtype=float).T
+        driven = [bias.terminal(t) is not None for t in TERMINALS]
+        return self._pads @ (self._pad_g * driven * np.asarray(dv, dtype=float)).T
 
-    def terminal_currents(self, phi: np.ndarray, bias: BiasPoint, contacts=None):
-        g, v = contacts or self._contacts(bias)
+    def terminal_currents(self, phi: np.ndarray, contacts):
+        g, v = contacts
         i_a, i_b, i_c = self._pads.T @ (g * (v - phi))
         i_junction = float(
             np.sum(diode_current_density(self.materials, phi) * self.node_area)
@@ -385,16 +385,18 @@ class SheetSystem:
 
     # -- Newton -------------------------------------------------------------
 
-    def _residual_scale(self, bias: BiasPoint, cfg: SolverConfig) -> float:
-        drive = bias.max_drive()
+    def _residual_scale(self, contacts, cfg: SolverConfig) -> float:
+        # max |v| is the largest driven |V_k|: every driven terminal has pad
+        # nodes (``_contacts`` raises otherwise), and v is 0 off them
+        drive = float(np.max(np.abs(contacts[1])))
         return max(
             self.materials.sheet_conductance * (1.0 + drive),
             self.materials.saturation_current_density * self.total_area,
             1e-3 * cfg.current_floor,
         )
 
-    def _newton(self, bias: BiasPoint, phi0: np.ndarray, cfg: SolverConfig, contacts):
-        """Damped Newton from ``phi0``; ``contacts`` is ``_contacts(bias)``.
+    def _newton(self, phi0: np.ndarray, cfg: SolverConfig, contacts):
+        """Damped Newton from ``phi0`` on the ``_contacts`` pair of one bias.
 
         Returns ``(phi, converged, iters, history, factor, factorizations)``.
         A step factors the Jacobian at the current iterate (``_cholesky``)
@@ -410,12 +412,12 @@ class SheetSystem:
         alone.  ``iters`` counts chord and full steps alike; ``factor`` is
         the last factor, None when no step was taken.
         """
-        scale = self._residual_scale(bias, cfg)
+        scale = self._residual_scale(contacts, cfg)
         tol = cfg.newton_tol * scale
         balance_tol = _KIRCHHOFF_FRACTION * cfg.current_floor
 
         phi = phi0.copy()
-        f = self.residual(phi, bias, contacts)
+        f = self.residual(phi, contacts)
         norm = float(np.max(np.abs(f)))
         if not math.isfinite(norm):
             raise NumericalError("NaN in residual at Newton start")
@@ -428,7 +430,7 @@ class SheetSystem:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history, factor, factorizations
             if refactor:
-                factor = self._cholesky(self.jacobian(phi, bias, contacts))
+                factor = self._cholesky(self.jacobian(phi, contacts))
                 factorizations += 1
             delta = self._back_solve(factor, -f)
             if not np.all(np.isfinite(delta)):
@@ -438,12 +440,12 @@ class SheetSystem:
             lam = cfg.damping
             while True:
                 phi_try = phi + lam * delta
-                f_try = self.residual(phi_try, bias, contacts)
+                f_try = self.residual(phi_try, contacts)
                 if float(f_try @ delta) <= 0.0:
                     break
                 if energy is None:
-                    energy = self.energy(phi, bias, contacts)
-                if self.energy(phi_try, bias, contacts) <= energy + 1e-4 * lam * slope:
+                    energy = self.energy(phi, contacts)
+                if self.energy(phi_try, contacts) <= energy + 1e-4 * lam * slope:
                     break
                 lam *= 0.5
                 if lam < 2.0**-24:
@@ -474,7 +476,7 @@ class SheetSystem:
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
         contacts = self._contacts(bias)
         phi, ok, iters, history, factor, factorizations = self._newton(
-            bias, phi0, cfg, contacts
+            phi0, cfg, contacts
         )
         if not ok:
             raise ConvergenceError(
@@ -482,7 +484,7 @@ class SheetSystem:
                 f"(last residual {history[-1]:.3e})",
                 history,
             )
-        i_a, i_b, i_c, i_j = self.terminal_currents(phi, bias, contacts)
+        i_a, i_b, i_c, i_j = self.terminal_currents(phi, contacts)
         ex, ey = self.field_at_qd(phi)
         mesh = self.mesh
         e_z = (mesh.built_in_voltage - float(phi[mesh.qd_node])) / (
@@ -512,8 +514,8 @@ class SolveChain:
     back-solve per step.  ``solve`` predicts its start from the held
     solution ``held`` by that back-solve of the voltage change on the held
     band factor, a Jacobian a few chord steps stale, so the predictor costs
-    no factorization; with no factor held it starts from the held
-    potential, with nothing held it starts cold.  A solve that takes no
+    no factorization; with no factor held it starts cold (a held solution
+    without a factor took no step from phi = 0).  A solve that takes no
     step keeps the held factor, and a failed one drops ``held``.
     ``tangent`` factors J at the held potential, so through the linear QD
     field it gives exact field derivatives, and the chain then holds that
@@ -533,10 +535,8 @@ class SolveChain:
         held, system = self.held, self.system
         if held is not None and held.bias == bias:
             return held
-        if held is None:
+        if held is None or held.factor is None:
             phi0 = None
-        elif held.factor is None:
-            phi0 = held.phi
         else:
             pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
             dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
@@ -563,7 +563,8 @@ class SolveChain:
         steps, which share the factorization and give dphi of shape (n, m).
         """
         held, system = self.held, self.system
-        factor = system._cholesky(system.jacobian(held.phi, held.bias))
+        contacts = system._contacts(held.bias)
+        factor = system._cholesky(system.jacobian(held.phi, contacts))
         self.held = replace(held, factor=factor)
         return system._back_solve(factor, system._terminal_drive(held.bias, dv))
 

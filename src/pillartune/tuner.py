@@ -115,7 +115,7 @@ ALL_OUTPUTS = tuple(dict.fromkeys(group for group in COLUMNS.values() if group))
 _CODECS = {f.name: f.metadata["codec"] for f in fields(CellRecord)}
 
 
-class TunerError(RuntimeError):
+class TunerError(ValueError):
     pass
 
 
@@ -280,7 +280,6 @@ def run_bias_sweep(
     exciton_params: ExcitonParams,
     cfg: SolverConfig,
     jobs: int = 1,
-    extra_meta: dict | None = None,
 ) -> SweepResult:
     """Evaluate the grid; failed cells keep an error status instead of aborting.
 
@@ -335,8 +334,6 @@ def run_bias_sweep(
         "factorizations": sum(n for _, n in rows),
         "elapsed_s": time.perf_counter() - t_start,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return SweepResult(spec=spec, records=records, metadata=meta)
 
 
@@ -496,13 +493,13 @@ def find_zero_fss(
     mesh: Mesh,
     materials: MaterialParams,
     exciton_params: ExcitonParams,
-    cfg: SolverConfig | None = None,
-    bounds: tuple[float, float] = SweepSpec().tune_bounds(),
+    cfg: SolverConfig,
+    bounds: tuple[float, float],
 ) -> TuneResult:
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
-    Two grids: a 3-per-axis grid of seeds over ``bounds`` (by default the
-    default sweep window) is ranked on a mesh of the same footprint at
+    Two grids: a 3-per-axis grid of seeds over ``bounds`` (the CLI passes
+    ``SweepSpec.tune_bounds()``) is ranked on a mesh of the same footprint at
     three times the edge, and the best seeds are refined on ``mesh`` in
     turn by a projected Gauss-Newton iteration (``_projected_newton``,
     exact Jacobian from the solution's tangent) on the smooth splitting
@@ -540,7 +537,6 @@ def find_zero_fss(
             raise ValueError(f"free terminal {t} is floating in the start bias")
     if mesh.footprint is None:
         raise ValueError("mesh has no footprint to rank seeds on; use generate_mesh")
-    cfg = cfg or SolverConfig()
 
     seed_mesh = generate_mesh(mesh.footprint, _SEED_EDGE_FACTOR * mesh.target_edge)
     seed_chain = SolveChain(SheetSystem(seed_mesh, materials), cfg)

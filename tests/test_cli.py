@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import pillartune
 from pillartune import cli, solver
 from pillartune.cli import main
-from pillartune.config import load_run_config
-from pillartune.spectro import scan_from_csv, shift_law
+from pillartune.config import ConfigError, load_run_config
+from pillartune.device import GeometryError, MeshError
+from pillartune.spectro import FitError, ScanInputError, scan_from_csv, shift_law
 from pillartune.tuner import TunerError
 
 FAST_DEVICE = """
@@ -155,6 +157,7 @@ def test_sweep_outputs_are_deterministic(fast_config, tmp_path, capsys):
     assert len(rows) == 1 + 16  # header + 4x4 grid
     meta = json.loads((tmp_path / f"one_{cfg.config_hash}.meta.json").read_text())
     assert meta["config_hash"] == cfg.config_hash
+    assert meta["version"] == pillartune.__version__
     assert meta["grid"] == [4, 4]
 
 
@@ -181,14 +184,19 @@ def test_synth_scan_then_fit_round_trip(fast_config, tmp_path, capsys):
     assert "config_hash" in payload
 
 
-def test_fit_recovers_handwritten_sinusoid(fast_config, tmp_path, capsys):
+def _write_sine_scan(path) -> None:
+    """A noiseless 36-angle scan of a 10 ueV splitting at theta0 = 0.5 rad."""
     angles = np.arange(36) * math.pi / 36
     energies = shift_law(angles, 10.0, 0.5, 1.0)
-    path = tmp_path / "sine.csv"
     with open(path, "w") as fh:
         fh.write("angle_rad,energy_ueV,sigma_ueV\n")
         for a, e in zip(angles, energies):
             fh.write(f"{float(a)!r},{float(e)!r},0.0\n")
+
+
+def test_fit_recovers_handwritten_sinusoid(fast_config, tmp_path, capsys):
+    path = tmp_path / "sine.csv"
+    _write_sine_scan(path)
     code = main(["--config", fast_config, "fit", str(path)])
     out = capsys.readouterr().out
     assert code == 0
@@ -531,36 +539,52 @@ def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     assert len(scan.angles) == 36
 
 
-@pytest.mark.parametrize("command, option", [("solve", "--phi-out"), ("synth-scan", "--out")])
-def test_output_in_missing_directory_exits_2(fast_config, tmp_path, capsys, command, option):
-    out = tmp_path / "missing" / "out.csv"
-    code = main(["--config", fast_config, command, "--va", "0", "--vb", "0",
-                 option, str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"error: cannot write {out}: No such file or directory" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--out", "{missing}/s"],
         ["tune", "--out", "{missing}/t.json"],
         ["iso-fss", "--target", "5", "--min-separation", "1", "--out", "{missing}/i.json"],
+        ["solve", "--va", "0.8", "--vb", "0.4", "--phi-out", "{missing}/p.csv"],
+        ["synth-scan", "--va", "0.8", "--vb", "0.4", "--out", "{missing}/s.csv"],
+        ["fit", "{scan}", "--out", "{missing}/f.json"],
     ],
 )
 def test_out_in_missing_directory_exits_2_before_solving(
     fast_config, tmp_path, monkeypatch, capsys, argv
 ):
-    def no_mesh(cfg):
-        raise AssertionError("meshed before the output directory was checked")
+    def too_early(*args):
+        raise AssertionError("worked before the output directory was checked")
 
-    monkeypatch.setattr(cli, "_mesh", no_mesh)
-    missing = tmp_path / "missing"
-    code = main(["--config", fast_config, *(a.format(missing=missing) for a in argv)])
-    err = capsys.readouterr().err
+    monkeypatch.setattr(cli, "_mesh", too_early)
+    monkeypatch.setattr(cli, "fit_fss_sine", too_early)
+    scan, missing = tmp_path / "scan.csv", tmp_path / "missing"
+    _write_sine_scan(scan)
+    code = main([
+        "--config", fast_config, *(a.format(scan=scan, missing=missing) for a in argv)
+    ])
+    out, err = capsys.readouterr()
     assert code == 2
     assert f"error: cannot write {missing}/" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("error", [MeshError, TunerError])
+def test_every_input_error_is_a_value_error_and_exits_2(
+    fast_config, monkeypatch, capsys, error
+):
+    # main maps OutputError and ValueError to exit 2; solver and fit
+    # failures keep their own codes
+    input_errors = (ConfigError, GeometryError, MeshError, ScanInputError, TunerError)
+    assert all(issubclass(cls, ValueError) for cls in input_errors)
+    assert not any(issubclass(cls, ValueError) for cls in (solver.SolverError, FitError))
+
+    def fail(cfg):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "_mesh", fail)
+    assert main(["--config", fast_config, "solve", "--va", "0", "--vb", "0"]) == 2
+    assert "error: bad input" in capsys.readouterr().err
 
 
 def test_sweep_meta_counts_newton_iterations(fast_config, tmp_path, capsys):

@@ -850,11 +850,13 @@ def test_find_zero_input_validation(coarse_mesh, default_config):
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), (), 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
+            CFG, (-1.0, 4.0),
         )
     with pytest.raises(ValueError):
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), ("C",), 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
+            CFG, (-1.0, 4.0),
         )
 
 
@@ -873,7 +875,7 @@ def test_find_zero_rejects_bad_bounds_before_any_solve(
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
-            bounds=bounds,
+            CFG, bounds,
         )
     assert calls == []
 
@@ -893,6 +895,7 @@ def test_find_zero_rejects_a_mesh_without_footprint_before_any_solve(
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
             strip, laplace_materials(), default_config.exciton,
+            CFG, (-1.0, 4.0),
         )
     assert calls == []
 
@@ -903,6 +906,7 @@ def test_find_zero_rejects_repeated_free_terminals(coarse_mesh, default_config, 
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), free, 1.0,
             coarse_mesh, default_config.materials, default_config.exciton,
+            CFG, (-1.0, 4.0),
         )
 
 
