@@ -760,13 +760,18 @@ def test_contact_vectors_match_a_per_terminal_reference(coarse_system, driven):
             assert i == 0.0 and math.copysign(1.0, i) == 1.0
 
 
-@pytest.mark.parametrize("call", ["solve", "_contacts"])
+@pytest.mark.parametrize(
+    "call", ["solve", "residual", "energy", "jacobian", "terminal_currents"]
+)
 def test_driven_terminal_without_contact_nodes_fails(call):
     system = SheetSystem(make_strip_mesh(4.0, 2.0, 1.0), MaterialParams())  # no PAD_C
     bias = BiasPoint(0.0, 0.0, 1.0)
-    args = (bias, CFG) if call == "solve" else (bias,)
     with pytest.raises(SolverError, match="terminal C is driven but has no contact"):
-        getattr(system, call)(*args)
+        if call == "solve":
+            system.solve(bias, CFG)
+        else:
+            # the sheet physics takes contact vectors, and only _contacts builds them
+            getattr(system, call)(np.zeros(system.n), system._contacts(bias))
 
 
 # -- regime classification ----------------------------------------------------
