@@ -100,9 +100,9 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     if args.phi_out:
         _check_out_dir(args.phi_out)
+    bias = _bias_from_args(args, cfg)
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
-    bias = _bias_from_args(args, cfg)
     sol = system.solve(bias, cfg.solver)
     state = exciton_state(cfg.exciton, sol.field)
     region = classify_regime(sol, cfg.solver.regime_threshold)
@@ -188,9 +188,9 @@ def cmd_synth_scan(args) -> int:
     cfg = _load(args)
     out = args.out or f"scan_{cfg.config_hash}.csv"
     _check_out_dir(out)
+    bias = _bias_from_args(args, cfg)
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
-    bias = _bias_from_args(args, cfg)
     sol = system.solve(bias, cfg.solver)
     seed = args.seed if args.seed is not None else cfg.seed
     scan = synth_polarization_scan(
@@ -213,8 +213,8 @@ def cmd_tune(args) -> int:
     cfg = _load(args)
     out = args.out or f"tune_{cfg.config_hash}.json"
     _check_out_dir(out)
-    mesh = _mesh(cfg)
     start = _bias_from_args(args, cfg)
+    mesh = _mesh(cfg)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
     bounds = cfg.sweep.tune_bounds()
     result = find_zero_fss(

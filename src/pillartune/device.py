@@ -46,23 +46,13 @@ class DeviceGeometry:
     collapsed vertical junction; they feed the vertical-field readout only.
     """
 
-    # Default ridge placement keeps the driven arms A and B mirror-symmetric
-    # about the unconnected arm C, with C in the gap between them.  The
-    # C-arm junction then steers the passing-regime field outward past the
-    # A-B cone, spanning the near-pi range of in-plane directions; an
-    # equally spaced layout pins the span well below that.  Exact placement
-    # in the fabricated device is not published.
-    pillar_diameter: float = 10.0
-    ridge_width: float = 3.0
-    ridge_length: float = 50.0
-    ridge_angles: tuple[float, float, float] = (
-        0.0,
-        math.radians(130.0),
-        math.radians(65.0),
-    )
-    pad_size: float = 20.0
-    intrinsic_thickness_nm: float = 270.0
-    built_in_voltage: float = 1.4
+    pillar_diameter: float
+    ridge_width: float
+    ridge_length: float
+    ridge_angles: tuple[float, float, float]
+    pad_size: float
+    intrinsic_thickness_nm: float
+    built_in_voltage: float
 
     def __post_init__(self) -> None:
         if not (self.pillar_diameter > 0.0):
@@ -118,11 +108,11 @@ class MaterialParams:
     terminal, in the order (A, B, C).
     """
 
-    sheet_conductance: float = 2.0e-3          # S per square
-    saturation_current_density: float = 1.3e-18  # A / um^2
-    ideality: float = 2.0
-    thermal_voltage: float = 0.02585           # V
-    contact_resistance: tuple[float, float, float] = (9.0e5, 1.4e6, 9.0e5)
+    sheet_conductance: float                 # S per square
+    saturation_current_density: float        # A / um^2
+    ideality: float
+    thermal_voltage: float                   # V
+    contact_resistance: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if not (self.sheet_conductance > 0.0):
@@ -166,8 +156,8 @@ class Mesh:
     cells: np.ndarray                  # (M, 3) int32, CCW
     boundary_tags: dict[str, np.ndarray]
     qd_node: int
-    built_in_voltage: float = 1.4
-    intrinsic_thickness_nm: float = 270.0
+    built_in_voltage: float
+    intrinsic_thickness_nm: float
     target_edge: float = 0.0
     footprint: Footprint | None = None
 
@@ -440,8 +430,9 @@ def make_strip_mesh(
     length: float,
     width: float,
     edge: float,
-    built_in_voltage: float = 1.4,
-    intrinsic_thickness_nm: float = 270.0,
+    *,
+    built_in_voltage: float,
+    intrinsic_thickness_nm: float,
 ) -> Mesh:
     """Rectangular two-contact strip used for Laplace-limit validation.
 

@@ -30,6 +30,8 @@ class ExcitonParams:
     ((m11, m12), (m21, m22)) acting on (E_x, E_y); it need not be symmetric.
     """
 
+    # The one class whose defaults repeat default.cfg ([exciton]): the
+    # benchmark self-test builds a bare ExcitonParams().  A test keeps them equal.
     zero_field_energy: float = 1.34
     zero_field_splitting: tuple[float, float] = (7.38, 3.06)
     inplane_coupling: tuple[tuple[float, float], tuple[float, float]] = (

@@ -59,6 +59,11 @@ _CHORD_CONTRACTION = 0.1
 # 1e-8 * max(|I|, current_floor) satisfiable with margin.
 _KIRCHHOFF_FRACTION = 1e-9
 
+# Largest terminal voltage magnitude (V) a bias may hold.  Far past it a
+# solve cannot start (at 1e8 V every trial point's junction term
+# overflows), so a larger bias is an input error, not a solver failure.
+MAX_BIAS_V = 1e3
+
 TERMINALS = ("A", "B", "C")
 _VOLTAGE_FIELDS = {"A": "v_a", "B": "v_b", "C": "v_c"}
 
@@ -94,6 +99,8 @@ class BiasPoint:
         for v in values:
             if v is not None and not math.isfinite(v):
                 raise ValueError("bias values must be finite")
+            if v is not None and abs(v) > MAX_BIAS_V:
+                raise ValueError(f"bias {v:g} V exceeds the {MAX_BIAS_V:g} V limit")
 
     def terminal(self, name: str) -> float | None:
         return getattr(self, _VOLTAGE_FIELDS[name])
@@ -101,11 +108,11 @@ class BiasPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    newton_tol: float = 1e-11
-    max_iters: int = 80
-    damping: float = 1.0
-    current_floor: float = 1e-6     # A, smallest terminal current scale resolved
-    regime_threshold: float = 5.2e-7  # A, default I_th for regime labelling
+    newton_tol: float
+    max_iters: int
+    damping: float
+    current_floor: float        # A, smallest terminal current scale resolved
+    regime_threshold: float     # A, I_th for regime labelling
 
     def __post_init__(self) -> None:
         if not (self.newton_tol > 0.0):

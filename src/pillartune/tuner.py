@@ -32,6 +32,7 @@ from .exciton import (
     stark_shift,
 )
 from .solver import (
+    MAX_BIAS_V,
     TERMINALS,
     BiasPoint,
     FieldSolution,
@@ -123,14 +124,14 @@ class TunerError(ValueError):
 class SweepSpec:
     """Rectangular (V_A, V_B) grid with a fixed or floating V_C."""
 
-    va_start: float = -1.0
-    va_stop: float = 6.0
-    va_step: float = 0.175
-    vb_start: float = -1.0
-    vb_stop: float = 6.0
-    vb_step: float = 0.175
-    vc: float | None = None
-    outputs: tuple[str, ...] = ALL_OUTPUTS
+    va_start: float
+    va_stop: float
+    va_step: float
+    vb_start: float
+    vb_stop: float
+    vb_step: float
+    vc: float | None
+    outputs: tuple[str, ...]
 
     def __post_init__(self) -> None:
         for start, stop, step, name in (
@@ -141,6 +142,10 @@ class SweepSpec:
                 raise ValueError(f"{name}_step must be positive")
             if stop < start:
                 raise ValueError(f"{name} range is empty")
+        for name in ("va_start", "va_stop", "vb_start", "vb_stop", "vc"):
+            v = getattr(self, name)
+            if v is not None and not abs(v) <= MAX_BIAS_V:
+                raise ValueError(f"{name} must lie within +-{MAX_BIAS_V:g} V, got {v}")
         unknown = set(self.outputs) - set(ALL_OUTPUTS)
         if unknown:
             raise ValueError(f"unknown sweep outputs: {sorted(unknown)}")
@@ -509,11 +514,12 @@ def find_zero_fss(
     cold.  ``mesh`` must come from ``generate_mesh``, which records its
     footprint (a ``make_strip_mesh`` mesh has none and raises
     ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
-    finite with lo < hi; ``start`` gives the voltages of the terminals
-    that are not free.  The eigenaxis swap is verified by probing 0.05 V
-    either side of the optimum along the approach direction, each probe
-    clipped to ``bounds``: ``crossing_verified`` holds when the axes of
-    the two probes differ by at least pi/2 - 0.1 rad.
+    finite with lo < hi and within +-``MAX_BIAS_V``; ``start`` gives the
+    voltages of the terminals that are not free.  The eigenaxis swap is
+    verified by probing 0.05 V either side of the optimum along the
+    approach direction, each probe clipped to ``bounds``:
+    ``crossing_verified`` holds when the axes of the two probes differ by
+    at least pi/2 - 0.1 rad.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
     ``newton_iters`` the Newton steps of all its solves, on both meshes.
@@ -529,6 +535,8 @@ def find_zero_fss(
     lo, hi = bounds
     if not (-math.inf < lo < hi < math.inf):
         raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
+    if max(-lo, hi) > MAX_BIAS_V:
+        raise ValueError(f"bounds must lie within +-{MAX_BIAS_V:g} V, got {bounds}")
     free = tuple(free_terminals)
     if not free or len(set(free)) < len(free) or not set(free) <= set(TERMINALS):
         raise ValueError("free_terminals must be distinct terminals among A, B, C")

@@ -6,9 +6,9 @@ as its own pass/fail line).  The bias-map criteria share one full-window
 sweep of the default configuration.
 """
 
+import dataclasses
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from pillartune.config import load_run_config
-from pillartune.device import (
-    MaterialParams,
-    build_geometry,
-    generate_mesh,
-    make_strip_mesh,
-)
+from pillartune.device import build_geometry, generate_mesh, make_strip_mesh
 from pillartune.exciton import (
     ExcitonParams,
     exciton_state,
@@ -35,15 +30,12 @@ from pillartune.spectro import (
     shift_law,
 )
 from pillartune.tuner import (
-    SweepSpec,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
     run_bias_sweep,
     write_sweep_csv,
 )
-
-JOBS = min(4, os.cpu_count() or 1)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
 # Newton stops at 1e-11 of the residual scale (``newton_tol``); three
@@ -68,9 +60,7 @@ def mesh(cfg):
 @pytest.fixture(scope="module")
 def default_sweep(cfg, mesh):
     t0 = time.perf_counter()
-    result = run_bias_sweep(
-        cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=JOBS
-    )
+    result = run_bias_sweep(cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver)
     result.metadata["wall_s"] = time.perf_counter() - t0
     return result
 
@@ -185,8 +175,15 @@ def test_criterion_05_conservation_and_laplace_limit(cfg, default_sweep):
         worst = max(worst, err / bound)
         assert err <= bound
     length = 50.0
-    strip = make_strip_mesh(length, 10.0, 1.0)
-    materials = MaterialParams(
+    strip = make_strip_mesh(
+        length,
+        10.0,
+        1.0,
+        built_in_voltage=cfg.geometry.built_in_voltage,
+        intrinsic_thickness_nm=cfg.geometry.intrinsic_thickness_nm,
+    )
+    materials = dataclasses.replace(
+        cfg.materials,
         sheet_conductance=1e-4,
         saturation_current_density=0.0,
         contact_resistance=(1.0, 1.0, 1.0),
@@ -268,11 +265,7 @@ def test_criterion_08_cancellation(cfg, mesh, tuned):
     """Affine-chain zero found below 0.1 ueV; default calibration reaches
     <= 1.5 ueV in-window; eigenaxes swap by pi/2 within 0.1 rad."""
     # affine chain: junction off makes the field affine in the biases
-    laplace = MaterialParams(
-        sheet_conductance=cfg.materials.sheet_conductance,
-        saturation_current_density=0.0,
-        contact_resistance=cfg.materials.contact_resistance,
-    )
+    laplace = dataclasses.replace(cfg.materials, saturation_current_density=0.0)
     system = SheetSystem(mesh, laplace)
     probe = ExcitonParams(
         zero_field_energy=1.34,
@@ -369,10 +362,10 @@ def test_criterion_10_stark_and_splitting_bands(default_sweep):
 
 def test_criterion_11_reproducibility(cfg, mesh, tmp_path):
     """Byte-identical sweep CSVs across repeats and concurrency levels."""
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        cfg.sweep,
         va_start=-1.0, va_stop=6.0, va_step=0.875,
         vb_start=-1.0, vb_stop=6.0, vb_step=0.875,
-        vc=cfg.sweep.vc,
     )
     blobs = []
     for i, jobs in enumerate((1, 1, 3)):

@@ -504,6 +504,30 @@ def test_non_finite_numeric_input_exits_2_naming_it(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--va", "1e8", "--vb", "0"],
+        ["solve", "--va", "0", "--vb", "0", "--vc", "1e9"],
+        ["synth-scan", "--va", "0", "--vb=-1e300"],
+        ["tune", "--free", "A", "--vb", "2e3"],
+    ],
+    ids=["solve-va", "solve-vc", "synth-scan", "tune"],
+)
+def test_bias_beyond_the_limit_exits_2_before_meshing(
+    fast_config, tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "_mesh", lambda *a: calls.append(a))
+    code = main(["--config", fast_config, *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "exceeds the 1000 V limit" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "text, argv, message",
     [
         # both axes end where they start: the tune window is one point

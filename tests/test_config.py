@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -17,7 +18,7 @@ from pillartune.config import (
     load_run_config,
     parse_config_text,
 )
-from pillartune.device import DeviceGeometry, MaterialParams
+from pillartune.device import DeviceGeometry, MaterialParams, Mesh, make_strip_mesh
 from pillartune.exciton import ExcitonParams
 from pillartune.solver import SolverConfig
 from pillartune.tuner import SweepSpec
@@ -63,12 +64,32 @@ def test_schema_holds_parsers_only():
 
 
 def test_default_config_matches_dataclass_defaults():
+    # ExcitonParams alone keeps defaults (a bare one is built in perfbench/)
+    assert load_run_config().exciton == ExcitonParams()
+
+
+def test_calibration_comes_from_the_config_alone():
+    # no dataclass a config section builds, ExcitonParams aside, has a
+    # default, nor do the mesh's stack scalars: the values come from
+    # default.cfg or are passed in
     cfg = load_run_config()
-    assert cfg.geometry == DeviceGeometry()
-    assert cfg.materials == MaterialParams()
-    assert cfg.exciton == ExcitonParams()
-    assert cfg.solver == SolverConfig()
-    assert cfg.sweep == SweepSpec()
+    built = {cls: getattr(cfg, attr) for attr, cls in _SECTIONS.values()}
+    assert set(built) == {
+        DeviceGeometry, MaterialParams, ExcitonParams, SolverConfig, SweepSpec
+    }
+    for cls, value in built.items():
+        assert type(value) is cls
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert cls(**{n: getattr(value, n) for n in names}) == value
+        if cls is not ExcitonParams:
+            for f in dataclasses.fields(cls):
+                assert f.default is f.default_factory is dataclasses.MISSING, f.name
+    mesh_fields = {f.name: f for f in dataclasses.fields(Mesh)}
+    strip_params = inspect.signature(make_strip_mesh).parameters
+    for name in ("built_in_voltage", "intrinsic_thickness_nm"):
+        assert mesh_fields[name].default is dataclasses.MISSING
+        assert strip_params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert strip_params[name].default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize(
@@ -136,6 +157,19 @@ def test_non_positive_regime_threshold_is_config_error():
     for value in ("-1", "0"):
         with pytest.raises(ConfigError, match="regime_threshold must be positive"):
             parse_config_text(f"[solver]\nregime_threshold_a = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[sweep]\nva_stop_v = 2000\n", "va_stop_v"),
+        ("[sweep]\nvb_start_v = -1000.5\n", "vb_start_v"),
+        ("[sweep]\nvc_v = 1e9\n", "vc_v"),
+    ],
+)
+def test_sweep_bias_beyond_the_limit_is_config_error_naming_the_key(text, key):
+    with pytest.raises(ConfigError, match=rf"\(key {key}\)"):
+        parse_config_text(text)
 
 
 @pytest.mark.parametrize(

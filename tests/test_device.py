@@ -1,14 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pillartune.config import load_run_config
 from pillartune.device import (
     PAD_TAGS,
-    DeviceGeometry,
     GeometryError,
-    MaterialParams,
-    Mesh,
     MeshError,
     _stitch_rows,
     build_geometry,
@@ -18,15 +17,24 @@ from pillartune.device import (
     validate_mesh,
 )
 
+DEFAULT = load_run_config()
+GEOMETRY = DEFAULT.geometry
+# the vertical stack that strip meshes take from the calibration
+STACK = {
+    "built_in_voltage": GEOMETRY.built_in_voltage,
+    "intrinsic_thickness_nm": GEOMETRY.intrinsic_thickness_nm,
+}
+
 
 def test_default_footprint_builds():
-    fp = build_geometry(DeviceGeometry())
+    fp = build_geometry(GEOMETRY)
     assert len(fp.ridges) == 3
     assert len(fp.pads) == 3
 
 
 def test_paper_layout_footprint():
-    geom = DeviceGeometry(
+    geom = dataclasses.replace(
+        GEOMETRY,
         pillar_diameter=10.0,
         ridge_width=3.0,
         ridge_length=50.0,
@@ -38,13 +46,13 @@ def test_paper_layout_footprint():
 
 def test_degenerate_ridge_rejected():
     with pytest.raises(GeometryError):
-        build_geometry(DeviceGeometry(ridge_length=0.0))
+        build_geometry(dataclasses.replace(GEOMETRY, ridge_length=0.0))
 
 
 def test_equal_ridge_angles_rejected():
     with pytest.raises(GeometryError):
         build_geometry(
-            DeviceGeometry(ridge_angles=(0.0, 0.0, math.radians(180)))
+            dataclasses.replace(GEOMETRY, ridge_angles=(0.0, 0.0, math.radians(180)))
         )
 
 
@@ -52,36 +60,37 @@ def test_close_ridge_angles_rejected():
     # attachment windows overlap when the separation is below 2*asin(w/d)
     with pytest.raises(GeometryError):
         build_geometry(
-            DeviceGeometry(
-                ridge_angles=(0.0, math.radians(20), math.radians(180))
+            dataclasses.replace(
+                GEOMETRY,
+                ridge_angles=(0.0, math.radians(20), math.radians(180)),
             )
         )
 
 
 def test_negative_dimensions_rejected():
     with pytest.raises(GeometryError):
-        DeviceGeometry(pillar_diameter=-1.0)
+        dataclasses.replace(GEOMETRY, pillar_diameter=-1.0)
     with pytest.raises(GeometryError):
-        DeviceGeometry(ridge_width=12.0)  # wider than the pillar
+        dataclasses.replace(GEOMETRY, ridge_width=12.0)  # wider than the pillar
     with pytest.raises(GeometryError):
-        DeviceGeometry(intrinsic_thickness_nm=0.0)
+        dataclasses.replace(GEOMETRY, intrinsic_thickness_nm=0.0)
     with pytest.raises(GeometryError):
-        DeviceGeometry(built_in_voltage=-0.5)
+        dataclasses.replace(GEOMETRY, built_in_voltage=-0.5)
 
 
 def test_material_params_validation():
     with pytest.raises(ValueError):
-        MaterialParams(sheet_conductance=0.0)
+        dataclasses.replace(DEFAULT.materials, sheet_conductance=0.0)
     with pytest.raises(ValueError):
-        MaterialParams(ideality=2.5)
+        dataclasses.replace(DEFAULT.materials, ideality=2.5)
     with pytest.raises(ValueError):
-        MaterialParams(contact_resistance=(1.0, 1.0, 0.0))
+        dataclasses.replace(DEFAULT.materials, contact_resistance=(1.0, 1.0, 0.0))
     # junction may be disabled entirely for Laplace-limit runs
-    MaterialParams(saturation_current_density=0.0)
+    dataclasses.replace(DEFAULT.materials, saturation_current_density=0.0)
 
 
 def test_mesh_structure_and_tags():
-    mesh = generate_mesh(build_geometry(DeviceGeometry()), 1.0)
+    mesh = generate_mesh(build_geometry(GEOMETRY), 1.0)
     validate_mesh(mesh)
     assert tuple(mesh.boundary_tags) == PAD_TAGS
     areas = cell_areas(mesh)
@@ -93,12 +102,12 @@ def test_mesh_structure_and_tags():
 
 
 def test_qd_node_at_pillar_centre():
-    mesh = generate_mesh(build_geometry(DeviceGeometry()), 1.0)
+    mesh = generate_mesh(build_geometry(GEOMETRY), 1.0)
     assert np.hypot(*mesh.nodes[mesh.qd_node]) < 0.5 * mesh.target_edge
 
 
 def test_refinement_node_count_ratio():
-    fp = build_geometry(DeviceGeometry())
+    fp = build_geometry(GEOMETRY)
     coarse = generate_mesh(fp, 1.0)
     fine = generate_mesh(fp, 0.5)
     assert coarse.footprint is fine.footprint is fp
@@ -107,7 +116,7 @@ def test_refinement_node_count_ratio():
 
 
 def test_max_edge_bound():
-    mesh = generate_mesh(build_geometry(DeviceGeometry()), 1.5)
+    mesh = generate_mesh(build_geometry(GEOMETRY), 1.5)
     p = mesh.nodes[mesh.cells]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         lengths = np.hypot(p[:, i, 0] - p[:, j, 0], p[:, i, 1] - p[:, j, 1])
@@ -118,16 +127,18 @@ def test_max_edge_bound():
     "make",
     [
         *(
-            pytest.param(lambda e=e: generate_mesh(build_geometry(DeviceGeometry()), e),
+            pytest.param(lambda e=e: generate_mesh(build_geometry(GEOMETRY), e),
                          id=f"device@{e}")
             for e in (0.5, 1.0, 2.5, 5.0)
         ),
         # a pad wider than its ridge by less than 1e-12 um
         pytest.param(
-            lambda: generate_mesh(build_geometry(DeviceGeometry(pad_size=3.0 + 1e-13)), 2.0),
+            lambda: generate_mesh(
+                build_geometry(dataclasses.replace(GEOMETRY, pad_size=3.0 + 1e-13)), 2.0
+            ),
             id="device-pad-barely-wider@2.0",
         ),
-        pytest.param(lambda: make_strip_mesh(50.0, 10.0, 1.0), id="strip"),
+        pytest.param(lambda: make_strip_mesh(50.0, 10.0, 1.0, **STACK), id="strip"),
     ],
 )
 def test_mesh_is_conforming_and_simply_connected(make):
@@ -145,13 +156,13 @@ def test_stitcher_splits_each_quad_along_its_rising_diagonal():
 
 
 def test_bad_edge_length_rejected():
-    fp = build_geometry(DeviceGeometry())
+    fp = build_geometry(GEOMETRY)
     with pytest.raises(MeshError):
         generate_mesh(fp, 0.0)
 
 
 def test_strip_mesh_tags_and_probe():
-    mesh = make_strip_mesh(50.0, 10.0, 1.0)
+    mesh = make_strip_mesh(50.0, 10.0, 1.0, **STACK)
     assert tuple(mesh.boundary_tags) == PAD_TAGS
     assert len(mesh.pad_nodes("PAD_A")) == len(mesh.pad_nodes("PAD_B"))
     assert len(mesh.pad_nodes("PAD_C")) == 0
@@ -160,14 +171,13 @@ def test_strip_mesh_tags_and_probe():
 
 
 def test_disconnected_mesh_rejected():
-    strip = make_strip_mesh(4.0, 2.0, 1.0)
+    strip = make_strip_mesh(4.0, 2.0, 1.0, **STACK)
     island = np.array([[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]])
     n = strip.n_nodes
-    mesh = Mesh(
+    mesh = dataclasses.replace(
+        strip,
         nodes=np.vstack([strip.nodes, island]),
         cells=np.vstack([strip.cells, [[n, n + 1, n + 2]]]).astype(np.int32),
-        boundary_tags=strip.boundary_tags,
-        qd_node=strip.qd_node,
     )
     with pytest.raises(MeshError, match="not connected"):
         validate_mesh(mesh, require_all_pads=False)

@@ -8,9 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from pillartune import solver
+from pillartune.config import load_run_config
 from pillartune.device import (
-    DeviceGeometry,
-    MaterialParams,
     Mesh,
     MeshError,
     build_geometry,
@@ -26,7 +25,6 @@ from pillartune.solver import (
     NumericalError,
     SheetSystem,
     SolveChain,
-    SolverConfig,
     SolverError,
     classify_regime,
     diode_current_density,
@@ -34,7 +32,13 @@ from pillartune.solver import (
     kirchhoff_error,
 )
 
-CFG = SolverConfig()
+DEFAULT = load_run_config()
+CFG = DEFAULT.solver
+# the vertical stack that strip meshes take from the calibration
+STACK = {
+    "built_in_voltage": DEFAULT.geometry.built_in_voltage,
+    "intrinsic_thickness_nm": DEFAULT.geometry.intrinsic_thickness_nm,
+}
 
 
 def _band_to_dense(system, band):
@@ -68,6 +72,11 @@ def test_bias_point_validation():
         BiasPoint(float("nan"), 0.0, None)
     b = BiasPoint(1.0, -2.0, None)
     assert [b.terminal(t) for t in TERMINALS] == [1.0, -2.0, None]
+    # the limit itself is a valid bias; anything past it is an input error
+    BiasPoint(-solver.MAX_BIAS_V, -solver.MAX_BIAS_V, -solver.MAX_BIAS_V)
+    for v in (1.0001e3, -1e8, 1e300):
+        with pytest.raises(ValueError, match="exceeds the 1000 V limit"):
+            BiasPoint(0.0, None, v)
     with pytest.raises(KeyError):
         b.terminal("D")
 
@@ -76,12 +85,12 @@ def test_bias_point_validation():
 
 
 def test_diode_zero_bias_is_zero():
-    m = MaterialParams()
+    m = DEFAULT.materials
     assert diode_current_density(m, 0.0) == 0.0
 
 
 def test_diode_reverse_saturation():
-    m = MaterialParams()
+    m = DEFAULT.materials
     phi = -10.0 * m.ideality * m.thermal_voltage
     j = diode_current_density(m, phi)
     assert j < 0
@@ -90,8 +99,11 @@ def test_diode_reverse_saturation():
 
 def test_diode_against_high_precision_oracle():
     # independent arbitrary-precision evaluation of the Shockley law
-    m = MaterialParams(
-        saturation_current_density=1e-18, ideality=1.5, thermal_voltage=0.02585
+    m = dataclasses.replace(
+        DEFAULT.materials,
+        saturation_current_density=1e-18,
+        ideality=1.5,
+        thermal_voltage=0.02585,
     )
     phi = 0.9
     getcontext().prec = 50
@@ -102,7 +114,7 @@ def test_diode_against_high_precision_oracle():
 
 
 def test_diode_strictly_increasing_through_clamp():
-    m = MaterialParams()
+    m = DEFAULT.materials
     nvt = m.ideality * m.thermal_voltage
     phis = np.linspace(-1.0, (EXP_CLAMP + 20.0) * nvt, 400)
     j = diode_current_density(m, phis)
@@ -111,7 +123,7 @@ def test_diode_strictly_increasing_through_clamp():
 
 def test_diode_clamp_holds_beside_a_nan_and_on_no_nodes():
     # a NaN must not switch the linear branch off for the other nodes
-    m = MaterialParams()
+    m = DEFAULT.materials
     phi = (EXP_CLAMP + 1.0) * m.ideality * m.thermal_voltage
     j = diode_current_density(m, np.array([math.nan, phi]))
     assert math.isnan(j[0]) and j[1] == diode_current_density(m, phi)
@@ -119,7 +131,7 @@ def test_diode_clamp_holds_beside_a_nan_and_on_no_nodes():
 
 
 def test_diode_clamp_is_linear_beyond_threshold():
-    m = MaterialParams()
+    m = DEFAULT.materials
     nvt = m.ideality * m.thermal_voltage
     u1, u2, u3 = EXP_CLAMP + 1.0, EXP_CLAMP + 2.0, EXP_CLAMP + 3.0
     j1, j2, j3 = (diode_current_density(m, u * nvt) for u in (u1, u2, u3))
@@ -143,9 +155,10 @@ def test_node_outside_every_cell_rejected():
         cells=np.array([[0, 1, 2]], dtype=np.int32),
         boundary_tags={"PAD_A": np.array([1], dtype=np.int32)},
         qd_node=0,
+        **STACK,
     )
     with pytest.raises(MeshError, match="belong to a cell"):
-        SheetSystem(mesh, MaterialParams())
+        SheetSystem(mesh, DEFAULT.materials)
 
 
 def test_dimension_mismatch_rejected(coarse_system):
@@ -155,8 +168,8 @@ def test_dimension_mismatch_rejected(coarse_system):
 
 def test_linear_phi_is_discretely_harmonic():
     # no junction: interior residual of a linear potential vanishes exactly
-    mesh = make_strip_mesh(20.0, 6.0, 1.0)
-    materials = MaterialParams(saturation_current_density=0.0)
+    mesh = make_strip_mesh(20.0, 6.0, 1.0, **STACK)
+    materials = dataclasses.replace(DEFAULT.materials, saturation_current_density=0.0)
     phi = 0.05 * mesh.nodes[:, 0] + 0.3
     system = SheetSystem(mesh, materials)
     f = system.residual(phi, system._contacts(BiasPoint(0.0, 0.0, None)))
@@ -168,8 +181,9 @@ def test_linear_phi_is_discretely_harmonic():
 
 
 def test_jacobian_matches_finite_differences():
-    mesh = make_strip_mesh(4.0, 2.0, 1.0)  # 15 nodes
-    materials = MaterialParams(
+    mesh = make_strip_mesh(4.0, 2.0, 1.0, **STACK)  # 15 nodes
+    materials = dataclasses.replace(
+        DEFAULT.materials,
         sheet_conductance=1e-3,
         saturation_current_density=1e-12,
         ideality=1.5,
@@ -232,10 +246,13 @@ def test_equilibrium_solution(coarse_system):
 
 
 def test_threefold_symmetric_bias_has_no_inplane_field(default_config):
-    geom = DeviceGeometry(
-        ridge_angles=(math.radians(90), math.radians(210), math.radians(330))
+    geom = dataclasses.replace(
+        default_config.geometry,
+        ridge_angles=(math.radians(90), math.radians(210), math.radians(330)),
     )
-    materials = MaterialParams(contact_resistance=(9e5, 9e5, 9e5))
+    materials = dataclasses.replace(
+        default_config.materials, contact_resistance=(9e5, 9e5, 9e5)
+    )
     mesh = generate_mesh(build_geometry(geom), 1.5)
     system = SheetSystem(mesh, materials)
     sol = system.solve(BiasPoint(1.0, 1.0, 1.0), CFG)
@@ -244,10 +261,13 @@ def test_threefold_symmetric_bias_has_no_inplane_field(default_config):
 
 
 def test_bias_permutation_rotates_field(default_config):
-    geom = DeviceGeometry(
-        ridge_angles=(math.radians(90), math.radians(210), math.radians(330))
+    geom = dataclasses.replace(
+        default_config.geometry,
+        ridge_angles=(math.radians(90), math.radians(210), math.radians(330)),
     )
-    materials = MaterialParams(contact_resistance=(9e5, 9e5, 9e5))
+    materials = dataclasses.replace(
+        default_config.materials, contact_resistance=(9e5, 9e5, 9e5)
+    )
     mesh = generate_mesh(build_geometry(geom), 1.5)
     system = SheetSystem(mesh, materials)
     biases = (2.5, 0.5, -1.0)
@@ -353,9 +373,10 @@ def test_deep_reverse_junction_is_saturation_times_area(
 def test_single_lumped_node_matches_scalar_oracle():
     # a short, wide strip with high sheet conductance is one equipotential
     # lump: (V - phi)/R = j(phi) * A_total, solved independently by bracketing
-    mesh = make_strip_mesh(0.5, 5.0, 0.5)
+    mesh = make_strip_mesh(0.5, 5.0, 0.5, **STACK)
     r_series = 2.0e5
-    materials = MaterialParams(
+    materials = dataclasses.replace(
+        DEFAULT.materials,
         sheet_conductance=1.0,
         saturation_current_density=1e-12,
         ideality=1.5,
@@ -378,8 +399,9 @@ def test_single_lumped_node_matches_scalar_oracle():
 def test_laplace_strip_uniform_field():
     # no junction: the two-contact strip carries E = dV / L
     length, width = 50.0, 10.0
-    mesh = make_strip_mesh(length, width, 1.0)
-    materials = MaterialParams(
+    mesh = make_strip_mesh(length, width, 1.0, **STACK)
+    materials = dataclasses.replace(
+        DEFAULT.materials,
         sheet_conductance=1e-4,
         saturation_current_density=0.0,
         contact_resistance=(1.0, 1.0, 1.0),
@@ -435,7 +457,7 @@ def test_starved_newton_gives_up_after_max_iters(coarse_system, monkeypatch):
         return result
 
     monkeypatch.setattr(coarse_system, "_newton", counted)
-    starved = SolverConfig(max_iters=1)
+    starved = dataclasses.replace(CFG, max_iters=1)
     with pytest.raises(ConvergenceError, match="after 1 Newton iterations") as err:
         coarse_system.solve(
             BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(coarse_system.n)
@@ -658,7 +680,7 @@ def test_chain_drops_its_held_solution_when_a_solve_fails(coarse_system, monkeyp
 
 
 def _strip_system():
-    return SheetSystem(make_strip_mesh(20.0, 6.0, 1.0), MaterialParams())
+    return SheetSystem(make_strip_mesh(20.0, 6.0, 1.0, **STACK), DEFAULT.materials)
 
 
 def _forward_biased(system):
@@ -764,7 +786,8 @@ def test_contact_vectors_match_a_per_terminal_reference(coarse_system, driven):
     "call", ["solve", "residual", "energy", "jacobian", "terminal_currents"]
 )
 def test_driven_terminal_without_contact_nodes_fails(call):
-    system = SheetSystem(make_strip_mesh(4.0, 2.0, 1.0), MaterialParams())  # no PAD_C
+    no_c = make_strip_mesh(4.0, 2.0, 1.0, **STACK)
+    system = SheetSystem(no_c, DEFAULT.materials)
     bias = BiasPoint(0.0, 0.0, 1.0)
     with pytest.raises(SolverError, match="terminal C is driven but has no contact"):
         if call == "solve":

@@ -11,21 +11,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pillartune import solver, tuner
-from pillartune.device import MaterialParams, build_geometry, generate_mesh, make_strip_mesh
+from pillartune.config import load_run_config
+from pillartune.device import build_geometry, generate_mesh, make_strip_mesh
 from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import (
     BiasPoint,
     ConvergenceError,
     SheetSystem,
     SolveChain,
-    SolverConfig,
 )
 from pillartune.tuner import (
     ALL_OUTPUTS,
     CellRecord,
     IsoFssPair,
     SweepResult,
-    SweepSpec,
     TunerError,
     _eigenaxis_rotation,
     _splitting_jacobian,
@@ -36,12 +35,15 @@ from pillartune.tuner import (
     write_sweep_csv,
 )
 
-CFG = SolverConfig()
+DEFAULT = load_run_config()
+CFG = DEFAULT.solver
+SPEC = DEFAULT.sweep
 
 
 def laplace_materials():
     """Junction disabled: fields are affine in the applied biases."""
-    return MaterialParams(
+    return dataclasses.replace(
+        DEFAULT.materials,
         sheet_conductance=2e-3,
         saturation_current_density=0.0,
         contact_resistance=(9e5, 1.4e6, 9e5),
@@ -50,22 +52,25 @@ def laplace_materials():
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(va_step=0.0)
+        dataclasses.replace(SPEC, va_step=0.0)
     with pytest.raises(ValueError):
-        SweepSpec(va_start=1.0, va_stop=0.0)
+        dataclasses.replace(SPEC, va_start=1.0, va_stop=0.0)
     with pytest.raises(ValueError):
-        SweepSpec(outputs=("fields", "bogus"))
-    spec = SweepSpec(va_start=0.0, va_stop=1.0, va_step=0.5)
+        dataclasses.replace(SPEC, outputs=("fields", "bogus"))
+    spec = dataclasses.replace(SPEC, va_start=0.0, va_stop=1.0, va_step=0.5)
     assert list(spec.va_values()) == [0.0, 0.5, 1.0]
 
 
 def test_tune_bounds_span_both_sweep_axes():
-    spec = SweepSpec(va_start=-1.0, va_stop=2.0, vb_start=0.5, vb_stop=4.0)
+    spec = dataclasses.replace(
+        SPEC, va_start=-1.0, va_stop=2.0, vb_start=0.5, vb_stop=4.0
+    )
     assert spec.tune_bounds() == (-1.0, 4.0)
 
 
 def test_single_cell_sweep_is_equilibrium(coarse_mesh, default_config):
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=0.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
         vc=None,
@@ -81,7 +86,8 @@ def test_single_cell_sweep_is_equilibrium(coarse_mesh, default_config):
 
 
 def _small_spec():
-    return SweepSpec(
+    return dataclasses.replace(
+        SPEC,
         va_start=-1.0, va_stop=3.0, va_step=1.0,
         vb_start=-1.0, vb_stop=3.0, vb_step=1.0,
         vc=None,
@@ -142,7 +148,7 @@ def test_failed_cell_equals_itself_after_csv_round_trip(tmp_path):
                    algebraic_fss=3.4),
     ]
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(SweepResult(spec=SweepSpec(), records=records), str(path))
+    write_sweep_csv(SweepResult(spec=SPEC, records=records), str(path))
     assert read_sweep_csv(str(path)) == records
     failed = records[0]
     assert failed != dataclasses.replace(failed, ex=0.0)
@@ -160,7 +166,7 @@ def test_sweep_rejects_jobs_below_one(coarse_mesh, default_config):
 
 def test_column_table_covers_cell_record():
     names = tuple(f.name for f in dataclasses.fields(CellRecord))
-    assert SweepSpec().columns() == names
+    assert SPEC.columns() == names
     assert ALL_OUTPUTS == (
         "fields", "currents", "regime", "fss", "theta0", "algebraic_fss", "stark"
     )
@@ -173,7 +179,7 @@ def test_formats_doc_lists_sweep_columns_in_file_order():
     for line in table.splitlines():
         if line.startswith("| `"):
             documented += re.findall(r"`([a-z_0-9]+)`", line.split("|")[1])
-    assert tuple(documented) == SweepSpec().columns()
+    assert tuple(documented) == SPEC.columns()
 
 
 def test_sweep_csv_keeps_failed_cells_and_fixed_vc(tmp_path):
@@ -182,7 +188,7 @@ def test_sweep_csv_keeps_failed_cells_and_fixed_vc(tmp_path):
         CellRecord(va=1.0, vb=1.0, vc=0.5, iters=3, residual=1e-12, ex=2.0,
                    region=2, fss=3.5, theta0=None, stark=-1.0),
     ]
-    spec = SweepSpec(outputs=("stark", "fields", "regime", "theta0"))
+    spec = dataclasses.replace(SPEC, outputs=("stark", "fields", "regime", "theta0"))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(SweepResult(spec=spec, records=records), str(path))
     lines = path.read_text().splitlines()
@@ -249,10 +255,9 @@ def test_any_sweep_csv_bytes_parse_or_raise_tuner_error(tmp_path, blob):
 def test_failed_cells_are_recorded_not_dropped(coarse_mesh, default_config):
     # a solver allowed one Newton step fails at forward bias but the sweep
     # still emits one record per cell
-    crippled = SolverConfig(
-        newton_tol=1e-11, max_iters=1, regime_threshold=CFG.regime_threshold,
-    )
-    spec = SweepSpec(
+    crippled = dataclasses.replace(CFG, max_iters=1)
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=4.0, va_step=2.0,
         vb_start=0.0, vb_stop=4.0, vb_step=2.0,
         vc=None,
@@ -285,7 +290,8 @@ def test_cell_after_a_failure_is_a_fresh_cold_solve(
         return sol
 
     monkeypatch.setattr(SheetSystem, "solve", flaky)
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=3.0, va_step=1.0,
         vb_start=1.0, vb_stop=1.0, vb_step=1.0,
     )
@@ -305,7 +311,8 @@ def test_singular_factor_is_recorded_as_numerical_error(
 ):
     monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
     # the zero-bias cell is solved exactly by phi = 0 and needs no factor
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=1.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
     )
@@ -317,7 +324,8 @@ def test_singular_factor_is_recorded_as_numerical_error(
 
 def test_tangent_predictor_saves_newton_steps(coarse_mesh, default_config):
     # the same row warm-started from the neighbour's potential alone
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=-1.0, va_stop=6.0, va_step=0.35,
         vb_start=2.0, vb_stop=2.0, vb_step=1.0,
     )
@@ -394,7 +402,8 @@ def test_warm_row_factors_less_than_once_per_newton_step(
     coarse_mesh, default_config, monkeypatch
 ):
     callers = _count_factorizations(monkeypatch)
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=-1.0, va_stop=6.0, va_step=0.35,
         vb_start=2.0, vb_stop=2.0, vb_step=1.0,
     )
@@ -861,7 +870,8 @@ def test_find_zero_input_validation(coarse_mesh, default_config):
 
 
 @pytest.mark.parametrize(
-    "bounds", [(3.0, 1.0), (0.0, 0.0), (-math.inf, 1.0), (0.0, math.nan)]
+    "bounds",
+    [(3.0, 1.0), (0.0, 0.0), (-math.inf, 1.0), (0.0, math.nan), (-2e3, 1.0), (0.0, 1e8)],
 )
 def test_find_zero_rejects_bad_bounds_before_any_solve(
     coarse_mesh, default_config, monkeypatch, bounds
@@ -884,7 +894,13 @@ def test_find_zero_rejects_a_mesh_without_footprint_before_any_solve(
     default_config, monkeypatch
 ):
     # a strip mesh has pads A and B but no footprint to mesh the seeds on
-    strip = make_strip_mesh(20.0, 6.0, 1.0)
+    strip = make_strip_mesh(
+        20.0,
+        6.0,
+        1.0,
+        built_in_voltage=default_config.geometry.built_in_voltage,
+        intrinsic_thickness_nm=default_config.geometry.intrinsic_thickness_nm,
+    )
     assert strip.footprint is None
     calls = []
     solve = SheetSystem.solve
@@ -943,7 +959,8 @@ def _record(idx, fss, energy):
 
 
 def test_iso_fss_pairs_on_synthetic_sweep():
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=4.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
     )
@@ -970,7 +987,8 @@ def test_iso_fss_pairs_on_synthetic_sweep():
 
 @pytest.mark.parametrize("max_pairs", [-1, -2])
 def test_iso_fss_rejects_negative_max_pairs(max_pairs):
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=2.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
     )
@@ -983,7 +1001,8 @@ def test_iso_fss_rejects_negative_max_pairs(max_pairs):
 
 @pytest.mark.parametrize("target", [0.0, -5.0, math.inf, math.nan])
 def test_iso_fss_rejects_target_not_positive_and_finite(target):
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=2.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
     )
@@ -1025,7 +1044,8 @@ def _iso_pairs_reference(sweep, target_fss, min_energy_separation, max_pairs):
 
 @pytest.mark.parametrize("max_pairs", [None, 0, 3])
 def test_iso_fss_pairs_match_double_loop_reference(max_pairs):
-    spec = SweepSpec(
+    spec = dataclasses.replace(
+        SPEC,
         va_start=0.0, va_stop=11.0, va_step=1.0,
         vb_start=0.0, vb_stop=0.0, vb_step=1.0,
     )
