@@ -18,7 +18,7 @@ import os
 import subprocess
 
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh
+from pillartune.device import generate_mesh
 from pillartune.tuner import SweepResult, run_bias_sweep, write_sweep_csv
 
 
@@ -28,7 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_run_config()
-    mesh = generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
     result = run_bias_sweep(cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver)
     n_vb, n_va = result.grid_shape()
     subgrid = [

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh
+from pillartune.device import generate_mesh
 from pillartune.tuner import run_bias_sweep, write_sweep_csv
 
 FIELD_FLOOR = 1e-6  # blocked-regime cells below this fraction of the strongest
@@ -32,7 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_run_config(args.config)
-    mesh = generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
     print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_cells} cells")
 
     t0 = time.perf_counter()

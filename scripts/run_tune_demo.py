@@ -16,7 +16,7 @@ import math
 import sys
 
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh
+from pillartune.device import generate_mesh
 from pillartune.solver import BiasPoint, SheetSystem
 from pillartune.spectro import fit_fss_sine, synth_polarization_scan
 from pillartune.tuner import find_zero_fss, iso_fss_points, run_bias_sweep
@@ -29,7 +29,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_run_config(args.config)
-    mesh = generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
 
     result = find_zero_fss(
         BiasPoint(0.0, 0.0, cfg.sweep.vc),

@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 
 from .device import (
     DeviceGeometry,
-    Footprint,
     GeometryError,
     MaterialParams,
     Mesh,
     MeshError,
-    build_geometry,
     generate_mesh,
     make_strip_mesh,
 )

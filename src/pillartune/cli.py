@@ -13,16 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
 from . import __version__
 from .config import RunConfig, load_run_config
-from .device import build_geometry, generate_mesh
+from .device import generate_mesh
 from .exciton import exciton_state
 from .solver import TERMINALS, BiasPoint, SheetSystem, SolverError, classify_regime
 from .spectro import (
     FitError,
+    ScanInputError,
     fit_fss_sine,
     scan_from_csv,
     scan_to_csv,
@@ -88,7 +90,7 @@ def _load(args) -> RunConfig:
 
 
 def _mesh(cfg: RunConfig):
-    return generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
+    return generate_mesh(cfg.geometry, cfg.mesh_edge)
 
 
 def _bias_from_args(args, cfg: RunConfig) -> BiasPoint:
@@ -189,10 +191,12 @@ def cmd_synth_scan(args) -> int:
     out = args.out or f"scan_{cfg.config_hash}.csv"
     _check_out_dir(out)
     bias = _bias_from_args(args, cfg)
+    seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise ScanInputError(f"seed must be a non-negative integer, got {seed}")
     mesh = _mesh(cfg)
     system = SheetSystem(mesh, cfg.materials)
     sol = system.solve(bias, cfg.solver)
-    seed = args.seed if args.seed is not None else cfg.seed
     scan = synth_polarization_scan(
         cfg.exciton,
         sol.field,
@@ -312,8 +316,18 @@ _JOBS_HELP = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-2e-1`` as a negative number, not an option; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pillartune",
         description="Three-contact micropillar device simulator and exciton tuner",
     )

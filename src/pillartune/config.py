@@ -40,6 +40,13 @@ def _parse_int(text: str) -> int:
     return int(text, 10)
 
 
+def _parse_seed(text: str) -> int:
+    seed = _parse_int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in text.split(","))
 
@@ -63,7 +70,7 @@ def _rows(m: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
 # on the dataclass its section builds (``_SECTIONS``).
 SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], str]]] = {
     "run": {
-        "seed": (_parse_int, "seed"),
+        "seed": (_parse_seed, "seed"),
     },
     "device": {
         "pillar_diameter_um": (_parse_float, "pillar_diameter"),

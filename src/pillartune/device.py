@@ -14,6 +14,9 @@ each pad widens the ridge's last row.  One stitcher splits every quad
 between consecutive rows into two triangles.  Ridge and pad nodes are
 placed in a ridge-local frame, which keeps a 120-degree-symmetric layout
 symmetric to floating point rounding.
+
+``DeviceGeometry`` and ``Mesh`` check themselves when built, so every
+layout and mesh that exists is valid.
 """
 
 from __future__ import annotations
@@ -27,15 +30,13 @@ from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
-PAD_TAGS = ("PAD_A", "PAD_B", "PAD_C")
-
 
 class GeometryError(ValueError):
     """Raised for invalid or self-intersecting device layouts."""
 
 
 class MeshError(ValueError):
-    """Raised when a footprint cannot be meshed or a mesh check fails."""
+    """Raised when a geometry cannot be meshed or a mesh check fails."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,21 @@ class DeviceGeometry:
             raise GeometryError("ridge_length must be positive (degenerate ridge)")
         if not (self.pad_size > 0.0):
             raise GeometryError("pad_size must be positive")
+        if not (self.intrinsic_thickness_nm > 0.0):
+            raise GeometryError("intrinsic_thickness_nm must be positive")
+        if not (self.built_in_voltage > 0.0):
+            raise GeometryError("built_in_voltage must be positive")
         if len(self.ridge_angles) != 3:
             raise GeometryError("exactly three ridge_angles are required")
         for a in self.ridge_angles:
             if not math.isfinite(a):
                 raise GeometryError("ridge_angles must be finite")
+        # The arms must stay apart: their attachment windows on the pillar
+        # rim, then their ridge and pad rectangles.
         beta = self.attach_half_angle
+        d, end = self.chord_distance, self.chord_distance + self.ridge_length
+        spans = ((d, end, self.ridge_width), (end, end + self.pad_size, self.pad_size))
+        arms = [[_rectangle(a, *span) for span in spans] for a in self.ridge_angles]
         for i in range(3):
             for j in range(i + 1, 3):
                 sep = _circ_dist(self.ridge_angles[i], self.ridge_angles[j])
@@ -77,10 +87,12 @@ class DeviceGeometry:
                         f"ridge_angles too close: windows of ridges {i} and {j} overlap "
                         f"on the pillar rim (separation {sep:.4f} rad <= {2 * beta:.4f})"
                     )
-        if not (self.intrinsic_thickness_nm > 0.0):
-            raise GeometryError("intrinsic_thickness_nm must be positive")
-        if not (self.built_in_voltage > 0.0):
-            raise GeometryError("built_in_voltage must be positive")
+                for a_poly, a_name in zip(arms[i], (f"ridge {i}", f"pad {i}")):
+                    for b_poly, b_name in zip(arms[j], (f"ridge {j}", f"pad {j}")):
+                        if _convex_overlap(a_poly, b_poly):
+                            raise GeometryError(
+                                f"{a_name} and {b_name} overlap; ridge_angles too close"
+                            )
 
     @property
     def pillar_radius(self) -> float:
@@ -131,35 +143,47 @@ class MaterialParams:
 
 
 @dataclass(frozen=True)
-class Footprint:
-    """Outline of the device round the geometry's pillar: three ridges, three pads."""
-
-    geometry: DeviceGeometry
-    ridges: tuple[np.ndarray, ...]     # three (4, 2) rectangles
-    pads: tuple[np.ndarray, ...]       # three (4, 2) squares
-
-
-@dataclass
 class Mesh:
-    """Conforming triangle mesh with tagged contact nodes.
+    """Conforming triangle mesh with its contact nodes, checked when built.
 
-    ``boundary_tags`` maps PAD_A/PAD_B/PAD_C to node-index arrays on the
-    outer edge of each pad.  ``qd_node`` is the node of interest at the
+    ``pads`` holds the contact nodes of terminals A, B and C, in that order:
+    the nodes on the outer edge of each pad, or an empty array for a
+    terminal without one.  ``qd_node`` is the node of interest at the
     pillar centre.
     The two vertical-stack scalars are copied from the generating geometry
     so field post-processing does not need the geometry object.
-    ``footprint`` is the outline ``generate_mesh`` meshed, so the same
+    ``geometry`` is the layout ``generate_mesh`` meshed, so the same
     device can be meshed again at another edge; other meshes have none.
+
+    Construction raises ``MeshError`` unless every cell has positive area,
+    no edge exceeds twice a positive ``target_edge``, the cells connect
+    every node (so none lies outside every cell) and no node is on two pads.
     """
 
     nodes: np.ndarray                  # (N, 2) float64, um
     cells: np.ndarray                  # (M, 3) int32, CCW
-    boundary_tags: dict[str, np.ndarray]
+    pads: tuple[np.ndarray, ...]       # int32 node ids per terminal A, B, C
     qd_node: int
     built_in_voltage: float
     intrinsic_thickness_nm: float
     target_edge: float = 0.0
-    footprint: Footprint | None = None
+    geometry: DeviceGeometry | None = None
+
+    def __post_init__(self) -> None:
+        if not np.all(cell_areas(self) > 0.0):
+            raise MeshError("mesh contains non-positive-area cells")
+
+        # every cell edge, as (start, end) node ids
+        ends = (self.cells.ravel(), np.roll(self.cells, -1, axis=1).ravel())
+        length = np.hypot(*(self.nodes[ends[0]] - self.nodes[ends[1]]).T)
+        if self.target_edge > 0.0 and length.max() > 2.0 * self.target_edge + 1e-9:
+            raise MeshError("mesh edge exceeds twice the target edge length")
+        graph = sp.coo_matrix((np.ones(len(length)), ends), shape=(self.n_nodes,) * 2)
+        if connected_components(graph, directed=False)[0] != 1:
+            raise MeshError("mesh is not connected")
+        ids = np.concatenate([np.unique(pad) for pad in self.pads])
+        if len(np.unique(ids)) < len(ids):
+            raise MeshError("pads are not disjoint")
 
     @property
     def n_nodes(self) -> int:
@@ -168,9 +192,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return int(self.cells.shape[0])
-
-    def pad_nodes(self, tag: str) -> np.ndarray:
-        return self.boundary_tags.get(tag, np.empty(0, dtype=np.int32))
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -186,6 +207,13 @@ def _unit(angle: float) -> np.ndarray:
 
 def _perp(angle: float) -> np.ndarray:
     return np.array([-math.sin(angle), math.cos(angle)])
+
+
+def _rectangle(alpha: float, s0: float, s1: float, width: float) -> np.ndarray:
+    """Corners of the rectangle from s0 to s1 along direction alpha, width across."""
+    h = 0.5 * width
+    frame = np.array([_unit(alpha), _perp(alpha)])
+    return np.array([[s0, -h], [s1, -h], [s1, h], [s0, h]]) @ frame
 
 
 def _convex_overlap(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:
@@ -206,61 +234,17 @@ def _convex_overlap(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
-def build_geometry(config: DeviceGeometry) -> Footprint:
-    """Assemble the footprint polygons and check that the arms stay apart.
-
-    ``DeviceGeometry`` already rejects attachment windows that overlap on
-    the pillar rim; this raises ``GeometryError`` when the ridge or pad
-    rectangles of two different arms intersect.
-    """
-    d = config.chord_distance
-    w = config.ridge_width
-    length = config.ridge_length
-    pad = config.pad_size
-
-    ridges = []
-    pads = []
-    for alpha in config.ridge_angles:
-        u, v = _unit(alpha), _perp(alpha)
-        ridges.append(
-            np.array(
-                [
-                    d * u - 0.5 * w * v,
-                    (d + length) * u - 0.5 * w * v,
-                    (d + length) * u + 0.5 * w * v,
-                    d * u + 0.5 * w * v,
-                ]
-            )
-        )
-        pads.append(
-            np.array(
-                [
-                    (d + length) * u - 0.5 * pad * v,
-                    (d + length + pad) * u - 0.5 * pad * v,
-                    (d + length + pad) * u + 0.5 * pad * v,
-                    (d + length) * u + 0.5 * pad * v,
-                ]
-            )
-        )
-
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for a_poly, a_name in ((ridges[i], f"ridge {i}"), (pads[i], f"pad {i}")):
-                for b_poly, b_name in ((ridges[j], f"ridge {j}"), (pads[j], f"pad {j}")):
-                    if _convex_overlap(a_poly, b_poly):
-                        raise GeometryError(
-                            f"{a_name} and {b_name} overlap; ridge_angles too close"
-                        )
-
-    return Footprint(geometry=config, ridges=tuple(ridges), pads=tuple(pads))
+def build_geometry(config: DeviceGeometry) -> DeviceGeometry:
+    # kept only because perfbench/ still calls it; DeviceGeometry checks itself
+    return config
 
 
 def _subdiv(length: float, edge: float) -> int:
     return max(1, int(math.ceil(length / edge - 1e-9)))
 
 
-def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
-    """Triangulate the footprint with a block-structured conforming mesh.
+def generate_mesh(geometry: DeviceGeometry, target_edge_length: float) -> Mesh:
+    """Triangulate the device layout with a block-structured conforming mesh.
 
     One list of rim points runs counter-clockwise round the pillar: the flat
     chord of each ridge, then the arc to the next ridge.  The pillar is that
@@ -275,7 +259,7 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
     if not (target_edge_length > 0.0):
         raise MeshError("target_edge_length must be positive")
 
-    g = footprint.geometry
+    g = geometry
     r = g.pillar_radius
     beta = g.attach_half_angle
     d = g.chord_distance
@@ -327,7 +311,7 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
     ext = np.linspace(0.5 * w, 0.5 * pad, n_e + 1)[1:]
     t_pad = np.concatenate([-ext[::-1], t_chord, ext])
 
-    boundary_tags: dict[str, np.ndarray] = {}
+    pads = []
     for k, alpha in enumerate(g.ridge_angles):
         root = rings[-1, chord_start[k] : chord_start[k] + len(t_chord)]
         s_ridge = d + length * np.arange(1, n_s + 1) / n_s
@@ -339,23 +323,21 @@ def generate_mesh(footprint: Footprint, target_edge_length: float) -> Mesh:
             add_rows(alpha, s_pad, t_pad),
         ])
         cells += [_stitch_rows(ridge), _stitch_rows(pad_rows)]
-        boundary_tags[PAD_TAGS[k]] = pad_rows[-1].astype(np.int32)
+        pads.append(pad_rows[-1].astype(np.int32))
 
     node_arr = np.concatenate(nodes)
     cell_arr = _orient_ccw(node_arr, np.concatenate(cells).astype(np.int32))
 
-    mesh = Mesh(
+    return Mesh(
         nodes=node_arr,
         cells=cell_arr,
-        boundary_tags=boundary_tags,
+        pads=tuple(pads),
         qd_node=0,
         built_in_voltage=g.built_in_voltage,
         intrinsic_thickness_nm=g.intrinsic_thickness_nm,
         target_edge=edge,
-        footprint=footprint,
+        geometry=geometry,
     )
-    validate_mesh(mesh, require_all_pads=True)
-    return mesh
 
 
 def _stitch_rows(rows: np.ndarray) -> np.ndarray:
@@ -390,42 +372,6 @@ def cell_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * _signed_area2(mesh.nodes, mesh.cells)
 
 
-def validate_mesh(mesh: Mesh, require_all_pads: bool = True) -> None:
-    """Check structural invariants; raises ``MeshError`` on violation."""
-    areas = cell_areas(mesh)
-    if not np.all(areas > 0.0):
-        raise MeshError("mesh contains non-positive-area cells")
-
-    if mesh.target_edge > 0.0:
-        p = mesh.nodes[mesh.cells]
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            lengths = np.hypot(
-                p[:, i, 0] - p[:, j, 0], p[:, i, 1] - p[:, j, 1]
-            )
-            if lengths.max() > 2.0 * mesh.target_edge + 1e-9:
-                raise MeshError("mesh edge exceeds twice the target edge length")
-
-    c = mesh.cells
-    edges = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]])
-    graph = sp.coo_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-        shape=(mesh.n_nodes, mesh.n_nodes),
-    )
-    n_components, _ = connected_components(graph, directed=False)
-    if n_components != 1:
-        raise MeshError("mesh is not connected")
-
-    present = [tag for tag in PAD_TAGS if len(mesh.pad_nodes(tag)) > 0]
-    if require_all_pads and len(present) != 3:
-        raise MeshError("every pad tag must be non-empty")
-    seen: set[int] = set()
-    for tag in present:
-        ids = {int(i) for i in mesh.pad_nodes(tag)}
-        if seen & ids:
-            raise MeshError("pad tags are not disjoint")
-        seen |= ids
-
-
 def make_strip_mesh(
     length: float,
     width: float,
@@ -436,7 +382,7 @@ def make_strip_mesh(
 ) -> Mesh:
     """Rectangular two-contact strip used for Laplace-limit validation.
 
-    PAD_A spans the x=0 edge, PAD_B the x=length edge; there is no PAD_C.
+    Pad A spans the x=0 edge, pad B the x=length edge; C has no pad.
     The probe node sits closest to the strip centre.
     """
     if length <= 0.0 or width <= 0.0 or edge <= 0.0:
@@ -452,18 +398,16 @@ def make_strip_mesh(
     centre = np.array([0.5 * length, 0.5 * width])
     qd = int(np.argmin(np.hypot(nodes[:, 0] - centre[0], nodes[:, 1] - centre[1])))
 
-    mesh = Mesh(
+    return Mesh(
         nodes=nodes,
         cells=_stitch_rows(grid).astype(np.int32),
-        boundary_tags={
-            "PAD_A": grid[:, 0].astype(np.int32),
-            "PAD_B": grid[:, nx].astype(np.int32),
-            "PAD_C": np.empty(0, dtype=np.int32),
-        },
+        pads=(
+            grid[:, 0].astype(np.int32),
+            grid[:, nx].astype(np.int32),
+            np.empty(0, dtype=np.int32),
+        ),
         qd_node=qd,
         built_in_voltage=built_in_voltage,
         intrinsic_thickness_nm=intrinsic_thickness_nm,
         target_edge=edge,
     )
-    validate_mesh(mesh, require_all_pads=False)
-    return mesh

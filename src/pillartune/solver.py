@@ -2,7 +2,7 @@
 
 The top sheet conducts laterally (sheet conductance per square); every node
 also drains vertically through a Shockley junction into the grounded
-substrate.  Contacts are lumped: the tagged pad-edge nodes of a driven
+substrate.  Contacts are lumped: the pad-edge nodes (``Mesh.pads``) of a driven
 terminal connect to the terminal voltage through one series resistance per
 ridge, split evenly over the pad nodes.  A floating terminal simply has no
 such connection, so it carries exactly zero current.  A bias reaches the
@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .device import MaterialParams, Mesh, MeshError, cell_areas
+from .device import MaterialParams, Mesh, cell_areas
 
 EXP_CLAMP = 40.0
 _E_CLAMP = math.exp(EXP_CLAMP)
@@ -236,7 +236,8 @@ class SheetSystem:
     def _build_band(self) -> None:
         # The stiffness without stored zeros, in reverse Cuthill-McKee order,
         # as the column-major (bandwidth + 1, n) lower band that LAPACK's
-        # dpbtrf reads: entry (i, j), i >= j, sits at band[i - j, j].
+        # dpbtrf reads: entry (i, j), i >= j, sits at band[i - j, j].  A Mesh
+        # is connected, so every node is in a cell and on the diagonal.
         k = self.conduction.copy()
         k.eliminate_zeros()
         perm = reverse_cuthill_mckee(k, symmetric_mode=True)
@@ -244,8 +245,6 @@ class SheetSystem:
         rank[perm] = np.arange(self.n)
         k = k.tocoo()
         rows, cols = rank[k.row], rank[k.col]
-        if np.count_nonzero(rows == cols) != self.n:
-            raise MeshError("every mesh node must belong to a cell")
         lower = rows >= cols
         offset, cols = rows[lower] - cols[lower], cols[lower]
         band = np.zeros((int(offset.max()) + 1, self.n), order="F")
@@ -264,8 +263,8 @@ class SheetSystem:
         # Pad incidence (n, 3), and each terminal's series resistance split
         # evenly across its pad-edge nodes: g_k = 1 / (R_k |pad k|).
         pads = np.zeros((self.n, len(TERMINALS)), order="F")
-        for k, name in enumerate(TERMINALS):
-            pads[self.mesh.pad_nodes(f"PAD_{name}"), k] = 1.0
+        for k, ids in enumerate(self.mesh.pads):
+            pads[ids, k] = 1.0
         count = pads.sum(axis=0)
         r = np.asarray(self.materials.contact_resistance)
         self._pads = pads

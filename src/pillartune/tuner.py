@@ -504,7 +504,7 @@ def find_zero_fss(
     """Search the free terminal voltages for a splitting below ``tol`` (ueV).
 
     Two grids: a 3-per-axis grid of seeds over ``bounds`` (the CLI passes
-    ``SweepSpec.tune_bounds()``) is ranked on a mesh of the same footprint at
+    ``SweepSpec.tune_bounds()``) is ranked on a mesh of the same geometry at
     three times the edge, and the best seeds are refined on ``mesh`` in
     turn by a projected Gauss-Newton iteration (``_projected_newton``,
     exact Jacobian from the solution's tangent) on the smooth splitting
@@ -512,7 +512,7 @@ def find_zero_fss(
     whose solve fails are skipped.  Each mesh has one chain, whose solves
     are predicted from the one before; the first solve on ``mesh`` starts
     cold.  ``mesh`` must come from ``generate_mesh``, which records its
-    footprint (a ``make_strip_mesh`` mesh has none and raises
+    geometry (a ``make_strip_mesh`` mesh has none and raises
     ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
     finite with lo < hi and within +-``MAX_BIAS_V``; ``start`` gives the
     voltages of the terminals that are not free.  The eigenaxis swap is
@@ -543,10 +543,10 @@ def find_zero_fss(
     for t in free:
         if start.terminal(t) is None:
             raise ValueError(f"free terminal {t} is floating in the start bias")
-    if mesh.footprint is None:
-        raise ValueError("mesh has no footprint to rank seeds on; use generate_mesh")
+    if mesh.geometry is None:
+        raise ValueError("mesh has no geometry to rank seeds on; use generate_mesh")
 
-    seed_mesh = generate_mesh(mesh.footprint, _SEED_EDGE_FACTOR * mesh.target_edge)
+    seed_mesh = generate_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
     seed_chain = SolveChain(SheetSystem(seed_mesh, materials), cfg)
     chain = SolveChain(SheetSystem(mesh, materials), cfg)
     evals = 0

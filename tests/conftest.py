@@ -1,7 +1,7 @@
 import pytest
 
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh
+from pillartune.device import generate_mesh
 from pillartune.solver import SheetSystem
 
 
@@ -13,7 +13,7 @@ def default_config():
 @pytest.fixture(scope="session")
 def coarse_mesh(default_config):
     """Default device meshed at 2 um: fast enough for per-test solves."""
-    return generate_mesh(build_geometry(default_config.geometry), 2.0)
+    return generate_mesh(default_config.geometry, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh, make_strip_mesh
+from pillartune.device import generate_mesh, make_strip_mesh
 from pillartune.exciton import (
     ExcitonParams,
     exciton_state,
@@ -54,7 +54,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def mesh(cfg):
-    return generate_mesh(build_geometry(cfg.geometry), cfg.mesh_edge)
+    return generate_mesh(cfg.geometry, cfg.mesh_edge)
 
 
 @pytest.fixture(scope="module")

@@ -527,6 +527,58 @@ def test_bias_beyond_the_limit_exits_2_before_meshing(
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["solve", "synth-scan", "tune"])
+@pytest.mark.parametrize("flag", ["--va", "--vb", "--vc"])
+def test_negative_bias_in_exponent_form_is_a_value(command, flag):
+    # argparse's own negative-number pattern has no exponent, and took
+    # "-2e-1" for an option ("expected one argument")
+    rest = [a for f in ("--va", "--vb") if f != flag for a in (f, "0")]
+    args = cli.build_parser().parse_args([command, flag, "-2e-1", *rest])
+    assert getattr(args, flag[2:]) == -0.2
+
+
+@pytest.mark.parametrize("text", ["-1E+1", "-.5e-3", "-3.e2", "-7", "-0.25"])
+def test_negative_number_spellings_are_values(text):
+    args = cli.build_parser().parse_args(["solve", "--va", text, "--vb", "0"])
+    assert args.va == float(text)
+
+
+def test_solve_takes_a_negative_bias_in_exponent_form(fast_config, capsys):
+    assert main(["--config", fast_config, "solve", "--va", "-2e-1", "--vb", "0"]) == 0
+    assert "va_v = -0.2\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        # the rim windows at 0 and 40 deg are apart, but 60 um pads overlap
+        ("[device]\nridge_angles_deg = 0, 40, 200\npad_size_um = 60\n",
+         ["solve", "--va", "0", "--vb", "0"],
+         "pad 0 and pad 1 overlap; ridge_angles too close (key ridge_angles_deg)"),
+        ("[run]\nseed = -5\n", ["synth-scan", "--va", "0", "--vb", "0"],
+         "bad value for 'seed' in [run]: seed must be a non-negative integer"),
+        ("", ["synth-scan", "--va", "0", "--vb", "0", "--seed", "-3"],
+         "seed must be a non-negative integer, got -3"),
+    ],
+    ids=["overlapping-pads", "config-seed", "seed-flag"],
+)
+def test_bad_layout_or_seed_exits_2_before_meshing(
+    tmp_path, monkeypatch, capsys, text, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    calls = []
+    monkeypatch.setattr(cli, "_mesh", lambda *a: calls.append(a))
+    code = main(["--config", str(cfg_path), *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize(
     "text, argv, message",
     [

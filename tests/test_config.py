@@ -231,6 +231,16 @@ def test_invalid_geometry_from_config_is_config_error():
         parse_config_text("[device]\nridge_length_um = 0\n")
     with pytest.raises(ConfigError, match="key ridge_angles_deg"):
         parse_config_text("[device]\nridge_angles_deg = 0, 20, 180\n")
+    # the rim windows are apart, but the arms' pad rectangles overlap
+    text = "[device]\nridge_angles_deg = 0, 40, 200\npad_size_um = 60\n"
+    with pytest.raises(ConfigError, match=r"pad 0 and pad 1 overlap.*\(key ridge_angles_deg\)"):
+        parse_config_text(text)
+
+
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError, match=r"'seed' in \[run\]: seed must be a non-negative"):
+        parse_config_text("[run]\nseed = -1\n")
+    assert parse_config_text("[run]\nseed = 0\n").seed == 0
 
 
 def test_syntax_error_reports_source():

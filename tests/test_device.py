@@ -6,15 +6,12 @@ import pytest
 
 from pillartune.config import load_run_config
 from pillartune.device import (
-    PAD_TAGS,
     GeometryError,
     MeshError,
     _stitch_rows,
-    build_geometry,
     cell_areas,
     generate_mesh,
     make_strip_mesh,
-    validate_mesh,
 )
 
 DEFAULT = load_run_config()
@@ -27,9 +24,9 @@ STACK = {
 
 
 def test_default_footprint_builds():
-    fp = build_geometry(GEOMETRY)
-    assert len(fp.ridges) == 3
-    assert len(fp.pads) == 3
+    mesh = generate_mesh(GEOMETRY, 2.0)
+    assert mesh.geometry is GEOMETRY
+    assert [len(pad) > 0 for pad in mesh.pads] == [True, True, True]
 
 
 def test_paper_layout_footprint():
@@ -40,30 +37,45 @@ def test_paper_layout_footprint():
         ridge_length=50.0,
         ridge_angles=(math.radians(90), math.radians(210), math.radians(330)),
     )
-    fp = build_geometry(geom)
-    assert len(fp.pads) == 3
+    mesh = generate_mesh(geom, 2.0)
+    assert [len(pad) > 0 for pad in mesh.pads] == [True, True, True]
 
 
 def test_degenerate_ridge_rejected():
     with pytest.raises(GeometryError):
-        build_geometry(dataclasses.replace(GEOMETRY, ridge_length=0.0))
+        dataclasses.replace(GEOMETRY, ridge_length=0.0)
 
 
 def test_equal_ridge_angles_rejected():
     with pytest.raises(GeometryError):
-        build_geometry(
-            dataclasses.replace(GEOMETRY, ridge_angles=(0.0, 0.0, math.radians(180)))
-        )
+        dataclasses.replace(GEOMETRY, ridge_angles=(0.0, 0.0, math.radians(180)))
 
 
 def test_close_ridge_angles_rejected():
     # attachment windows overlap when the separation is below 2*asin(w/d)
-    with pytest.raises(GeometryError):
-        build_geometry(
-            dataclasses.replace(
-                GEOMETRY,
-                ridge_angles=(0.0, math.radians(20), math.radians(180)),
-            )
+    with pytest.raises(GeometryError, match="on the pillar rim"):
+        dataclasses.replace(
+            GEOMETRY,
+            ridge_angles=(0.0, math.radians(20), math.radians(180)),
+        )
+
+
+@pytest.mark.parametrize(
+    "angles_deg, pad_size, message",
+    [
+        # the windows at 0 and 40 deg clear the rim, but 60 um pads meet
+        ((0.0, 40.0, 200.0), 60.0, "pad 0 and pad 1 overlap"),
+        # 120 um pads on arms 92 deg apart meet; arm A's pad clears both
+        ((0.0, 168.0, 260.0), 120.0, "pad 1 and pad 2 overlap"),
+    ],
+)
+def test_overlapping_arm_rectangles_rejected(angles_deg, pad_size, message):
+    # the rim windows are apart, so only the rectangle test can catch these
+    with pytest.raises(GeometryError, match=f"{message}; ridge_angles too close"):
+        dataclasses.replace(
+            GEOMETRY,
+            ridge_angles=tuple(math.radians(a) for a in angles_deg),
+            pad_size=pad_size,
         )
 
 
@@ -90,33 +102,33 @@ def test_material_params_validation():
 
 
 def test_mesh_structure_and_tags():
-    mesh = generate_mesh(build_geometry(GEOMETRY), 1.0)
-    validate_mesh(mesh)
-    assert tuple(mesh.boundary_tags) == PAD_TAGS
+    # a generated mesh has a pad on every terminal, which Mesh alone does
+    # not require (a strip has none on C)
+    mesh = generate_mesh(GEOMETRY, 1.0)
+    assert len(mesh.pads) == 3
     areas = cell_areas(mesh)
     assert np.all(areas > 0)
-    for tag in ("PAD_A", "PAD_B", "PAD_C"):
-        assert len(mesh.pad_nodes(tag)) > 0
-    ids = [set(map(int, mesh.pad_nodes(t))) for t in ("PAD_A", "PAD_B", "PAD_C")]
+    for pad in mesh.pads:
+        assert len(pad) > 0
+    ids = [set(map(int, pad)) for pad in mesh.pads]
     assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
 
 
 def test_qd_node_at_pillar_centre():
-    mesh = generate_mesh(build_geometry(GEOMETRY), 1.0)
+    mesh = generate_mesh(GEOMETRY, 1.0)
     assert np.hypot(*mesh.nodes[mesh.qd_node]) < 0.5 * mesh.target_edge
 
 
 def test_refinement_node_count_ratio():
-    fp = build_geometry(GEOMETRY)
-    coarse = generate_mesh(fp, 1.0)
-    fine = generate_mesh(fp, 0.5)
-    assert coarse.footprint is fine.footprint is fp
+    coarse = generate_mesh(GEOMETRY, 1.0)
+    fine = generate_mesh(GEOMETRY, 0.5)
+    assert coarse.geometry is fine.geometry is GEOMETRY
     ratio = fine.n_nodes / coarse.n_nodes
     assert 2.0 <= ratio <= 6.0  # ~4x when the edge halves
 
 
 def test_max_edge_bound():
-    mesh = generate_mesh(build_geometry(GEOMETRY), 1.5)
+    mesh = generate_mesh(GEOMETRY, 1.5)
     p = mesh.nodes[mesh.cells]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         lengths = np.hypot(p[:, i, 0] - p[:, j, 0], p[:, i, 1] - p[:, j, 1])
@@ -127,14 +139,14 @@ def test_max_edge_bound():
     "make",
     [
         *(
-            pytest.param(lambda e=e: generate_mesh(build_geometry(GEOMETRY), e),
+            pytest.param(lambda e=e: generate_mesh(GEOMETRY, e),
                          id=f"device@{e}")
             for e in (0.5, 1.0, 2.5, 5.0)
         ),
         # a pad wider than its ridge by less than 1e-12 um
         pytest.param(
             lambda: generate_mesh(
-                build_geometry(dataclasses.replace(GEOMETRY, pad_size=3.0 + 1e-13)), 2.0
+                dataclasses.replace(GEOMETRY, pad_size=3.0 + 1e-13), 2.0
             ),
             id="device-pad-barely-wider@2.0",
         ),
@@ -156,16 +168,15 @@ def test_stitcher_splits_each_quad_along_its_rising_diagonal():
 
 
 def test_bad_edge_length_rejected():
-    fp = build_geometry(GEOMETRY)
     with pytest.raises(MeshError):
-        generate_mesh(fp, 0.0)
+        generate_mesh(GEOMETRY, 0.0)
 
 
 def test_strip_mesh_tags_and_probe():
     mesh = make_strip_mesh(50.0, 10.0, 1.0, **STACK)
-    assert tuple(mesh.boundary_tags) == PAD_TAGS
-    assert len(mesh.pad_nodes("PAD_A")) == len(mesh.pad_nodes("PAD_B"))
-    assert len(mesh.pad_nodes("PAD_C")) == 0
+    pad_a, pad_b, pad_c = mesh.pads
+    assert len(pad_a) == len(pad_b) > 0
+    assert len(pad_c) == 0
     x, y = mesh.nodes[mesh.qd_node]
     assert abs(x - 25.0) <= 0.5 and abs(y - 5.0) <= 0.5
 
@@ -174,21 +185,20 @@ def test_disconnected_mesh_rejected():
     strip = make_strip_mesh(4.0, 2.0, 1.0, **STACK)
     island = np.array([[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]])
     n = strip.n_nodes
-    mesh = dataclasses.replace(
-        strip,
-        nodes=np.vstack([strip.nodes, island]),
-        cells=np.vstack([strip.cells, [[n, n + 1, n + 2]]]).astype(np.int32),
-    )
     with pytest.raises(MeshError, match="not connected"):
-        validate_mesh(mesh, require_all_pads=False)
-    validate_mesh(strip, require_all_pads=False)
+        dataclasses.replace(
+            strip,
+            nodes=np.vstack([strip.nodes, island]),
+            cells=np.vstack([strip.cells, [[n, n + 1, n + 2]]]).astype(np.int32),
+        )
+    dataclasses.replace(strip)  # the strip itself passes the same checks
 
 
 def test_refinement_convergence_of_qd_potential(default_config):
     """Potential at the probe node moves by < 1% when the edge is halved."""
     from pillartune.solver import BiasPoint, SheetSystem
 
-    fp = build_geometry(default_config.geometry)
+    geometry = default_config.geometry
     cfg = default_config.solver
     materials = default_config.materials
     biases = [
@@ -196,8 +206,8 @@ def test_refinement_convergence_of_qd_potential(default_config):
         BiasPoint(2.0, 1.0, None),
         BiasPoint(4.0, 4.0, None),
     ]
-    coarse = SheetSystem(generate_mesh(fp, 1.0), materials)
-    fine = SheetSystem(generate_mesh(fp, 0.5), materials)
+    coarse = SheetSystem(generate_mesh(geometry, 1.0), materials)
+    fine = SheetSystem(generate_mesh(geometry, 0.5), materials)
     for bias in biases:
         phi_c = coarse.solve(bias, cfg).phi[coarse.mesh.qd_node]
         phi_f = fine.solve(bias, cfg).phi[fine.mesh.qd_node]
@@ -211,7 +221,7 @@ def test_refinement_convergence_of_qd_field(default_config):
     (At 4 um the mesh is pre-asymptotic and the error is not monotone.)"""
     from pillartune.solver import BiasPoint, SheetSystem
 
-    fp = build_geometry(default_config.geometry)
+    geometry = default_config.geometry
     cfg = default_config.solver
     biases = [
         BiasPoint(-1.0, -0.5, None),
@@ -220,7 +230,7 @@ def test_refinement_convergence_of_qd_field(default_config):
         BiasPoint(2.0, 1.0, 0.5),  # C driven
     ]
     systems = [
-        SheetSystem(generate_mesh(fp, edge), default_config.materials)
+        SheetSystem(generate_mesh(geometry, edge), default_config.materials)
         for edge in (2.0, 1.0, 0.5)
     ]
     for bias in biases:

@@ -12,7 +12,6 @@ from pillartune.config import load_run_config
 from pillartune.device import (
     Mesh,
     MeshError,
-    build_geometry,
     cell_areas,
     generate_mesh,
     make_strip_mesh,
@@ -58,9 +57,8 @@ def _conductance_diagonal(system, phi, bias):
     nvt = m.ideality * m.thermal_voltage
     g_junction = m.saturation_current_density * np.exp(np.minimum(phi / nvt, EXP_CLAMP))
     diag = g_junction / nvt * system.node_area
-    for name, r in zip(TERMINALS, m.contact_resistance):
+    for name, ids, r in zip(TERMINALS, system.mesh.pads, m.contact_resistance):
         if bias.terminal(name) is not None:
-            ids = system.mesh.pad_nodes(f"PAD_{name}")
             diag[ids] += 1.0 / (r * len(ids))
     return diag
 
@@ -149,16 +147,16 @@ def test_equilibrium_residual_is_zero(coarse_system):
 
 def test_node_outside_every_cell_rejected():
     # the Jacobian's diagonal lives in the stiffness pattern, so every node
-    # must belong to a cell
-    mesh = Mesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
-        cells=np.array([[0, 1, 2]], dtype=np.int32),
-        boundary_tags={"PAD_A": np.array([1], dtype=np.int32)},
-        qd_node=0,
-        **STACK,
-    )
-    with pytest.raises(MeshError, match="belong to a cell"):
-        SheetSystem(mesh, DEFAULT.materials)
+    # must belong to a cell: a node in none leaves the mesh unconnected
+    no_pad = np.empty(0, dtype=np.int32)
+    with pytest.raises(MeshError, match="not connected"):
+        Mesh(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]),
+            cells=np.array([[0, 1, 2]], dtype=np.int32),
+            pads=(np.array([1], dtype=np.int32), no_pad, no_pad),
+            qd_node=0,
+            **STACK,
+        )
 
 
 def test_dimension_mismatch_rejected(coarse_system):
@@ -173,9 +171,7 @@ def test_linear_phi_is_discretely_harmonic():
     phi = 0.05 * mesh.nodes[:, 0] + 0.3
     system = SheetSystem(mesh, materials)
     f = system.residual(phi, system._contacts(BiasPoint(0.0, 0.0, None)))
-    contact = set(map(int, mesh.pad_nodes("PAD_A"))) | set(
-        map(int, mesh.pad_nodes("PAD_B"))
-    )
+    contact = set(map(int, mesh.pads[0])) | set(map(int, mesh.pads[1]))
     interior = [i for i in range(mesh.n_nodes) if i not in contact]
     assert np.max(np.abs(f[interior])) < 1e-15
 
@@ -253,7 +249,7 @@ def test_threefold_symmetric_bias_has_no_inplane_field(default_config):
     materials = dataclasses.replace(
         default_config.materials, contact_resistance=(9e5, 9e5, 9e5)
     )
-    mesh = generate_mesh(build_geometry(geom), 1.5)
+    mesh = generate_mesh(geom, 1.5)
     system = SheetSystem(mesh, materials)
     sol = system.solve(BiasPoint(1.0, 1.0, 1.0), CFG)
     scale = mesh.built_in_voltage / (mesh.intrinsic_thickness_nm * 1e-9)
@@ -268,7 +264,7 @@ def test_bias_permutation_rotates_field(default_config):
     materials = dataclasses.replace(
         default_config.materials, contact_resistance=(9e5, 9e5, 9e5)
     )
-    mesh = generate_mesh(build_geometry(geom), 1.5)
+    mesh = generate_mesh(geom, 1.5)
     system = SheetSystem(mesh, materials)
     biases = (2.5, 0.5, -1.0)
     sol1 = system.solve(BiasPoint(*biases), CFG)
@@ -353,6 +349,31 @@ def test_kirchhoff_balance_everywhere(coarse_system):
     ]:
         sol = coarse_system.solve(bias, cfg)
         assert kirchhoff_error(sol) <= kirchhoff_bound(sol, cfg)
+
+
+@pytest.fixture(scope="module")
+def default_system():
+    mesh = generate_mesh(DEFAULT.geometry, DEFAULT.mesh_edge)
+    return SheetSystem(mesh, DEFAULT.materials)
+
+
+_ROUNDING_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: phi is held as an absolute voltage, and its rounding "
+    "swamps the node balance from about -30 V",
+)
+
+
+@pytest.mark.parametrize("c_equal", [False, True], ids=["C-floating", "C-equal"])
+@pytest.mark.parametrize(
+    "v",
+    [-20.0, *(pytest.param(v, marks=_ROUNDING_DEFECT) for v in (-30, -100, -200))],
+)
+def test_kirchhoff_bound_at_equal_reverse_bias(default_system, v, c_equal):
+    # on the default mesh the error grows about linearly with |V|: 7.0e-15 A
+    # at -20 V, 1.1e-14 to 7.7e-14 A from -30 to -200 V, against 1e-14 A
+    sol = default_system.solve(BiasPoint(v, v, v if c_equal else None), CFG)
+    assert kirchhoff_error(sol) <= kirchhoff_bound(sol, CFG)
 
 
 def test_floating_terminal_carries_no_current(coarse_system):
@@ -736,15 +757,15 @@ _PATTERNS = [
     ids=["".join(t for t, d in zip(TERMINALS, p) if d) for p in _PATTERNS],
 )
 def test_contact_vectors_match_a_per_terminal_reference(coarse_system, driven):
-    # the contact model written out per terminal, from the mesh's pad tags
-    # and the materials' contact resistances
+    # the contact model written out per terminal, from the mesh's pads and
+    # the materials' contact resistances
     system = coarse_system
     voltages = [v if d else None for v, d in zip((0.8, -0.4, 0.3), driven)]
     bias = BiasPoint(*voltages)
     pads = []  # (terminal index, pad nodes, per-node conductance, voltage)
-    for k, (name, v) in enumerate(zip(TERMINALS, voltages)):
+    for k, v in enumerate(voltages):
         if v is not None:
-            ids = system.mesh.pad_nodes(f"PAD_{name}")
+            ids = system.mesh.pads[k]
             r = system.materials.contact_resistance[k]
             pads.append((k, ids, 1.0 / (r * len(ids)), v))
     rng = np.random.default_rng(5)

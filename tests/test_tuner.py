@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pillartune import solver, tuner
 from pillartune.config import load_run_config
-from pillartune.device import build_geometry, generate_mesh, make_strip_mesh
+from pillartune.device import generate_mesh, make_strip_mesh
 from pillartune.exciton import ExcitonParams, fss_vector
 from pillartune.solver import (
     BiasPoint,
@@ -649,7 +649,7 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
 
 @pytest.fixture(scope="module")
 def default_mesh(default_config):
-    return generate_mesh(build_geometry(default_config.geometry), default_config.mesh_edge)
+    return generate_mesh(default_config.geometry, default_config.mesh_edge)
 
 
 def _seed_norms(mesh, config, params) -> np.ndarray:
@@ -681,7 +681,7 @@ def test_seed_mesh_ranks_the_seeds_as_the_default_mesh_does(
         default_config.exciton, zero_field_splitting=(d0[0] * scale[0], d0[1] * scale[1])
     )
     seed_mesh = generate_mesh(
-        default_mesh.footprint, tuner._SEED_EDGE_FACTOR * default_mesh.target_edge
+        default_mesh.geometry, tuner._SEED_EDGE_FACTOR * default_mesh.target_edge
     )
     fine = _seed_norms(default_mesh, default_config, params)
     coarse = _seed_norms(seed_mesh, default_config, params)
@@ -890,10 +890,10 @@ def test_find_zero_rejects_bad_bounds_before_any_solve(
     assert calls == []
 
 
-def test_find_zero_rejects_a_mesh_without_footprint_before_any_solve(
+def test_find_zero_rejects_a_mesh_without_geometry_before_any_solve(
     default_config, monkeypatch
 ):
-    # a strip mesh has pads A and B but no footprint to mesh the seeds on
+    # a strip mesh has pads A and B but no geometry to mesh the seeds on
     strip = make_strip_mesh(
         20.0,
         6.0,
@@ -901,13 +901,13 @@ def test_find_zero_rejects_a_mesh_without_footprint_before_any_solve(
         built_in_voltage=default_config.geometry.built_in_voltage,
         intrinsic_thickness_nm=default_config.geometry.intrinsic_thickness_nm,
     )
-    assert strip.footprint is None
+    assert strip.geometry is None
     calls = []
     solve = SheetSystem.solve
     monkeypatch.setattr(
         SheetSystem, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k)
     )
-    with pytest.raises(ValueError, match="footprint"):
+    with pytest.raises(ValueError, match="no geometry to rank seeds on"):
         find_zero_fss(
             BiasPoint(0.0, 0.0, None), ("A", "B"), 1.0,
             strip, laplace_materials(), default_config.exciton,
