@@ -17,7 +17,7 @@ import sys
 
 from pillartune.config import load_run_config
 from pillartune.device import generate_mesh
-from pillartune.solver import BiasPoint, SheetSystem
+from pillartune.solver import BiasPoint, sheet_system
 from pillartune.spectro import fit_fss_sine, synth_polarization_scan
 from pillartune.tuner import find_zero_fss, iso_fss_points, run_bias_sweep
 
@@ -56,7 +56,7 @@ def main() -> int:
         )
 
     # synthesize and re-fit a polarization scan near the optimum
-    system = SheetSystem(mesh, cfg.materials)
+    system = sheet_system(mesh, cfg.materials)
     sol = system.solve(
         BiasPoint(result.bias[0] + 0.3, result.bias[1], cfg.sweep.vc), cfg.solver
     )

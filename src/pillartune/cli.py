@@ -21,7 +21,7 @@ from . import __version__
 from .config import RunConfig, load_run_config
 from .device import generate_mesh
 from .exciton import exciton_state
-from .solver import TERMINALS, BiasPoint, SheetSystem, SolverError, classify_regime
+from .solver import TERMINALS, BiasPoint, SolverError, classify_regime, sheet_system
 from .spectro import (
     FitError,
     ScanInputError,
@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
         _check_out_dir(args.phi_out)
     bias = _bias_from_args(args, cfg)
     mesh = _mesh(cfg)
-    system = SheetSystem(mesh, cfg.materials)
+    system = sheet_system(mesh, cfg.materials)
     sol = system.solve(bias, cfg.solver)
     state = exciton_state(cfg.exciton, sol.field)
     region = classify_regime(sol, cfg.solver.regime_threshold)
@@ -195,7 +195,7 @@ def cmd_synth_scan(args) -> int:
     if seed < 0:
         raise ScanInputError(f"seed must be a non-negative integer, got {seed}")
     mesh = _mesh(cfg)
-    system = SheetSystem(mesh, cfg.materials)
+    system = sheet_system(mesh, cfg.materials)
     sol = system.solve(bias, cfg.solver)
     scan = synth_polarization_scan(
         cfg.exciton,
@@ -311,8 +311,8 @@ def cmd_iso_fss(args) -> int:
 
 
 _JOBS_HELP = (
-    "bias rows solved in threads (default 1); the threads do not overlap "
-    "the band factorization, so more rarely run faster"
+    "bias rows solved in threads (default 1); the band factorization holds "
+    "the interpreter lock, so more jobs measured slower than one"
 )
 
 

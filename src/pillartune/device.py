@@ -142,7 +142,7 @@ class MaterialParams:
                 raise ValueError("contact resistances must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangle mesh with its contact nodes, checked when built.
 
@@ -158,6 +158,9 @@ class Mesh:
     Construction raises ``MeshError`` unless every cell has positive area,
     no edge exceeds twice a positive ``target_edge``, the cells connect
     every node (so none lies outside every cell) and no node is on two pads.
+
+    A mesh equals only itself and hashes by identity, so it can key a
+    cache (``solver.sheet_system``); a copy is a different mesh.
     """
 
     nodes: np.ndarray                  # (N, 2) float64, um

@@ -37,6 +37,7 @@ from the one before.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -63,6 +64,10 @@ _KIRCHHOFF_FRACTION = 1e-9
 # solve cannot start (at 1e8 V every trial point's junction term
 # overflows), so a larger bias is an input error, not a solver failure.
 MAX_BIAS_V = 1e3
+
+# Assembled systems ``sheet_system`` keeps, the most recently used: a
+# search's two meshes and a sweep's one fit with room to spare.
+_CACHED_SYSTEMS = 4
 
 TERMINALS = ("A", "B", "C")
 _VOLTAGE_FIELDS = {"A": "v_a", "B": "v_b", "C": "v_c"}
@@ -183,7 +188,11 @@ def _diode_conductance(materials: MaterialParams, phi_local):
 
 
 class SheetSystem:
-    """Assembled operators for one mesh/material pair, reusable across solves."""
+    """Assembled operators for one mesh/material pair, reusable across solves.
+
+    Every array it holds is read-only, so a shared system cannot be changed
+    by one of its users.  ``sheet_system`` builds one per pair and shares it.
+    """
 
     def __init__(self, mesh: Mesh, materials: MaterialParams):
         self.mesh = mesh
@@ -194,6 +203,10 @@ class SheetSystem:
         self._build_node_areas()
         self._build_contacts()
         self._build_qd_gradient()
+        k = self.conduction
+        for array in (*vars(self).values(), k.data, k.indices, k.indptr):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
 
     # -- assembly -----------------------------------------------------------
 
@@ -510,6 +523,17 @@ class SheetSystem:
             factorizations=factorizations,
             factor=factor,
         )
+
+
+@functools.lru_cache(maxsize=_CACHED_SYSTEMS)
+def sheet_system(mesh: Mesh, materials: MaterialParams) -> SheetSystem:
+    """The ``SheetSystem`` of ``mesh`` and ``materials``, built on first use.
+
+    Later calls with the same mesh (by identity) and equal materials return
+    the same system; the ``_CACHED_SYSTEMS`` most recently used are kept.
+    Only the assembled operators are shared, never a factor or a solution.
+    """
+    return SheetSystem(mesh, materials)
 
 
 class SolveChain:

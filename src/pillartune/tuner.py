@@ -14,6 +14,7 @@ the best seeds are refined on the caller's mesh.  Each mesh has one chain.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import time
@@ -22,7 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import MaterialParams, Mesh, generate_mesh
+from .device import DeviceGeometry, MaterialParams, Mesh, generate_mesh
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -41,6 +42,7 @@ from .solver import (
     SolverConfig,
     SolverError,
     classify_regime,
+    sheet_system,
 )
 
 _FLOATING = "floating"  # spelling of a floating V_C in configs, CSVs and reports
@@ -288,14 +290,16 @@ def run_bias_sweep(
 ) -> SweepResult:
     """Evaluate the grid; failed cells keep an error status instead of aborting.
 
-    ``jobs`` is the number of rows solved in threads; it must be at least
-    1.  The threads do not overlap the band factorization, so more than one
-    job rarely pays; the output is the same for every ``jobs``.
+    The rows share the ``sheet_system`` of ``mesh`` and ``materials``, so
+    repeated sweeps on one mesh assemble it once.  ``jobs`` is the number
+    of rows solved in threads; it must be at least 1.  The band
+    factorization holds the interpreter lock, so more jobs measured slower
+    than one; the output is the same for every ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     t_start = time.perf_counter()
-    system = SheetSystem(mesh, materials)
+    system = sheet_system(mesh, materials)
     va = spec.va_values()
     vb = spec.vb_values()
     theta_ref, state0 = zero_bias_reference(system, exciton_params, cfg, spec.vc)
@@ -408,6 +412,13 @@ _XTOL = 1e-8         # a run ends on an accepted step below _XTOL * (_XTOL + |x|
 _AHEAD_FRACTION = 0.01  # ... or on a predicted next step below this times that
 _MIN_STEP_FRACTION = 2.0**-6  # a run ends when backtracking halves below this
 _MAX_EVALS = 30      # splitting evaluations of one run, its start included
+_CACHED_SEED_MESHES = 4  # seed meshes ``_seed_mesh`` keeps, the most recently used
+
+
+@functools.lru_cache(maxsize=_CACHED_SEED_MESHES)
+def _seed_mesh(geometry: DeviceGeometry, edge: float) -> Mesh:
+    """The seed-ranking mesh of ``geometry`` at ``edge``, built on first use."""
+    return generate_mesh(geometry, edge)
 
 
 def _eigenaxis_rotation(
@@ -511,8 +522,10 @@ def find_zero_fss(
     vector delta(V), until one lands below ``tol / 4``; seeds and starts
     whose solve fails are skipped.  Each mesh has one chain, whose solves
     are predicted from the one before; the first solve on ``mesh`` starts
-    cold.  ``mesh`` must come from ``generate_mesh``, which records its
-    geometry (a ``make_strip_mesh`` mesh has none and raises
+    cold.  The seed mesh comes from ``_seed_mesh`` and both systems from
+    ``sheet_system``, so searches on one mesh and materials share them; no
+    solve is shared.  ``mesh`` must come from ``generate_mesh``, which
+    records its geometry (a ``make_strip_mesh`` mesh has none and raises
     ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
     finite with lo < hi and within +-``MAX_BIAS_V``; ``start`` gives the
     voltages of the terminals that are not free.  The eigenaxis swap is
@@ -546,9 +559,9 @@ def find_zero_fss(
     if mesh.geometry is None:
         raise ValueError("mesh has no geometry to rank seeds on; use generate_mesh")
 
-    seed_mesh = generate_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
-    seed_chain = SolveChain(SheetSystem(seed_mesh, materials), cfg)
-    chain = SolveChain(SheetSystem(mesh, materials), cfg)
+    seed_mesh = _seed_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
+    seed_chain = SolveChain(sheet_system(seed_mesh, materials), cfg)
+    chain = SolveChain(sheet_system(mesh, materials), cfg)
     evals = 0
 
     def bias_at(x) -> BiasPoint:

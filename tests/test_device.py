@@ -167,6 +167,13 @@ def test_stitcher_splits_each_quad_along_its_rising_diagonal():
     assert _stitch_rows(rows).tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
 
 
+def test_meshes_compare_and_hash_by_identity():
+    a = generate_mesh(GEOMETRY, 3.0)
+    b = generate_mesh(GEOMETRY, 3.0)
+    assert a == a and a != b and a != dataclasses.replace(a)
+    assert len({a, b, a}) == 2
+
+
 def test_bad_edge_length_rejected():
     with pytest.raises(MeshError):
         generate_mesh(GEOMETRY, 0.0)

@@ -230,6 +230,27 @@ def test_jacobian_reuses_one_pattern_and_equals_dense_reference(coarse_system):
 # -- solve -------------------------------------------------------------------
 
 
+def test_system_arrays_are_read_only(coarse_system):
+    with pytest.raises(ValueError, match="read-only"):
+        coarse_system.node_area += 1.0
+    k = coarse_system.conduction
+    held = {n: v for n, v in vars(coarse_system).items() if isinstance(v, np.ndarray)}
+    assert {"_stiffness_band", "_perm", "node_area", "_pads", "_pad_g"} <= held.keys()
+    arrays = (*held.values(), k.data, k.indices, k.indptr)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_sheet_system_is_shared_per_mesh_and_materials(coarse_mesh):
+    solver.sheet_system.cache_clear()
+    materials = DEFAULT.materials
+    system = solver.sheet_system(coarse_mesh, materials)
+    assert solver.sheet_system(coarse_mesh, dataclasses.replace(materials)) is system
+    assert solver.sheet_system(dataclasses.replace(coarse_mesh), materials) is not system
+    other = dataclasses.replace(materials, sheet_conductance=1e-3)
+    assert solver.sheet_system(coarse_mesh, other) is not system
+    assert solver.sheet_system.cache_info().misses == 3
+
+
 def test_equilibrium_solution(coarse_system):
     sol = coarse_system.solve(BiasPoint(0.0, 0.0, 0.0), CFG)
     assert sol.e_inplane == (0.0, 0.0) or np.hypot(*sol.e_inplane) < 1e-12

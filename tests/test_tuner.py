@@ -156,6 +156,64 @@ def test_failed_cell_equals_itself_after_csv_round_trip(tmp_path):
     assert failed != dataclasses.replace(failed, region=1)
 
 
+def _count_systems(monkeypatch) -> list:
+    """The mesh of every ``SheetSystem`` built from now on, in build order."""
+    built = []
+    init = SheetSystem.__init__
+
+    def spy(self, mesh, materials):
+        built.append(mesh)
+        init(self, mesh, materials)
+
+    monkeypatch.setattr(SheetSystem, "__init__", spy)
+    return built
+
+
+def _clear_caches() -> None:
+    solver.sheet_system.cache_clear()
+    tuner._seed_mesh.cache_clear()
+
+
+def test_sweeps_on_one_mesh_build_one_system(
+    coarse_mesh, default_config, monkeypatch
+):
+    _clear_caches()
+    built = _count_systems(monkeypatch)
+    args = (coarse_mesh, default_config.materials, default_config.exciton, CFG)
+    first = run_bias_sweep(_small_spec(), *args)
+    second = run_bias_sweep(_small_spec(), *args)
+    assert built == [coarse_mesh]
+    assert second.records == first.records
+
+
+def test_searches_on_one_mesh_build_two_systems(
+    coarse_mesh, default_config, monkeypatch
+):
+    def search():
+        return find_zero_fss(
+            BiasPoint(0.0, 0.0, None),
+            ("A", "B"),
+            tol=1.5,
+            mesh=coarse_mesh,
+            materials=default_config.materials,
+            exciton_params=default_config.exciton,
+            cfg=CFG,
+            bounds=SPEC.tune_bounds(),
+        )
+
+    _clear_caches()
+    built = _count_systems(monkeypatch)
+    search()
+    second = search()
+    # the seed mesh, then the caller's, each meshed and assembled once
+    assert len(built) == 2 and built[1] is coarse_mesh
+    assert built[0].target_edge == 3.0 * coarse_mesh.target_edge
+    assert tuner._seed_mesh.cache_info().misses == 1
+    _clear_caches()
+    assert search().to_dict() == second.to_dict()
+    assert len(built) == 4
+
+
 def test_sweep_rejects_jobs_below_one(coarse_mesh, default_config):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_bias_sweep(
