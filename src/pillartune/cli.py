@@ -35,7 +35,6 @@ from .tuner import (
     SweepResult,
     TunerError,
     _parse_vc,
-    check_iso_fss_args,
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
@@ -94,19 +93,23 @@ def _mesh(cfg: RunConfig):
 
 
 def _bias_from_args(args, cfg: RunConfig) -> BiasPoint:
-    vc = args.vc if args.vc is not None else cfg.sweep.vc
-    return BiasPoint(args.va, args.vb, vc)
+    """The bias of ``--va/--vb/--vc``; an omitted ``--vc`` takes ``[sweep] vc_v``."""
+    return BiasPoint(args.va, args.vb, getattr(args, "vc", cfg.sweep.vc))
+
+
+def _solve_from_args(args, cfg: RunConfig):
+    """The field solution at the command-line bias and its exciton state."""
+    bias = _bias_from_args(args, cfg)
+    sol = sheet_system(_mesh(cfg), cfg.materials).solve(bias, cfg.solver)
+    return sol, exciton_state(cfg.exciton, sol.field)
 
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
     if args.phi_out:
         _check_out_dir(args.phi_out)
-    bias = _bias_from_args(args, cfg)
-    mesh = _mesh(cfg)
-    system = sheet_system(mesh, cfg.materials)
-    sol = system.solve(bias, cfg.solver)
-    state = exciton_state(cfg.exciton, sol.field)
+    sol, state = _solve_from_args(args, cfg)
+    bias = sol.bias
     region = classify_regime(sol, cfg.solver.regime_threshold)
     lines = [
         ("config_hash", cfg.config_hash),
@@ -190,13 +193,10 @@ def cmd_synth_scan(args) -> int:
     cfg = _load(args)
     out = args.out or f"scan_{cfg.config_hash}.csv"
     _check_out_dir(out)
-    bias = _bias_from_args(args, cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     if seed < 0:
         raise ScanInputError(f"seed must be a non-negative integer, got {seed}")
-    mesh = _mesh(cfg)
-    system = sheet_system(mesh, cfg.materials)
-    sol = system.solve(bias, cfg.solver)
+    sol, state = _solve_from_args(args, cfg)
     scan = synth_polarization_scan(
         cfg.exciton,
         sol.field,
@@ -205,7 +205,6 @@ def cmd_synth_scan(args) -> int:
         n_angles=args.n_angles,
         seed=seed,
     )
-    state = exciton_state(cfg.exciton, sol.field)
     _atomic_write(out, lambda tmp: scan_to_csv(scan, tmp))
     theta = "undefined" if state.theta0 is None else f"{state.theta0:.6g}"
     print(f"true fss = {state.fss:.6g} ueV, true theta0 = {theta} rad")
@@ -277,24 +276,17 @@ def _check_sweep_meta(csv_path: str, config_hash: str) -> None:
 
 def cmd_iso_fss(args) -> int:
     cfg = _load(args)
-    check_iso_fss_args(args.target, args.min_separation, args.max_pairs)
     out = args.out or f"iso_fss_{cfg.config_hash}.json"
     _check_out_dir(out)
-    if args.sweep_csv:
-        records = read_sweep_csv(args.sweep_csv)
-        spec = cfg.sweep
-        grid = [(va, vb, spec.vc) for vb in spec.vb_values() for va in spec.va_values()]
-        if [(r.va, r.vb, r.vc) for r in records] != grid:
-            raise TunerError(
-                f"{args.sweep_csv}: cells are not the [sweep] grid of the loaded config"
-            )
-        _check_sweep_meta(args.sweep_csv, cfg.config_hash)
-        sweep = SweepResult(spec=spec, records=records, metadata={})
-    else:
-        mesh = _mesh(cfg)
-        sweep = run_bias_sweep(
-            cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=args.jobs
+    records = read_sweep_csv(args.sweep_csv)
+    spec = cfg.sweep
+    grid = [(va, vb, spec.vc) for vb in spec.vb_values() for va in spec.va_values()]
+    if [(r.va, r.vb, r.vc) for r in records] != grid:
+        raise TunerError(
+            f"{args.sweep_csv}: cells are not the [sweep] grid of the loaded config"
         )
+    _check_sweep_meta(args.sweep_csv, cfg.config_hash)
+    sweep = SweepResult(spec=spec, records=records, metadata={})
     pairs = iso_fss_points(
         sweep, args.target, args.min_separation, max_pairs=args.max_pairs
     )
@@ -310,12 +302,6 @@ def cmd_iso_fss(args) -> int:
     return EXIT_OK
 
 
-_JOBS_HELP = (
-    "bias rows solved in threads (default 1); the band factorization holds "
-    "the interpreter lock, so more jobs measured slower than one"
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads ``-2e-1`` as a negative number, not an option; subparsers inherit it."""
 
@@ -324,6 +310,20 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
         )
+
+
+def _add_bias_arguments(p, required: bool = True) -> None:
+    """``--va``, ``--vb`` (0 V when not required) and ``--vc``.
+
+    An omitted ``--vc`` sets no attribute, so ``_bias_from_args`` tells it
+    from ``floating`` and takes ``[sweep] vc_v``.
+    """
+    held = None if required else "voltage when the terminal is not free (default 0)"
+    for flag in ("--va", "--vb"):
+        p.add_argument(flag, type=float, required=required,
+                       default=None if required else 0.0, help=held)
+    p.add_argument("--vc", type=_parse_vc, default=argparse.SUPPRESS,
+                   help="voltage or 'floating' (default: [sweep] vc_v)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,16 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one bias point")
-    p.add_argument("--va", type=float, required=True)
-    p.add_argument("--vb", type=float, required=True)
-    p.add_argument("--vc", type=_parse_vc, default=None,
-                   help="voltage or 'floating' (default: sweep section)")
+    _add_bias_arguments(p)
     p.add_argument("--phi-out", help="write the full node potential as CSV")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run the configured bias grid")
     p.add_argument("--out", help="output prefix (default 'sweep')")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1, help=(
+        "bias rows solved in threads (default 1); the band factorization holds "
+        "the interpreter lock, so more jobs measured slower than one"
+    ))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a polarization scan CSV")
@@ -354,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth-scan", help="synthesize a polarization scan")
-    p.add_argument("--va", type=float, required=True)
-    p.add_argument("--vb", type=float, required=True)
-    p.add_argument("--vc", type=_parse_vc, default=None)
+    _add_bias_arguments(p)
     p.add_argument("--linewidth", type=float, default=60.0, help="FWHM in ueV")
     p.add_argument("--noise", type=float, default=0.3, help="noise sigma in ueV")
     p.add_argument("--n-angles", type=int, default=36)
@@ -366,9 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="search for a zero-splitting bias point")
     p.add_argument("--tol", type=float, default=1.5, help="target fss in ueV")
-    p.add_argument("--va", type=float, default=0.0, help="V_A when A is not free")
-    p.add_argument("--vb", type=float, default=0.0, help="V_B when B is not free")
-    p.add_argument("--vc", type=_parse_vc, default=None)
+    _add_bias_arguments(p, required=False)
     p.add_argument("--free", default="A,B", help="free terminals, e.g. A,B")
     p.add_argument("--out", help="output JSON path")
     p.set_defaults(func=cmd_tune)
@@ -377,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True, help="target fss in ueV")
     p.add_argument("--min-separation", type=float, required=True,
                    help="minimum mean-energy separation in ueV")
-    p.add_argument("--sweep-csv", help="reuse an existing sweep CSV")
+    p.add_argument("--sweep-csv", required=True, help="the CSV written by 'sweep'")
     p.add_argument("--max-pairs", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", help="output JSON path")
     p.set_defaults(func=cmd_iso_fss)
 

@@ -160,7 +160,9 @@ class Mesh:
     every node (so none lies outside every cell) and no node is on two pads.
 
     A mesh equals only itself and hashes by identity, so it can key a
-    cache (``solver.sheet_system``); a copy is a different mesh.
+    cache (``solver.sheet_system``); a copy is a different mesh.  It holds
+    read-only copies of ``nodes``, ``cells`` and each ``pads`` array, so no
+    write can change it under a system built from it.
     """
 
     nodes: np.ndarray                  # (N, 2) float64, um
@@ -173,6 +175,9 @@ class Mesh:
     geometry: DeviceGeometry | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "cells", _read_only(self.cells))
+        object.__setattr__(self, "pads", tuple(map(_read_only, self.pads)))
         if not np.all(cell_areas(self) > 0.0):
             raise MeshError("mesh contains non-positive-area cells")
 
@@ -195,6 +200,12 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return int(self.cells.shape[0])
+
+
+def _read_only(array) -> np.ndarray:
+    copy = np.array(array)
+    copy.setflags(write=False)
+    return copy
 
 
 def _circ_dist(a: float, b: float) -> float:

@@ -641,18 +641,6 @@ def find_zero_fss(
     )
 
 
-def check_iso_fss_args(
-    target_fss: float, min_energy_separation: float, max_pairs: int | None
-) -> None:
-    """Raise ValueError for arguments ``iso_fss_points`` cannot honour."""
-    if not (0.0 < target_fss < math.inf):
-        raise ValueError("target_fss must be positive and finite")
-    if not math.isfinite(min_energy_separation):
-        raise ValueError("min_energy_separation must be finite")
-    if max_pairs is not None and max_pairs < 0:
-        raise ValueError(f"max_pairs must be at least 0, got {max_pairs}")
-
-
 def iso_fss_points(
     sweep: SweepResult,
     target_fss: float,
@@ -665,9 +653,15 @@ def iso_fss_points(
     finite); the pair qualifies when the mean transition energies differ
     by at least ``min_energy_separation`` (ueV, finite).  Pairs come widest
     separation first, ties by index; at most ``max_pairs`` (None or a count
-    >= 0) are kept.  An empty list is a valid outcome.
+    >= 0) are kept.  An empty list is a valid outcome; an argument out of
+    its range raises ValueError.
     """
-    check_iso_fss_args(target_fss, min_energy_separation, max_pairs)
+    if not (0.0 < target_fss < math.inf):
+        raise ValueError("target_fss must be positive and finite")
+    if not math.isfinite(min_energy_separation):
+        raise ValueError("min_energy_separation must be finite")
+    if max_pairs is not None and max_pairs < 0:
+        raise ValueError(f"max_pairs must be at least 0, got {max_pairs}")
     cand = np.array(
         [
             i

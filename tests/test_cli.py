@@ -249,15 +249,8 @@ def test_fit_rejects_non_finite_scan_exits_2(fast_config, tmp_path, capsys, row,
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--jobs", "0"],
-        ["iso-fss", "--target", "5.0", "--min-separation", "1.0", "--jobs", "0"],
-    ],
-)
-def test_jobs_below_one_exits_2(fast_config, capsys, argv):
-    assert main(["--config", fast_config, *argv]) == 2
+def test_jobs_below_one_exits_2(fast_config, capsys):
+    assert main(["--config", fast_config, "sweep", "--jobs", "0"]) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
@@ -272,6 +265,76 @@ def test_solver_failure_exits_3_with_residual_history(tmp_path, monkeypatch, cap
     assert "solver error: no convergence" in err
     assert "residual history (tail): " in err
     assert "Traceback" not in err
+
+
+def test_sweep_with_failed_cells_warns_and_exits_0(tmp_path, monkeypatch, capsys):
+    # one Newton step is too few for every cell but the zero-bias one
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "starved.cfg"
+    path.write_text(STARVED_SOLVER)
+    config_hash = load_run_config(str(path)).config_hash
+    assert main(["--config", str(path), "sweep"]) == 0
+    err = capsys.readouterr().err
+    meta = json.loads((tmp_path / f"sweep_{config_hash}.meta.json").read_text())
+    rows = (tmp_path / f"sweep_{config_hash}.csv").read_text().splitlines()[1:]
+    assert meta["n_failed"] == sum(",ok," not in row for row in rows) == 15
+    assert "warning: 15 cells failed to converge" in err
+
+
+def test_failed_write_exits_2_and_leaves_no_temp_file(
+    fast_config, tmp_path, monkeypatch, capsys
+):
+    scan = tmp_path / "scan.csv"
+    _write_sine_scan(scan)
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code = main(["--config", fast_config, "fit", str(scan), "--out", "fit.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot write fit.json: Permission denied" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.cfg", "scan.csv"]
+
+
+@pytest.mark.parametrize("vc_args, vc", [(["--vc", "floating"], None), ([], 0.5)],
+                         ids=["floating", "omitted"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--va", "1", "--vb", "0"],
+        ["synth-scan", "--va", "1", "--vb", "0"],
+        ["tune", "--out", "tune.json"],
+    ],
+    ids=["solve", "synth-scan", "tune"],
+)
+def test_vc_floating_is_told_apart_from_an_omitted_vc(
+    tmp_path, monkeypatch, capsys, argv, vc_args, vc
+):
+    # [sweep] vc_v fills an omitted --vc only; "--vc floating" floats C
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "vc.cfg"
+    path.write_text(FAST_DEVICE + "vc_v = 0.5\n")
+    solved = set()
+    real_solve = solver.SheetSystem.solve
+
+    def spy(self, bias, *args, **kwargs):
+        solved.add(bias.v_c)
+        return real_solve(self, bias, *args, **kwargs)
+
+    monkeypatch.setattr(solver.SheetSystem, "solve", spy)
+    code = main(["--config", str(path), *argv, *vc_args])
+    out = capsys.readouterr().out
+    assert code in (0, 5)
+    assert solved == {vc}
+    spelled = "floating" if vc is None else vc
+    if argv[0] == "solve":
+        values = dict(line.split(" = ") for line in out.splitlines())
+        assert values["vc_v"] == str(spelled)
+        assert (float(values["i_c_a"]) == 0.0) == (vc is None)
+    if argv[0] == "tune":
+        assert json.loads((tmp_path / "tune.json").read_text())["vc"] == spelled
 
 
 def test_singular_factor_exits_3(fast_config, monkeypatch, capsys):
@@ -380,10 +443,15 @@ def test_tune_searches_the_span_of_both_sweep_axes(tmp_path, monkeypatch, capsys
     assert seen["bounds"] == (-0.5, 4.0)
 
 
+def _sweep(config, tmp_path, capsys):
+    """Run ``sweep`` under ``config``; the path of the CSV it wrote."""
+    assert main(["--config", config, "sweep", "--out", "map"]) == 0
+    capsys.readouterr()
+    return tmp_path / f"map_{load_run_config(config).config_hash}.csv"
+
+
 def test_iso_fss_from_sweep_csv(fast_config, tmp_path, capsys):
-    cfg = load_run_config(fast_config)
-    assert main(["--config", fast_config, "sweep", "--out", "map"]) == 0
-    sweep_csv = tmp_path / f"map_{cfg.config_hash}.csv"
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
     out = tmp_path / "iso.json"
     code = main([
         "--config", fast_config, "iso-fss", "--target", "5.0",
@@ -393,6 +461,57 @@ def test_iso_fss_from_sweep_csv(fast_config, tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["n_pairs"] == len(payload["pairs"])
+
+
+def test_iso_fss_without_sweep_csv_exits_2_and_writes_nothing(
+    fast_config, tmp_path, capsys
+):
+    # iso-fss pairs the cells of the CSV that sweep wrote; it never sweeps
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", fast_config, "iso-fss", "--target", "5.0",
+              "--min-separation", "1.0"])
+    assert exc.value.code == 2
+    assert "--sweep-csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["fast.cfg"]
+
+
+def test_iso_fss_accepts_a_sweep_csv_without_its_sidecar(fast_config, tmp_path, capsys):
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
+    sweep_csv.with_suffix(".meta.json").unlink()
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["n_pairs"] >= 0
+
+
+@pytest.mark.parametrize(
+    "sidecar", ["{not json", "[1, 2]", None], ids=["not-json", "not-an-object", "a-directory"]
+)
+def test_iso_fss_unreadable_sweep_metadata_exits_2(
+    fast_config, tmp_path, capsys, sidecar
+):
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
+    meta = sweep_csv.with_suffix(".meta.json")
+    meta.unlink()
+    if sidecar is None:
+        meta.mkdir()  # there, but open() fails
+    else:
+        meta.write_text(sidecar)
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot read sweep metadata {meta}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_iso_fss_rejects_sweep_csv_from_another_grid(fast_config, tmp_path, capsys):
@@ -438,9 +557,7 @@ def test_tune_repeated_free_terminal_exits_2(fast_config, capsys):
 
 
 def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
-    cfg = load_run_config(fast_config)
-    assert main(["--config", fast_config, "sweep", "--out", "map"]) == 0
-    sweep_csv = tmp_path / f"map_{cfg.config_hash}.csv"
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
     out = tmp_path / "iso.json"
     code = main([
         "--config", fast_config, "iso-fss", "--target", "5.0",
@@ -465,18 +582,19 @@ def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
     ],
 )
 def test_iso_fss_rejects_bad_arguments_before_sweeping(
-    fast_config, monkeypatch, capsys, target, separation, max_pairs, message
+    fast_config, tmp_path, capsys, target, separation, max_pairs, message
 ):
-    calls = []
-    monkeypatch.setattr(cli, "run_bias_sweep", lambda *a, **k: calls.append(a))
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
+    out = tmp_path / "iso.json"
     code = main([
         "--config", fast_config, "iso-fss", "--target", target,
         "--min-separation", separation, "--max-pairs", max_pairs,
+        "--sweep-csv", str(sweep_csv), "--out", str(out),
     ])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
-    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -620,7 +738,8 @@ def test_scan_csv_written_by_cli_parses(fast_config, tmp_path):
     [
         ["sweep", "--out", "{missing}/s"],
         ["tune", "--out", "{missing}/t.json"],
-        ["iso-fss", "--target", "5", "--min-separation", "1", "--out", "{missing}/i.json"],
+        ["iso-fss", "--target", "5", "--min-separation", "1", "--sweep-csv", "{scan}",
+         "--out", "{missing}/i.json"],
         ["solve", "--va", "0.8", "--vb", "0.4", "--phi-out", "{missing}/p.csv"],
         ["synth-scan", "--va", "0.8", "--vb", "0.4", "--out", "{missing}/s.csv"],
         ["fit", "{scan}", "--out", "{missing}/f.json"],

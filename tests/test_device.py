@@ -174,6 +174,22 @@ def test_meshes_compare_and_hash_by_identity():
     assert len({a, b, a}) == 2
 
 
+def test_mesh_holds_read_only_copies_of_its_arrays():
+    # a mesh keys the cache of assembled systems: a write to its arrays
+    # would leave a cached system describing another mesh
+    strip = make_strip_mesh(4.0, 2.0, 1.0, **STACK)
+    nodes, cells = strip.nodes.copy(), strip.cells.copy()
+    pads = tuple(pad.copy() for pad in strip.pads)
+    mesh = dataclasses.replace(strip, nodes=nodes, cells=cells, pads=pads)
+    for array in (mesh.nodes, mesh.cells, *mesh.pads):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] *= 2
+    for array in (nodes, cells, *pads):
+        assert array.flags.writeable
+    nodes *= 2.0
+    assert np.array_equal(mesh.nodes, strip.nodes)
+
+
 def test_bad_edge_length_rejected():
     with pytest.raises(MeshError):
         generate_mesh(GEOMETRY, 0.0)

@@ -507,29 +507,119 @@ def test_splitting_jacobian_at_a_held_seed_factors_once(
     assert callers == ["tangent"] + ["_newton"] * after.factorizations
 
 
-def test_constructed_zero_found(coarse_mesh):
-    # no intrinsic splitting, pure in-plane coupling: the splitting vanishes
-    # exactly where the in-plane field does
-    params = ExcitonParams(
-        zero_field_energy=1.34,
-        zero_field_splitting=(0.0, 0.0),
-        inplane_coupling=((5e-2, 0.0), (0.0, 5e-2)),
-        vertical_coupling=(0.0, 0.0),
-        dipole=0.0,
-        polarizability=0.0,
-    )
-    result = find_zero_fss(
+# no intrinsic splitting, pure in-plane coupling: the splitting vanishes
+# exactly where the in-plane field does
+CONSTRUCTED_ZERO = ExcitonParams(
+    zero_field_energy=1.34,
+    zero_field_splitting=(0.0, 0.0),
+    inplane_coupling=((5e-2, 0.0), (0.0, 5e-2)),
+    vertical_coupling=(0.0, 0.0),
+    dipole=0.0,
+    polarizability=0.0,
+)
+
+
+def _find_constructed_zero(mesh):
+    return find_zero_fss(
         BiasPoint(0.0, 0.0, None),
         ("A", "B"),
         tol=0.05,
-        mesh=coarse_mesh,
+        mesh=mesh,
         materials=laplace_materials(),
-        exciton_params=params,
+        exciton_params=CONSTRUCTED_ZERO,
         cfg=CFG,
         bounds=(-1.0, 3.0),
     )
+
+
+def test_constructed_zero_found(coarse_mesh):
+    result = _find_constructed_zero(coarse_mesh)
     assert result.converged
     assert result.achieved_fss < 0.05
+
+
+def _fail_solves(monkeypatch, fails) -> None:
+    """``SolveChain.solve`` raises ConvergenceError where ``fails(chain, bias)``."""
+    real_solve = SolveChain.solve
+
+    def solve(self, bias):
+        if fails(self, bias):
+            raise ConvergenceError("forced failure")
+        return real_solve(self, bias)
+
+    monkeypatch.setattr(SolveChain, "solve", solve)
+
+
+def _record_runs(monkeypatch) -> list:
+    """``[start, finished]`` of every projected Newton run, in call order."""
+    runs = []
+    real_projected_newton = tuner._projected_newton
+
+    def spy(fun, jac, x0, lo, hi):
+        run = [tuple(x0.tolist()), False]
+        runs.append(run)
+        result = real_projected_newton(fun, jac, x0, lo, hi)
+        run[1] = True
+        return result
+
+    monkeypatch.setattr(tuner, "_projected_newton", spy)
+    return runs
+
+
+def test_seeds_whose_solve_fails_are_skipped(coarse_mesh, monkeypatch):
+    # the seed grid is (-1, 1, 3) V per axis; the V_A = 1 V column fails
+    _fail_solves(
+        monkeypatch, lambda chain, bias: chain.system.mesh is not coarse_mesh
+        and bias.v_a == 1.0,
+    )
+    runs = _record_runs(monkeypatch)
+    result = _find_constructed_zero(coarse_mesh)
+    assert runs and all(start[0] != 1.0 for start, _ in runs)
+    assert result.converged
+
+
+def test_with_every_seed_failed_the_first_seed_is_reported(coarse_mesh, monkeypatch):
+    _fail_solves(monkeypatch, lambda chain, bias: chain.system.mesh is not coarse_mesh)
+    runs = _record_runs(monkeypatch)
+    result = _find_constructed_zero(coarse_mesh)
+    # nothing is refined; the low corner is solved on the caller's mesh,
+    # where V_A = V_B with C floating leaves no in-plane field
+    assert runs == []
+    assert result.bias == (-1.0, -1.0, None)
+    assert result.achieved_fss < 0.05
+
+
+def test_a_refinement_run_that_fails_is_skipped(coarse_mesh, monkeypatch):
+    runs = _record_runs(monkeypatch)
+    # every solve of the first run, on the caller's mesh, fails
+    _fail_solves(
+        monkeypatch, lambda chain, bias: chain.system.mesh is coarse_mesh
+        and len(runs) == 1,
+    )
+    result = _find_constructed_zero(coarse_mesh)
+    assert len(runs) >= 2 and runs[0][1] is False
+    assert all(finished for _, finished in runs[1:])
+    assert result.converged
+
+
+def test_failed_probe_solves_leave_the_crossing_unverified(coarse_mesh, monkeypatch):
+    runs = _record_runs(monkeypatch)
+    after = []  # biases asked of the caller's mesh once every run has finished
+
+    def probing(chain, bias):
+        if chain.system.mesh is not coarse_mesh or not runs or not runs[-1][1]:
+            return False
+        after.append(bias)
+        return bias != after[0]
+
+    _fail_solves(monkeypatch, probing)
+    result = _find_constructed_zero(coarse_mesh)
+    # the optimum is solved, its first probe fails and the second is not tried
+    assert len(after) == 2
+    assert result.bias == (after[0].v_a, after[0].v_b, None)
+    assert result.converged
+    assert result.theta_before is None and result.theta_after is None
+    assert result.rotation is None and not result.crossing_verified
 
 
 AFFINE_COUPLING = ExcitonParams(
