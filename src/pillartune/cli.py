@@ -5,7 +5,8 @@ are written atomically (temp file + rename) and carry the hash of the fully
 resolved configuration, so outputs from different calibrations never
 collide.  Exit codes: 0 success, 2 config/input error or an artifact that
 cannot be written, 3 solver failure, 4 fit failure, 5 tuner did not reach
-tolerance or found only a minimum on the bound of its window.
+tolerance or found only a minimum on the bound of its window, and 1 when
+the reader of standard output closed it early (no traceback).
 """
 
 from __future__ import annotations
@@ -385,7 +386,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit flush cannot raise
+        # again; 1 is the code Python itself exits with on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OutputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

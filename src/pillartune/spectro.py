@@ -3,9 +3,13 @@
 A doublet narrower than the spectrometer resolution shows up as a single
 line whose apparent peak slides sinusoidally with the detection angle: the
 two lines are equal-width Lorentzians weighted by Malus's law, and the peak
-of their sum moves between the low and high line.  The fit recovers the
-shift law  offset + delta * (cos(2*(theta - theta0)) + 1) / 2  in closed
-form, as a weighted linear fit of its 2-theta harmonic, with Jacobian-based
+of their sum moves between the low and high line.  That peak is found by a
+bracketed Newton iteration from the second-order small-splitting start; a
+scan with an even number of angles solves only its first half, because a
+quarter turn later the Malus weights swap and the peak is the mirror image
+fss - x.  The fit recovers the shift law
+offset + delta * (cos(2*(theta - theta0)) + 1) / 2  in closed form, as a
+weighted linear fit of its 2-theta harmonic, with Jacobian-based
 uncertainties.  The signed splitting of a sweep is read off the exciton
 state, not a scan (``exciton.algebraic_fss``).
 """
@@ -134,32 +138,43 @@ def peak_centroid(model: SpectrumModel, theta: float) -> float:
     Exact single-line cases short-circuit; otherwise the stationary point of
     the two-Lorentzian sum is found by a bracketed Newton iteration between
     the line centres (the sum's maximum always lies there for equal widths).
+    It starts from the small-splitting expansion to second order in
+    s = delta / linewidth, or from the weighted mean where that expansion
+    leaves the bracket (bimodal doublets).
     """
     wh, wl = model.amplitudes(theta)
-    delta = model.e_high - model.e_low
+    e_high, e_low, width = model.e_high, model.e_low, model.linewidth
+    delta = e_high - e_low
     if delta == 0.0:
-        return model.e_low
+        return e_low
     if wl < 1e-14:
-        return model.e_high
+        return e_high
     if wh < 1e-14:
-        return model.e_low
+        return e_low
 
-    g2 = (0.5 * model.linewidth) ** 2
-    tol = 1e-15 * max(model.linewidth, delta)
-    lo, hi = model.e_low, model.e_high
-    e = wh * model.e_high + wl * model.e_low  # weighted-mean start
+    g2 = (0.5 * width) ** 2
+    tol = 1e-15 * max(width, delta)
+    lo, hi = e_low, e_high
+    s, c = delta / width, wh - wl
+    e = 0.5 * (e_low + e_high + delta * c * (1.0 + 4.0 * (1.0 - c * c) * s * s))
+    if not (lo < e < hi):
+        e = wh * e_high + wl * e_low  # weighted-mean start
 
     for _ in range(200):
-        d1, d2 = e - model.e_high, e - model.e_low
+        d1, d2 = e - e_high, e - e_low
         q1, q2 = d1 * d1 + g2, d2 * d2 + g2
-        fp = -2.0 * g2 * (wh * d1 / q1**2 + wl * d2 / q2**2)
-        lo, hi = (e, hi) if fp > 0.0 else (lo, e)
-        fpp = -2.0 * g2 * (
-            wh * (q1 - 4.0 * d1 * d1) / q1**3 + wl * (q2 - 4.0 * d2 * d2) / q2**3
-        )
+        # f' = -2 g2 p and f'' = -2 g2 k: only their signs and ratio are used
+        p = wh * d1 / (q1 * q1) + wl * d2 / (q2 * q2)
+        if p < 0.0:  # f' > 0
+            lo = e
+        else:
+            hi = e
+        k = wh * (q1 - 4.0 * d1 * d1) / (q1 * q1 * q1) + wl * (
+            q2 - 4.0 * d2 * d2
+        ) / (q2 * q2 * q2)
         # f' is rounding noise near the root and may pull the bracket onto e:
         # stop on a rounding-level Newton step; bisect where f'' >= 0.
-        step = -fp / fpp if fpp < 0.0 else math.inf
+        step = -p / k if k > 0.0 else math.inf
         if abs(step) <= tol:
             return e
         e_new = e + step
@@ -199,9 +214,12 @@ def synth_polarization_scan(
         theta0=theta0,
     )
     angles = np.arange(n_angles) * (math.pi / n_angles)
-    clean = np.array(
-        [peak_centroid(model, th) + 0.5 * state.fss for th in angles]
-    )
+    # For even n, angle k + n/2 is angle k + pi/2: the Malus weights swap and
+    # the apparent peak is the mirror image fss - clean[k].
+    half = n_angles // 2 if n_angles % 2 == 0 else n_angles
+    clean = np.empty(n_angles)
+    clean[:half] = [peak_centroid(model, th) + 0.5 * state.fss for th in angles[:half]]
+    clean[half:] = state.fss - clean[: n_angles - half]
     rng = np.random.default_rng(seed)
     noisy = clean + rng.normal(0.0, noise_sigma, size=n_angles) if noise_sigma else clean
     return PolarizationScan(
@@ -228,8 +246,12 @@ def fit_fss_sine(scan: PolarizationScan) -> FitResult:
     use_weights = bool(np.all(scan.sigma > 0.0))
     w = 1.0 / scan.sigma if use_weights else np.ones(n)
 
-    design = np.column_stack([np.ones(n), np.cos(2.0 * th), np.sin(2.0 * th)])
-    coef, _, rank, _ = np.linalg.lstsq(w[:, None] * design, w * y, rcond=None)
+    th2 = 2.0 * th
+    design = np.empty((n, 3))  # weighted columns [1, cos 2 theta, sin 2 theta]
+    design[:, 0] = w
+    design[:, 1] = w * np.cos(th2)
+    design[:, 2] = w * np.sin(th2)
+    coef, _, rank, _ = np.linalg.lstsq(design, w * y, rcond=None)
     if rank < 3:
         raise FitError("scan angles do not determine the 2-theta harmonic")
     c, a, b = (float(v) for v in coef)
@@ -237,11 +259,14 @@ def fit_fss_sine(scan: PolarizationScan) -> FitResult:
     theta0 = (0.5 * math.atan2(b, a)) % math.pi
     offset = c - 0.5 * delta
 
-    model = shift_law(th, delta, theta0, offset)
-    r = w * (model - y)
-    arg = 2.0 * (th - theta0)
-    j = w[:, None] * np.column_stack(
-        [0.5 * (np.cos(arg) + 1.0), delta * np.sin(arg), np.ones(n)]
+    resid = shift_law(th, delta, theta0, offset) - y
+    r = w * resid
+    # The weighted Jacobian from the same harmonics, by the angle-difference
+    # identity: cos 2(theta - theta0) = cos 2theta ct + sin 2theta st and
+    # sin 2(theta - theta0) = sin 2theta ct - cos 2theta st.
+    ct, st = math.cos(2.0 * theta0), math.sin(2.0 * theta0)
+    j = design @ np.array(
+        [[0.5, 0.0, 1.0], [0.5 * ct, -delta * st, 0.0], [0.5 * st, delta * ct, 0.0]]
     )
     dof = max(n - 3, 1)
     try:
@@ -249,7 +274,7 @@ def fit_fss_sine(scan: PolarizationScan) -> FitResult:
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular Jacobian in covariance estimate: {exc}") from exc
     cov = 0.5 * (cov + cov.T)
-    rms = float(np.sqrt(np.mean((model - y) ** 2)))
+    rms = math.sqrt(float(resid @ resid) / n)
     sig = tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(cov))
     return FitResult(
         delta_fss=delta,

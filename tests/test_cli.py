@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,21 +560,6 @@ def test_tune_repeated_free_terminal_exits_2(fast_config, capsys):
     assert "distinct terminals" in capsys.readouterr().err
 
 
-def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
-    sweep_csv = _sweep(fast_config, tmp_path, capsys)
-    out = tmp_path / "iso.json"
-    code = main([
-        "--config", fast_config, "iso-fss", "--target", "5.0",
-        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
-        "--max-pairs", "-1", "--out", str(out),
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "max_pairs must be at least 0" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "target, separation, max_pairs, message",
     [
@@ -581,7 +570,7 @@ def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
         ("5.0", "1.0", "-1", "max_pairs must be at least 0"),
     ],
 )
-def test_iso_fss_rejects_bad_arguments_before_sweeping(
+def test_iso_fss_rejects_bad_arguments(
     fast_config, tmp_path, capsys, target, separation, max_pairs, message
 ):
     sweep_csv = _sweep(fast_config, tmp_path, capsys)
@@ -594,6 +583,7 @@ def test_iso_fss_rejects_bad_arguments_before_sweeping(
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -664,6 +654,26 @@ def test_negative_number_spellings_are_values(text):
 def test_solve_takes_a_negative_bias_in_exponent_form(fast_config, capsys):
     assert main(["--config", fast_config, "solve", "--va", "-2e-1", "--vb", "0"]) == 0
     assert "va_v = -0.2\n" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_1_without_traceback(fast_config):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(pillartune.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pillartune.cli", "--config", fast_config,
+         "solve", "--va", "1", "--vb", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before anything is printed
+    try:
+        err = proc.communicate(timeout=60)[1].decode()
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize(

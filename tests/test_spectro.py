@@ -167,6 +167,43 @@ def test_synth_deterministic_for_fixed_seed():
     assert not np.array_equal(a.peak_energies, c.peak_energies)
 
 
+@pytest.mark.parametrize("n", [6, 7, 35, 36, 72])
+def test_synth_equals_the_centroid_at_every_angle(n):
+    # the mirrored half of an even scan against one centroid per angle
+    linewidth = 30.0
+    near_axis = math.asin(math.sqrt(1e-13))  # the other line's weight ~1e-13
+    grid = 2 * math.pi / n  # a grid angle
+    cases = [(0.0, 0.0)] + [
+        (ratio, theta0)
+        for ratio in (0.01, 0.03, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0)
+        for theta0 in (0.37, 1.9, grid, grid + near_axis, grid - near_axis)
+    ]
+    for ratio, theta0 in cases:
+        delta = ratio * linewidth
+        params = exciton_params_with_splitting(
+            delta * math.cos(2.0 * theta0), delta * math.sin(2.0 * theta0)
+        )
+        scan = synth_polarization_scan(
+            params, (0.0, 0.0, 0.0), linewidth, noise_sigma=0.0, n_angles=n, seed=1
+        )
+        state = exciton_state(params, (0.0, 0.0, 0.0))
+        fss = state.fss
+        model = SpectrumModel(
+            e_high=0.5 * fss, e_low=-0.5 * fss, linewidth=linewidth,
+            theta0=state.theta0 if state.theta0 is not None else 0.0,
+        )
+        tol = 4e-15 * max(linewidth, fss)
+        for th, got in zip(scan.angles, scan.peak_energies):
+            want = peak_centroid(model, th) + 0.5 * fss
+            wh, wl = model.amplitudes(th)
+            if ratio > 1.0 / math.sqrt(3.0) and abs(wh - wl) < 1e-15:
+                # equal weights on a bimodal doublet: two equally high maxima,
+                # and rounding picks one; the mirror may pick the other
+                assert min(abs(got - want), abs(got - (fss - want))) <= tol
+            else:
+                assert abs(got - want) <= tol, (ratio, theta0, th)
+
+
 def test_synth_rejects_too_few_angles():
     params = exciton_params_with_splitting(5.0, 0.0)
     with pytest.raises(ScanInputError):
@@ -238,6 +275,76 @@ def test_fit_matches_iterative_fit_on_irregular_weighted_scans():
         diff = abs(fit.theta0 - theta0) % math.pi
         assert min(diff, math.pi - diff) <= 1e-6
         assert fit.offset == pytest.approx(offset, abs=1e-6)
+
+
+def _column_stack_fit(scan):
+    """The fit with every harmonic computed where it is used, one column_stack
+    per matrix: the reference that ``fit_fss_sine`` must reproduce."""
+    th, y = scan.angles, scan.peak_energies
+    n = len(th)
+    w = 1.0 / scan.sigma if np.all(scan.sigma > 0.0) else np.ones(n)
+    design = np.column_stack([np.ones(n), np.cos(2.0 * th), np.sin(2.0 * th)])
+    coef, _, rank, _ = np.linalg.lstsq(w[:, None] * design, w * y, rcond=None)
+    if rank < 3:
+        raise FitError("rank")
+    c, a, b = (float(v) for v in coef)
+    delta = 2.0 * math.hypot(a, b)
+    theta0 = (0.5 * math.atan2(b, a)) % math.pi
+    offset = c - 0.5 * delta
+    model = shift_law(th, delta, theta0, offset)
+    r = w * (model - y)
+    arg = 2.0 * (th - theta0)
+    j = w[:, None] * np.column_stack(
+        [0.5 * (np.cos(arg) + 1.0), delta * np.sin(arg), np.ones(n)]
+    )
+    try:
+        cov = np.linalg.inv(j.T @ j) * (float(r @ r) / max(n - 3, 1))
+    except np.linalg.LinAlgError as exc:
+        raise FitError("singular") from exc
+    rms = float(np.sqrt(np.mean((model - y) ** 2)))
+    return delta, theta0, offset, rms, 0.5 * (cov + cov.T)
+
+
+def test_fit_matches_the_column_stack_fit():
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        n = int(rng.integers(6, 73))
+        angles = np.arange(n) * (math.pi / n)
+        if i % 4 >= 2:  # irregular angles
+            angles = np.sort(rng.uniform(0.0, math.pi, n))
+            angles[0], angles[-1] = 0.0, rng.uniform(math.pi * (1 - 1 / n), math.pi)
+        sigma = rng.uniform(0.05, 1.0, n)  # weighted
+        if i % 4 == 1:  # unweighted: every sigma zero
+            sigma = np.zeros(n)
+        elif i % 4 == 3:  # unweighted: one sigma zero
+            sigma[int(rng.integers(n))] = 0.0
+        delta = 10.0 ** rng.uniform(-3.0, 1.5)
+        energies = shift_law(
+            angles, delta, rng.uniform(0.0, math.pi), rng.uniform(-5.0, 5.0)
+        ) + rng.uniform(0.0, 0.5) * rng.normal(size=n)
+        scan = PolarizationScan(angles=angles, peak_energies=energies, sigma=sigma)
+        fit = fit_fss_sine(scan)
+        delta, theta0, offset, rms, cov = _column_stack_fit(scan)
+        assert fit.delta_fss == pytest.approx(delta, rel=1e-12)
+        assert fit.theta0 == pytest.approx(theta0, rel=1e-12)
+        assert fit.offset == pytest.approx(offset, rel=1e-12)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12)
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert np.all(np.abs(fit.covariance - cov) <= 1e-12 * scale)
+
+
+def test_fit_errors_match_the_column_stack_fit():
+    angles = np.arange(36) * (math.pi / 36)
+    rank_two = PolarizationScan(  # two distinct angles
+        angles=np.array([0.0] * 5 + [5.0 * math.pi / 6.0]),
+        peak_energies=np.array([1.0, 1.1, 0.9, 1.0, 1.0, 3.0]),
+    )
+    flat = PolarizationScan(angles=angles, peak_energies=np.zeros(36), sigma=0.3)
+    for scan, message in ((rank_two, "2-theta harmonic"), (flat, "singular Jacobian")):
+        with pytest.raises(FitError, match=message):
+            fit_fss_sine(scan)
+        with pytest.raises(FitError):
+            _column_stack_fit(scan)
 
 
 def test_fit_rejects_angles_that_miss_the_second_harmonic():
