@@ -560,6 +560,21 @@ def test_tune_repeated_free_terminal_exits_2(fast_config, capsys):
     assert "distinct terminals" in capsys.readouterr().err
 
 
+def test_iso_fss_negative_max_pairs_exits_2(fast_config, tmp_path, capsys):
+    sweep_csv = _sweep(fast_config, tmp_path, capsys)
+    out = tmp_path / "iso.json"
+    code = main([
+        "--config", fast_config, "iso-fss", "--target", "5.0",
+        "--min-separation", "1.0", "--sweep-csv", str(sweep_csv),
+        "--max-pairs", "-2", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_pairs must be at least 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "target, separation, max_pairs, message",
     [
