@@ -132,9 +132,6 @@ def cmd_solve(args) -> int:
         ("theta0_rad", "undefined" if state.theta0 is None else state.theta0),
         ("mean_energy_ev", state.mean_energy),
     ]
-    for key, value in lines:
-        print(f"{key} = {value}")
-
     if args.phi_out:
         def write(tmp: str) -> None:
             with open(tmp, "w", newline="") as fh:
@@ -143,6 +140,10 @@ def cmd_solve(args) -> int:
                     fh.write(f"{i},{float(phi)!r}\n")
 
         _atomic_write(args.phi_out, write)
+
+    for key, value in lines:
+        print(f"{key} = {value}")
+    if args.phi_out:
         print(f"potential written to {args.phi_out}")
     return EXIT_OK
 

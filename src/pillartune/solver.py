@@ -545,8 +545,9 @@ class SolveChain:
     solution ``held`` by that back-solve of the voltage change on the held
     band factor, a Jacobian a few chord steps stale, so the predictor costs
     no factorization; with no factor held it starts cold (a held solution
-    without a factor took no step from phi = 0).  A solve that takes no
-    step keeps the held factor, and a failed one drops ``held``.
+    without a factor took no step from phi = 0), and a start the caller
+    gives replaces the prediction.  A solve that takes no step keeps the
+    held factor, and a failed one drops ``held``.
     ``tangent`` factors J at the held potential, so through the linear QD
     field it gives exact field derivatives, and the chain then holds that
     factor.  ``newton_iters`` and ``factorizations`` total the chain's
@@ -560,14 +561,12 @@ class SolveChain:
         self.newton_iters = 0
         self.factorizations = 0
 
-    def solve(self, bias: BiasPoint) -> FieldSolution:
-        """The solution at ``bias``, predicted from the held one."""
+    def solve(self, bias: BiasPoint, phi0: np.ndarray | None = None) -> FieldSolution:
+        """The solution at ``bias``, started from ``phi0`` if given, else predicted."""
         held, system = self.held, self.system
         if held is not None and held.bias == bias:
             return held
-        if held is None or held.factor is None:
-            phi0 = None
-        else:
+        if phi0 is None and held is not None and held.factor is not None:
             pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
             dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
             drive = system._terminal_drive(held.bias, dv)

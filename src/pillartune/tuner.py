@@ -8,7 +8,9 @@ by a projected Gauss-Newton iteration inside the bias window, with its
 exact Jacobian from the chain's tangent; its norm, the observable
 splitting, is not differentiable at the zero.  It is a two-grid search: a
 3-per-axis grid of seeds is ranked on a mesh of three times the edge, and
-the best seeds are refined on the caller's mesh.  Each mesh has one chain.
+the best seeds are refined on the caller's mesh, each refinement starting
+from its seed's coarse potential interpolated onto that mesh.  Each mesh
+has one chain.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import DeviceGeometry, MaterialParams, Mesh, generate_mesh
+from .device import DeviceGeometry, MaterialParams, Mesh, cell_areas, generate_mesh
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -421,6 +423,75 @@ def _seed_mesh(geometry: DeviceGeometry, edge: float) -> Mesh:
     return generate_mesh(geometry, edge)
 
 
+@functools.lru_cache(maxsize=_CACHED_SEED_MESHES)
+def _prolongation(mesh: Mesh, seed_mesh: Mesh):
+    """Sparse (n, n_seed) P1 interpolation of seed-mesh potentials onto ``mesh``.
+
+    Each node of ``mesh`` takes its barycentric weights in a seed cell that
+    holds it.  A node outside every seed cell (on the pillar arc, which the
+    coarser seed rim cuts inside) takes the weights of its nearest cell,
+    clamped to non-negative and renormalized.  Candidate cells come from a
+    grid of buckets as wide as the widest cell, a dozen or so per node;
+    only the few outside nodes are measured against every cell.
+    """
+    from scipy.sparse import csr_matrix  # already loaded by the solver
+
+    x, y = mesh.nodes.T
+    n = len(x)
+    cx, cy = seed_mesh.nodes[seed_mesh.cells].transpose(2, 0, 1)  # (cells, 3)
+    ax, ay = np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1)  # vertex i + 1
+    bx, by = np.roll(cx, 1, axis=1), np.roll(cy, 1, axis=1)  # vertex i + 2
+    area2 = 2.0 * cell_areas(seed_mesh)
+    gx, gy = (ay - by).T / area2, (bx - ax).T / area2  # (3, cells) weight gradients
+
+    def weights(node, cell):
+        # from differences to vertex 0, so exact to rounding on linear fields
+        dx, dy = x[node] - cx[cell, 0], y[node] - cy[cell, 0]
+        return [gx[i, cell] * dx + gy[i, cell] * dy + float(i == 0) for i in range(3)]
+
+    # A cell holding a node has the lower-left corner of its bounding box in
+    # the node's bucket, the one left of it, below it or both.
+    lx, ly = cx.min(axis=1), cy.min(axis=1)
+    width = max(np.ptp(cx, axis=1).max(), np.ptp(cy, axis=1).max())
+
+    def bucket(px, py):
+        return (
+            np.floor((px - lx.min()) / width).astype(int),
+            np.floor((py - ly.min()) / width).astype(int),
+        )
+
+    ix, iy = bucket(lx, ly)
+    rows = iy.max() + 2
+    order = np.argsort(ix * rows + iy, kind="stable")
+    keys = (ix * rows + iy)[order]
+    jx, jy = bucket(x, y)
+    low = (jx[:, None] - [0, 1]) * rows + (jy - 1)[:, None]  # then row jy
+    start = np.searchsorted(keys, low).ravel()
+    count = np.searchsorted(keys, low + 1, side="right").ravel() - start
+    node = np.repeat(np.arange(n), count.reshape(n, 2).sum(axis=1))
+    offset = np.repeat(start - np.cumsum(count) + count, count)
+    cell = order[np.arange(count.sum()) + offset]
+    # in the cell, or on its edge to rounding
+    holds = np.logical_and.reduce([w >= -1e-12 for w in weights(node, cell)])
+    hit, first = np.unique(node[holds], return_index=True)
+    owner = np.full(n, -1)
+    owner[hit] = cell[holds][first]
+
+    # Nodes outside the seed mesh: distance to each cell edge a -> b.
+    out = np.flatnonzero(owner < 0)
+    px, py = x[out, None, None], y[out, None, None]
+    ex, ey = bx - ax, by - ay
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    gap = np.hypot(px - ax - t * ex, py - ay - t * ey).min(axis=2)
+    owner[out] = gap.argmin(axis=1)
+
+    w = np.clip(np.column_stack(weights(np.arange(n), owner)), 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    indptr = np.arange(0, 3 * n + 1, 3)
+    shape = (n, seed_mesh.n_nodes)
+    return csr_matrix((w.ravel(), seed_mesh.cells[owner].ravel(), indptr), shape=shape)
+
+
 def _eigenaxis_rotation(
     theta_a: float | None, theta_b: float | None
 ) -> float | None:
@@ -521,14 +592,17 @@ def find_zero_fss(
     exact Jacobian from the solution's tangent) on the smooth splitting
     vector delta(V), until one lands below ``tol / 4``; seeds and starts
     whose solve fails are skipped.  Each mesh has one chain, whose solves
-    are predicted from the one before; the first solve on ``mesh`` starts
-    cold.  The seed mesh comes from ``_seed_mesh`` and both systems from
-    ``sheet_system``, so searches on one mesh and materials share them; no
-    solve is shared.  ``mesh`` must come from ``generate_mesh``, which
-    records its geometry (a ``make_strip_mesh`` mesh has none and raises
-    ``ValueError``).  ``tol`` must be positive and finite, and ``bounds``
-    finite with lo < hi and within +-``MAX_BIAS_V``; ``start`` gives the
-    voltages of the terminals that are not free.  The eigenaxis swap is
+    are predicted from the one before, except the first solve of each
+    refinement, at its seed, which starts from the seed's potential on
+    the seed mesh interpolated onto ``mesh``.  The seed mesh comes from
+    ``_seed_mesh``, the interpolation from ``_prolongation`` and both
+    systems from ``sheet_system``, so searches on one mesh and materials
+    share them; no solve is shared.  ``mesh`` must come from
+    ``generate_mesh``, which records its geometry (a ``make_strip_mesh``
+    mesh has none and raises ``ValueError``).  ``tol`` must be positive
+    and finite, and ``bounds`` finite with lo < hi and within
+    +-``MAX_BIAS_V``; ``start`` gives the voltages of the terminals that
+    are not free.  The eigenaxis swap is
     verified by probing 0.05 V either side of the optimum along the
     approach direction, each probe clipped to ``bounds``:
     ``crossing_verified`` holds when the axes of the two probes differ by
@@ -585,9 +659,10 @@ def find_zero_fss(
     for seed in itertools.product(grid_axis, repeat=len(free)):
         x = np.array(seed)
         try:
-            scored.append((math.hypot(*splitting(x, seed_chain)), x))
+            norm = math.hypot(*splitting(x, seed_chain))
         except SolverError:
             continue
+        scored.append((norm, x, seed_chain.held.phi))
     scored.sort(key=lambda t: t[0])
 
     # Coarse norms only rank the seeds: any refined run beats them.  With
@@ -596,8 +671,10 @@ def find_zero_fss(
     best_x = scored[0][1] if scored else np.full(len(free), lo)
     on_bound = False
     approach = None
-    for _, x0 in scored[:_N_STARTS]:
+    for _, x0, seed_phi in scored[:_N_STARTS]:
         try:
+            # the run's first solve, at x0, starts from the seed's coarse potential
+            chain.solve(bias_at(x0), phi0=_prolongation(mesh, seed_mesh) @ seed_phi)
             x, f, active = _projected_newton(splitting, jacobian, x0, lo, hi)
         except SolverError:
             continue

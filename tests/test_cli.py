@@ -12,7 +12,7 @@ import pillartune
 from pillartune import cli, solver
 from pillartune.cli import main
 from pillartune.config import ConfigError, load_run_config
-from pillartune.device import GeometryError, MeshError
+from pillartune.device import GeometryError, MeshError, generate_mesh
 from pillartune.spectro import FitError, ScanInputError, scan_from_csv, shift_law
 from pillartune.tuner import TunerError
 
@@ -671,14 +671,15 @@ def test_solve_takes_a_negative_bias_in_exponent_form(fast_config, capsys):
     assert "va_v = -0.2\n" in capsys.readouterr().out
 
 
-def test_closed_stdout_exits_1_without_traceback(fast_config):
+def _solve_with_stdout_closed(config: str, *extra: str) -> str:
+    """Run ``solve --va 1 --vb 0`` whose stdout reader is gone; its stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(pillartune.__file__).parents[1]), env.get("PYTHONPATH")])
     )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pillartune.cli", "--config", fast_config,
-         "solve", "--va", "1", "--vb", "0"],
+        [sys.executable, "-m", "pillartune.cli", "--config", config,
+         "solve", "--va", "1", "--vb", "0", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()  # the reader goes away before anything is printed
@@ -689,6 +690,23 @@ def test_closed_stdout_exits_1_without_traceback(fast_config):
     assert proc.returncode == 1
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+    return err
+
+
+def test_closed_stdout_exits_1_without_traceback(fast_config):
+    _solve_with_stdout_closed(fast_config)
+
+
+def test_closed_stdout_still_writes_the_potential_file(fast_config, tmp_path):
+    """The potential file is written before the report is printed."""
+    out = tmp_path / "phi.csv"
+    _solve_with_stdout_closed(fast_config, "--phi-out", str(out))
+    cfg = load_run_config(fast_config)
+    n_nodes = generate_mesh(cfg.geometry, cfg.mesh_edge).n_nodes
+    lines = out.read_text().splitlines()
+    assert lines[0] == "node_id,phi_v"
+    node_ids = [line.split(",")[0] for line in lines[1:]]
+    assert node_ids == [str(i) for i in range(n_nodes)]
 
 
 @pytest.mark.parametrize(

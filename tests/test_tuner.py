@@ -19,6 +19,7 @@ from pillartune.solver import (
     ConvergenceError,
     SheetSystem,
     SolveChain,
+    SolverError,
 )
 from pillartune.tuner import (
     ALL_OUTPUTS,
@@ -172,6 +173,7 @@ def _count_systems(monkeypatch) -> list:
 def _clear_caches() -> None:
     solver.sheet_system.cache_clear()
     tuner._seed_mesh.cache_clear()
+    tuner._prolongation.cache_clear()
 
 
 def test_sweeps_on_one_mesh_build_one_system(
@@ -209,6 +211,7 @@ def test_searches_on_one_mesh_build_two_systems(
     assert len(built) == 2 and built[1] is coarse_mesh
     assert built[0].target_edge == 3.0 * coarse_mesh.target_edge
     assert tuner._seed_mesh.cache_info().misses == 1
+    assert tuner._prolongation.cache_info().misses == 1
     _clear_caches()
     assert search().to_dict() == second.to_dict()
     assert len(built) == 4
@@ -542,23 +545,28 @@ def _fail_solves(monkeypatch, fails) -> None:
     """``SolveChain.solve`` raises ConvergenceError where ``fails(chain, bias)``."""
     real_solve = SolveChain.solve
 
-    def solve(self, bias):
+    def solve(self, bias, phi0=None):
         if fails(self, bias):
             raise ConvergenceError("forced failure")
-        return real_solve(self, bias)
+        return real_solve(self, bias, phi0)
 
     monkeypatch.setattr(SolveChain, "solve", solve)
 
 
 def _record_runs(monkeypatch) -> list:
-    """``[start, finished]`` of every projected Newton run, in call order."""
+    """``[start, finished]`` of every projected Newton run, in call order;
+    ``finished`` is None while the run goes on and False once it raised."""
     runs = []
     real_projected_newton = tuner._projected_newton
 
     def spy(fun, jac, x0, lo, hi):
-        run = [tuple(x0.tolist()), False]
+        run = [tuple(x0.tolist()), None]
         runs.append(run)
-        result = real_projected_newton(fun, jac, x0, lo, hi)
+        try:
+            result = real_projected_newton(fun, jac, x0, lo, hi)
+        except SolverError:
+            run[1] = False
+            raise
         run[1] = True
         return result
 
@@ -594,7 +602,7 @@ def test_a_refinement_run_that_fails_is_skipped(coarse_mesh, monkeypatch):
     # every solve of the first run, on the caller's mesh, fails
     _fail_solves(
         monkeypatch, lambda chain, bias: chain.system.mesh is coarse_mesh
-        and len(runs) == 1,
+        and len(runs) == 1 and runs[0][1] is None,
     )
     result = _find_constructed_zero(coarse_mesh)
     assert len(runs) >= 2 and runs[0][1] is False
@@ -610,7 +618,7 @@ def test_failed_probe_solves_leave_the_crossing_unverified(coarse_mesh, monkeypa
         if chain.system.mesh is not coarse_mesh or not runs or not runs[-1][1]:
             return False
         after.append(bias)
-        return bias != after[0]
+        return len(after) > 1  # the probe may be clipped onto the optimum's bias
 
     _fail_solves(monkeypatch, probing)
     result = _find_constructed_zero(coarse_mesh)
@@ -767,37 +775,124 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     coarse_mesh, default_config, monkeypatch
 ):
     """The seed grid solves on a mesh of three times the caller's edge; every
-    later solve is on the caller's mesh, the first of them cold and inside
-    the first projected Newton run."""
-    solves = []  # (mesh, phi0 given) of every SheetSystem.solve, in order
+    later solve is on the caller's mesh.  Each projected Newton run starts
+    at its seed, whose solve on the caller's mesh is made just before the
+    run and starts from the seed's coarse potential interpolated onto it."""
+    solves = []  # (mesh, bias, phi0, phi) of every SheetSystem.solve, in order
     real_solve = SheetSystem.solve
 
     def spy_solve(self, bias, cfg, phi0=None):
-        solves.append((self.mesh, phi0 is not None))
-        return real_solve(self, bias, cfg, phi0=phi0)
+        sol = real_solve(self, bias, cfg, phi0=phi0)
+        solves.append((self.mesh, bias, phi0, sol.phi))
+        return sol
 
-    run_marks = []  # solves made before each projected Newton run started
+    runs = []  # (solves made before the run started, its start x0)
     real_projected_newton = tuner._projected_newton
 
-    def spy_projected_newton(*args, **kwargs):
-        run_marks.append(len(solves))
-        return real_projected_newton(*args, **kwargs)
+    def spy_projected_newton(fun, jac, x0, lo, hi):
+        runs.append((len(solves), tuple(x0.tolist())))
+        return real_projected_newton(fun, jac, x0, lo, hi)
 
     monkeypatch.setattr(SheetSystem, "solve", spy_solve)
     monkeypatch.setattr(tuner, "_projected_newton", spy_projected_newton)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged
-    seed_phase, refinement = solves[: run_marks[0]], solves[run_marks[0] :]
-    assert len(seed_phase) == 9
-    assert all(m.target_edge == 3.0 * coarse_mesh.target_edge for m, _ in seed_phase)
-    assert refinement and all(m is coarse_mesh for m, _ in refinement)
-    assert refinement[0] == (coarse_mesh, False)  # the first fine solve is cold
-    assert all(mark > run_marks[0] for mark in run_marks[1:])  # made by run 1
+    seed_phase, refinement = solves[:9], solves[9:]
+    seed_mesh = seed_phase[0][0]
+    assert seed_mesh.target_edge == 3.0 * coarse_mesh.target_edge
+    assert all(m is seed_mesh for m, *_ in seed_phase)
+    assert refinement and all(m is coarse_mesh for m, *_ in refinement)
+    seed_phi = {bias: phi for _, bias, _, phi in seed_phase}
+    prolongation = tuner._prolongation(coarse_mesh, seed_mesh)
+    assert runs[0][0] == 10  # the first fine solve is the first run's start
+    for mark, x0 in runs:
+        _, bias, phi0, _ = solves[mark - 1]
+        assert (bias.v_a, bias.v_b) == x0
+        np.testing.assert_array_equal(phi0, prolongation @ seed_phi[bias])
+    assert all(mark > runs[0][0] for mark, _ in runs[1:])  # made by run 1
+
+
+def test_interpolated_start_saves_fine_factorizations(
+    default_mesh, default_config, monkeypatch
+):
+    """On the default calibration and mesh the first solve on the mesh takes
+    at most 2 factorizations, and the search's solves there fewer than the
+    13 they took when that first solve started cold (6 of them in it)."""
+    factorizations = []  # of every solve on the caller's mesh, in order
+    real_solve = SheetSystem.solve
+
+    def spy_solve(self, bias, cfg, phi0=None):
+        sol = real_solve(self, bias, cfg, phi0=phi0)
+        if self.mesh is default_mesh:
+            factorizations.append(sol.factorizations)
+        return sol
+
+    monkeypatch.setattr(SheetSystem, "solve", spy_solve)
+    result = _tune_default(default_mesh, default_config)
+    assert result.converged and result.crossing_verified
+    assert factorizations[0] <= 2
+    assert sum(factorizations) < 13
 
 
 @pytest.fixture(scope="module")
 def default_mesh(default_config):
     return generate_mesh(default_config.geometry, default_config.mesh_edge)
+
+
+def _barycentric(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """(n_points, n_cells, 3) barycentric coordinates of each point in each triangle."""
+    a = tri[:, 0]
+    edges = np.stack([tri[:, 1] - a, tri[:, 2] - a], axis=-1)  # (cells, 2, 2)
+    l12 = np.linalg.solve(edges, (points[:, None, :] - a)[..., None])[..., 0]
+    return np.concatenate([1.0 - l12.sum(axis=-1, keepdims=True), l12], axis=-1)
+
+
+def _distance_to_triangles(point: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Distance from one point outside every triangle to each triangle's edges."""
+    best = np.full(len(tri), np.inf)
+    for i in range(3):
+        a, b = tri[:, i], tri[:, (i + 1) % 3]
+        t = np.einsum("ij,ij->i", point - a, b - a) / np.sum((b - a) ** 2, axis=1)
+        gap = point - a - np.clip(t, 0.0, 1.0)[:, None] * (b - a)
+        best = np.minimum(best, np.linalg.norm(gap, axis=1))
+    return best
+
+
+@pytest.mark.parametrize(
+    "mesh_fixture, n_outside", [("coarse_mesh", 8), ("default_mesh", 16)]
+)
+def test_prolongation_interpolates_the_seed_mesh(request, mesh_fixture, n_outside):
+    """The P1 interpolation onto the 2 um test mesh (seeds on 6 um) and the
+    default 1 um mesh (3 um): exact on linear fields inside the seed mesh,
+    clamped weights of the nearest cell outside it, every row a partition
+    of unity, the QD on the seed QD, built once per pair of meshes."""
+    mesh = request.getfixturevalue(mesh_fixture)
+    edge = tuner._SEED_EDGE_FACTOR * mesh.target_edge
+    seed_mesh = tuner._seed_mesh(mesh.geometry, edge)
+    prolongation = tuner._prolongation(mesh, seed_mesh)
+    assert tuner._prolongation(mesh, seed_mesh) is prolongation
+    weights = prolongation.toarray()
+    assert weights.shape == (mesh.n_nodes, seed_mesh.n_nodes)
+    assert np.all(weights >= 0.0)
+    assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 4e-16)
+    assert weights[mesh.qd_node, seed_mesh.qd_node] == 1.0
+    assert np.count_nonzero(weights[mesh.qd_node]) == 1
+
+    tri = seed_mesh.nodes[seed_mesh.cells]
+    lam = _barycentric(mesh.nodes, tri)
+    inside = np.any(lam.min(axis=2) >= -1e-12, axis=1)
+    assert np.count_nonzero(~inside) == n_outside
+    linear = 0.3 + np.array([1.7, -0.9]) @ seed_mesh.nodes.T
+    exact = 0.3 + np.array([1.7, -0.9]) @ mesh.nodes.T
+    scale = np.abs(exact).max()
+    assert np.all(np.abs(prolongation @ linear - exact)[inside] <= 1e-14 * scale)
+
+    for node in np.flatnonzero(~inside):
+        cell = np.argmin(_distance_to_triangles(mesh.nodes[node], tri))
+        clamped = np.clip(lam[node, cell], 0.0, None)
+        expected = np.zeros(seed_mesh.n_nodes)
+        expected[seed_mesh.cells[cell]] = clamped / clamped.sum()
+        np.testing.assert_allclose(weights[node], expected, rtol=0, atol=1e-14)
 
 
 def _seed_norms(mesh, config, params) -> np.ndarray:
