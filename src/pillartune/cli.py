@@ -85,14 +85,6 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, write)
 
 
-def _load(args) -> RunConfig:
-    return load_run_config(args.config)
-
-
-def _mesh(cfg: RunConfig):
-    return generate_mesh(cfg.geometry, cfg.mesh_edge)
-
-
 def _bias_from_args(args, cfg: RunConfig) -> BiasPoint:
     """The bias of ``--va/--vb/--vc``; an omitted ``--vc`` takes ``[sweep] vc_v``."""
     return BiasPoint(args.va, args.vb, getattr(args, "vc", cfg.sweep.vc))
@@ -101,12 +93,13 @@ def _bias_from_args(args, cfg: RunConfig) -> BiasPoint:
 def _solve_from_args(args, cfg: RunConfig):
     """The field solution at the command-line bias and its exciton state."""
     bias = _bias_from_args(args, cfg)
-    sol = sheet_system(_mesh(cfg), cfg.materials).solve(bias, cfg.solver)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
+    sol = sheet_system(mesh, cfg.materials).solve(bias, cfg.solver)
     return sol, exciton_state(cfg.exciton, sol.field)
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     if args.phi_out:
         _check_out_dir(args.phi_out)
     sol, state = _solve_from_args(args, cfg)
@@ -149,12 +142,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     prefix = args.out or "sweep"
     csv_path = f"{prefix}_{cfg.config_hash}.csv"
     meta_path = f"{prefix}_{cfg.config_hash}.meta.json"
     _check_out_dir(csv_path)
-    mesh = _mesh(cfg)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
     result = run_bias_sweep(
         cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=args.jobs
     )
@@ -170,7 +163,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     scan = scan_from_csv(args.scan)
     out = args.out or f"{os.path.splitext(args.scan)[0]}_fit_{cfg.config_hash}.json"
     _check_out_dir(out)
@@ -192,7 +185,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth_scan(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     out = args.out or f"scan_{cfg.config_hash}.csv"
     _check_out_dir(out)
     seed = args.seed if args.seed is not None else cfg.seed
@@ -215,11 +208,11 @@ def cmd_synth_scan(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     out = args.out or f"tune_{cfg.config_hash}.json"
     _check_out_dir(out)
     start = _bias_from_args(args, cfg)
-    mesh = _mesh(cfg)
+    mesh = generate_mesh(cfg.geometry, cfg.mesh_edge)
     free = tuple(t.strip().upper() for t in args.free.split(",") if t.strip())
     bounds = cfg.sweep.tune_bounds()
     result = find_zero_fss(
@@ -277,7 +270,7 @@ def _check_sweep_meta(csv_path: str, config_hash: str) -> None:
 
 
 def cmd_iso_fss(args) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config)
     out = args.out or f"iso_fss_{cfg.config_hash}.json"
     _check_out_dir(out)
     records = read_sweep_csv(args.sweep_csv)

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,6 +173,9 @@ class Mesh:
     geometry: DeviceGeometry | None = None
 
     def __post_init__(self) -> None:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         object.__setattr__(self, "nodes", _read_only(self.nodes))
         object.__setattr__(self, "cells", _read_only(self.cells))
         object.__setattr__(self, "pads", tuple(map(_read_only, self.pads)))
@@ -186,7 +187,7 @@ class Mesh:
         length = np.hypot(*(self.nodes[ends[0]] - self.nodes[ends[1]]).T)
         if self.target_edge > 0.0 and length.max() > 2.0 * self.target_edge + 1e-9:
             raise MeshError("mesh edge exceeds twice the target edge length")
-        graph = sp.coo_matrix((np.ones(len(length)), ends), shape=(self.n_nodes,) * 2)
+        graph = coo_matrix((np.ones(len(length)), ends), shape=(self.n_nodes,) * 2)
         if connected_components(graph, directed=False)[0] != 1:
             raise MeshError("mesh is not connected")
         ids = np.concatenate([np.unique(pad) for pad in self.pads])
@@ -384,6 +385,15 @@ def _orient_ccw(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 def cell_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * _signed_area2(mesh.nodes, mesh.cells)
+
+
+def cell_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """P1 basis gradients (b, c), each (cells, 3): vertex i's basis function
+    has gradient (y_{i+1} - y_{i+2}, x_{i+2} - x_{i+1}) / 2A in its cell."""
+    x, y = mesh.nodes[mesh.cells].transpose(2, 0, 1)
+    area2 = 2.0 * cell_areas(mesh)[:, None]  # exact: undoes the halving
+    nxt, prev = [1, 2, 0], [2, 0, 1]  # vertex i + 1 and i + 2
+    return (y[:, nxt] - y[:, prev]) / area2, (x[:, prev] - x[:, nxt]) / area2
 
 
 def make_strip_mesh(

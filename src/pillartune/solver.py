@@ -42,11 +42,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .device import MaterialParams, Mesh, cell_areas
+from .device import MaterialParams, Mesh, cell_areas, cell_gradients
 
 EXP_CLAMP = 40.0
 _E_CLAMP = math.exp(EXP_CLAMP)
@@ -68,6 +65,11 @@ MAX_BIAS_V = 1e3
 # Assembled systems ``sheet_system`` keeps, the most recently used: a
 # search's two meshes and a sweep's one fit with room to spare.
 _CACHED_SYSTEMS = 4
+
+# LAPACK's banded Cholesky factor and solve come from ``_lapack`` on each
+# call, so that importing the solver loads no SciPy; a test sets one of these
+# names to stand in for it.
+dpbtrf = dpbtrs = None
 
 TERMINALS = ("A", "B", "C")
 _VOLTAGE_FIELDS = {"A": "v_a", "B": "v_b", "C": "v_c"}
@@ -157,6 +159,13 @@ class FieldSolution:
         return (self.e_inplane[0], self.e_inplane[1], self.e_z)
 
 
+@functools.cache
+def _lapack():
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _exp_clamped(u: np.ndarray) -> np.ndarray:
     """exp(u) for u <= EXP_CLAMP, continued linearly (C^1) beyond.
 
@@ -211,27 +220,11 @@ class SheetSystem:
     # -- assembly -----------------------------------------------------------
 
     def _build_stiffness(self) -> None:
-        nodes, cells = self.mesh.nodes, self.mesh.cells
-        p0, p1, p2 = nodes[cells[:, 0]], nodes[cells[:, 1]], nodes[cells[:, 2]]
+        from scipy.sparse import coo_matrix
+
+        cells = self.mesh.cells
         area = cell_areas(self.mesh)
-        area2 = 2.0 * area  # exact: undoes the halving in cell_areas
-        # P1 gradients: grad N_i = (b_i, c_i)
-        b = np.stack(
-            [
-                p1[:, 1] - p2[:, 1],
-                p2[:, 1] - p0[:, 1],
-                p0[:, 1] - p1[:, 1],
-            ],
-            axis=1,
-        ) / area2[:, None]
-        c = np.stack(
-            [
-                p2[:, 0] - p1[:, 0],
-                p0[:, 0] - p2[:, 0],
-                p1[:, 0] - p0[:, 0],
-            ],
-            axis=1,
-        ) / area2[:, None]
+        b, c = cell_gradients(self.mesh)  # grad N_i = (b_i, c_i)
 
         rows, cols, vals = [], [], []
         for i in range(3):
@@ -239,7 +232,7 @@ class SheetSystem:
                 rows.append(cells[:, i])
                 cols.append(cells[:, j])
                 vals.append(area * (b[:, i] * b[:, j] + c[:, i] * c[:, j]))
-        k = sp.coo_matrix(
+        k = coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n, self.n),
         ).tocsr()
@@ -251,6 +244,8 @@ class SheetSystem:
         # as the column-major (bandwidth + 1, n) lower band that LAPACK's
         # dpbtrf reads: entry (i, j), i >= j, sits at band[i - j, j].  A Mesh
         # is connected, so every node is in a cell and on the diagonal.
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         k = self.conduction.copy()
         k.eliminate_zeros()
         perm = reverse_cuthill_mckee(k, symmetric_mode=True)
@@ -358,7 +353,7 @@ class SheetSystem:
     @staticmethod
     def _cholesky(band: np.ndarray) -> np.ndarray:
         """Banded Cholesky factor of a ``jacobian`` band, computed in place."""
-        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        chol, info = (dpbtrf or _lapack().dpbtrf)(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
         return chol
@@ -368,7 +363,7 @@ class SheetSystem:
 
         ``b`` is one right-hand side or one per column.
         """
-        x, _ = dpbtrs(chol, b[self._perm], lower=1)
+        x, _ = (dpbtrs or _lapack().dpbtrs)(chol, b[self._perm], lower=1)
         out = np.empty(b.shape)
         out[self._perm] = x
         return out

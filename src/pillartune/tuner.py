@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import DeviceGeometry, MaterialParams, Mesh, cell_areas, generate_mesh
+from .device import DeviceGeometry, MaterialParams, Mesh, cell_gradients, generate_mesh
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -441,8 +441,7 @@ def _prolongation(mesh: Mesh, seed_mesh: Mesh):
     cx, cy = seed_mesh.nodes[seed_mesh.cells].transpose(2, 0, 1)  # (cells, 3)
     ax, ay = np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1)  # vertex i + 1
     bx, by = np.roll(cx, 1, axis=1), np.roll(cy, 1, axis=1)  # vertex i + 2
-    area2 = 2.0 * cell_areas(seed_mesh)
-    gx, gy = (ay - by).T / area2, (bx - ax).T / area2  # (3, cells) weight gradients
+    gx, gy = (g.T for g in cell_gradients(seed_mesh))  # (3, cells) weight gradients
 
     def weights(node, cell):
         # from differences to vertex 0, so exact to rounding on linear fields

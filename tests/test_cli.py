@@ -641,7 +641,7 @@ def test_bias_beyond_the_limit_exits_2_before_meshing(
 ):
     monkeypatch.chdir(tmp_path)
     calls = []
-    monkeypatch.setattr(cli, "_mesh", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "generate_mesh", lambda *a: calls.append(a))
     code = main(["--config", fast_config, *argv])
     out, err = capsys.readouterr()
     assert code == 2
@@ -730,7 +730,7 @@ def test_bad_layout_or_seed_exits_2_before_meshing(
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     calls = []
-    monkeypatch.setattr(cli, "_mesh", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "generate_mesh", lambda *a: calls.append(a))
     code = main(["--config", str(cfg_path), *argv])
     out, err = capsys.readouterr()
     assert code == 2
@@ -794,7 +794,7 @@ def test_out_in_missing_directory_exits_2_before_solving(
     def too_early(*args):
         raise AssertionError("worked before the output directory was checked")
 
-    monkeypatch.setattr(cli, "_mesh", too_early)
+    monkeypatch.setattr(cli, "generate_mesh", too_early)
     monkeypatch.setattr(cli, "fit_fss_sine", too_early)
     scan, missing = tmp_path / "scan.csv", tmp_path / "missing"
     _write_sine_scan(scan)
@@ -817,10 +817,10 @@ def test_every_input_error_is_a_value_error_and_exits_2(
     assert all(issubclass(cls, ValueError) for cls in input_errors)
     assert not any(issubclass(cls, ValueError) for cls in (solver.SolverError, FitError))
 
-    def fail(cfg):
+    def fail(*args):
         raise error("bad input")
 
-    monkeypatch.setattr(cli, "_mesh", fail)
+    monkeypatch.setattr(cli, "generate_mesh", fail)
     assert main(["--config", fast_config, "solve", "--va", "0", "--vb", "0"]) == 2
     assert "error: bad input" in capsys.readouterr().err
 

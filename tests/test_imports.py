@@ -1,10 +1,11 @@
 """Every name a package module, test or script imports is used there, every
 name a package module keeps private is used in that module, every public name
-has a reader, every script imports, and the command line starts without
-``scipy.optimize``."""
+has a reader, every script imports, and importing the command line and
+running ``fit`` and ``iso-fss`` load no SciPy."""
 
 import ast
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from pillartune.cli import main
 
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "pillartune"
@@ -167,17 +170,52 @@ def test_script_imports(path):
     assert callable(module.main)
 
 
-def test_cli_starts_without_scipy_optimize():
-    # a fresh interpreter: this test process may import scipy.optimize itself
+# Runs in a fresh interpreter (this process has loaded SciPy), in the
+# directory of the scan; prints the exit codes and the SciPy modules loaded
+# after the import and after each command.
+NO_SCIPY_CHILD = """
+import sys
+from pillartune.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+config, sweep_csv = sys.argv[1:]
+loaded = {"import": scipy_modules()}
+codes = [main(["--config", config, "fit", "scan.csv", "--out", "fit.json"])]
+loaded["fit"] = scipy_modules()
+codes.append(main(["--config", config, "iso-fss", "--target", "5",
+                   "--min-separation", "1", "--sweep-csv", sweep_csv,
+                   "--out", "iso.json"]))
+loaded["iso-fss"] = scipy_modules()
+print(repr((codes, loaded)))
+"""
+
+
+def test_cli_import_fit_and_iso_fss_load_no_scipy(tmp_path, monkeypatch):
+    # neither command solves: SciPy loads with the first mesh or system
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "small.cfg"
+    config.write_text(
+        "[device]\nmesh_edge_um = 2.5\n\n[sweep]\n"
+        "va_start_v = 0.0\nva_stop_v = 1.0\nva_step_v = 1.0\n"
+        "vb_start_v = 0.0\nvb_stop_v = 1.0\nvb_step_v = 1.0\n"
+    )
+    assert main(["--config", str(config), "sweep", "--out", "map"]) == 0
+    (sweep_csv,) = tmp_path.glob("map_*.csv")
+    rows = "".join(
+        f"{a!r},{1.0 + 5.0 * math.cos(2.0 * (a - 0.5))!r},0.0\n"
+        for a in (k * math.pi / 36 for k in range(36))
+    )
+    (tmp_path / "scan.csv").write_text("angle_rad,energy_ueV,sigma_ueV\n" + rows)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    code = "import sys, pillartune.cli; print(sorted(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", NO_SCIPY_CHILD, str(config), str(sweep_csv)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    modules = ast.literal_eval(out.stdout)
-    assert "pillartune.cli" in modules
-    assert "scipy.optimize" not in modules
+    codes, loaded = ast.literal_eval(out.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == {"import": [], "fit": [], "iso-fss": []}
