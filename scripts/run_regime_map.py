@@ -44,7 +44,7 @@ def main() -> int:
     write_sweep_csv(result, path)
     print(f"written: {path}")
 
-    recs = result.ok_records()
+    recs = [r for r in result.records if r.ok]
     counts = {k: sum(1 for r in recs if r.region == k) for k in (1, 2, 3, 4)}
     print(f"regimes: {counts}")
     quadrant = [r for r in result.records if r.va <= 0 and r.vb <= 0]

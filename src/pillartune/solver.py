@@ -66,11 +66,6 @@ MAX_BIAS_V = 1e3
 # search's two meshes and a sweep's one fit with room to spare.
 _CACHED_SYSTEMS = 4
 
-# LAPACK's banded Cholesky factor and solve come from ``_lapack`` on each
-# call, so that importing the solver loads no SciPy; a test sets one of these
-# names to stand in for it.
-dpbtrf = dpbtrs = None
-
 TERMINALS = ("A", "B", "C")
 _VOLTAGE_FIELDS = {"A": "v_a", "B": "v_b", "C": "v_c"}
 
@@ -161,6 +156,7 @@ class FieldSolution:
 
 @functools.cache
 def _lapack():
+    """SciPy's LAPACK, imported on first use: importing the solver loads no SciPy."""
     from scipy.linalg import lapack
 
     return lapack
@@ -283,13 +279,12 @@ class SheetSystem:
         mask = np.any(self.mesh.cells == qd, axis=1)
         tris = np.nonzero(mask)[0]
         wsum = float(self._cell_area[tris].sum())
+        area = self._cell_area[tris, None]
         gx = np.zeros(self.n)
         gy = np.zeros(self.n)
-        for t in tris:
-            for v in range(3):
-                n = self.mesh.cells[t, v]
-                gx[n] += self._cell_area[t] * self._grad_b[t, v] / wsum
-                gy[n] += self._cell_area[t] * self._grad_c[t, v] / wsum
+        # unbuffered, cell by cell and vertex by vertex, so each sum keeps its order
+        np.add.at(gx, self.mesh.cells[tris], area * self._grad_b[tris] / wsum)
+        np.add.at(gy, self.mesh.cells[tris], area * self._grad_c[tris] / wsum)
         keep = np.nonzero((gx != 0.0) | (gy != 0.0))[0]
         self._qd_support = keep
         self._qd_gx = gx[keep]
@@ -353,7 +348,7 @@ class SheetSystem:
     @staticmethod
     def _cholesky(band: np.ndarray) -> np.ndarray:
         """Banded Cholesky factor of a ``jacobian`` band, computed in place."""
-        chol, info = (dpbtrf or _lapack().dpbtrf)(band, lower=1, overwrite_ab=1)
+        chol, info = _lapack().dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
         return chol
@@ -363,7 +358,7 @@ class SheetSystem:
 
         ``b`` is one right-hand side or one per column.
         """
-        x, _ = (dpbtrs or _lapack().dpbtrs)(chol, b[self._perm], lower=1)
+        x, _ = _lapack().dpbtrs(chol, b[self._perm], lower=1)
         out = np.empty(b.shape)
         out[self._perm] = x
         return out

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import DeviceGeometry, MaterialParams, Mesh, cell_gradients, generate_mesh
+from .device import MaterialParams, Mesh, cell_gradients, generate_mesh
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -184,9 +184,6 @@ class SweepResult:
 
     def record(self, i_vb: int, i_va: int) -> CellRecord:
         return self.records[i_vb * self.grid_shape()[1] + i_va]
-
-    def ok_records(self) -> list[CellRecord]:
-        return [r for r in self.records if r.ok]
 
 
 @dataclass
@@ -414,28 +411,26 @@ _XTOL = 1e-8         # a run ends on an accepted step below _XTOL * (_XTOL + |x|
 _AHEAD_FRACTION = 0.01  # ... or on a predicted next step below this times that
 _MIN_STEP_FRACTION = 2.0**-6  # a run ends when backtracking halves below this
 _MAX_EVALS = 30      # splitting evaluations of one run, its start included
-_CACHED_SEED_MESHES = 4  # seed meshes ``_seed_mesh`` keeps, the most recently used
+_CACHED_SEED_GRIDS = 4  # seed grids ``_seed_grid`` keeps, the most recently used
 
 
-@functools.lru_cache(maxsize=_CACHED_SEED_MESHES)
-def _seed_mesh(geometry: DeviceGeometry, edge: float) -> Mesh:
-    """The seed-ranking mesh of ``geometry`` at ``edge``, built on first use."""
-    return generate_mesh(geometry, edge)
+@functools.lru_cache(maxsize=_CACHED_SEED_GRIDS)
+def _seed_grid(mesh: Mesh):
+    """The seed-ranking mesh of ``mesh`` and its prolongation, built on first use.
 
-
-@functools.lru_cache(maxsize=_CACHED_SEED_MESHES)
-def _prolongation(mesh: Mesh, seed_mesh: Mesh):
-    """Sparse (n, n_seed) P1 interpolation of seed-mesh potentials onto ``mesh``.
-
-    Each node of ``mesh`` takes its barycentric weights in a seed cell that
-    holds it.  A node outside every seed cell (on the pillar arc, which the
-    coarser seed rim cuts inside) takes the weights of its nearest cell,
-    clamped to non-negative and renormalized.  Candidate cells come from a
-    grid of buckets as wide as the widest cell, a dozen or so per node;
-    only the few outside nodes are measured against every cell.
+    The seed mesh meshes ``mesh.geometry`` at ``_SEED_EDGE_FACTOR`` times
+    the edge of ``mesh``.  The prolongation is the sparse (n, n_seed) P1
+    interpolation of seed-mesh potentials onto ``mesh``: each node takes
+    its barycentric weights in a seed cell that holds it.  A node outside
+    every seed cell (on the pillar arc, which the coarser seed rim cuts
+    inside) takes the weights of its nearest cell, clamped to non-negative
+    and renormalized.  Candidate cells come from a grid of buckets as wide
+    as the widest cell, a dozen or so per node; only the few outside nodes
+    are measured against every cell.
     """
     from scipy.sparse import csr_matrix  # already loaded by the solver
 
+    seed_mesh = generate_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
     x, y = mesh.nodes.T
     n = len(x)
     cx, cy = seed_mesh.nodes[seed_mesh.cells].transpose(2, 0, 1)  # (cells, 3)
@@ -487,8 +482,9 @@ def _prolongation(mesh: Mesh, seed_mesh: Mesh):
     w = np.clip(np.column_stack(weights(np.arange(n), owner)), 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     indptr = np.arange(0, 3 * n + 1, 3)
+    cols = seed_mesh.cells[owner].ravel()
     shape = (n, seed_mesh.n_nodes)
-    return csr_matrix((w.ravel(), seed_mesh.cells[owner].ravel(), indptr), shape=shape)
+    return seed_mesh, csr_matrix((w.ravel(), cols, indptr), shape=shape)
 
 
 def _eigenaxis_rotation(
@@ -529,7 +525,7 @@ def _projected_newton(fun, jac, x0, lo: float, hi: float):
     of that, when the halving falls below ``_MIN_STEP_FRACTION``, or after
     ``_MAX_EVALS`` evaluations of ``fun``.  Returns x, fun(x) and the
     active-bound mask of the last iteration: -1 for a variable held on
-    ``lo``, +1 on ``hi``.
+    ``lo``, +1 on ``hi``, if |fun| > ||J||_2 ``_XTOL * (_XTOL + |x|)``.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f = fun(x)
@@ -547,10 +543,12 @@ def _projected_newton(fun, jac, x0, lo: float, hi: float):
                 break
             held |= outward
         step[held] = 0.0
-        active = np.where(held, np.where(x <= lo, -1, 1), 0)
+        f_norm = np.linalg.norm(f)
+        # a zero on the bound holds a variable too: that one does not bind
+        binds = f_norm > np.linalg.norm(J, 2) * _XTOL * (_XTOL + np.linalg.norm(x))
+        active = np.where(held & binds, np.where(x <= lo, -1, 1), 0)
         if not step.any():
             break
-        f_norm = np.linalg.norm(f)
         t = 1.0
         while True:
             x_new = np.clip(x + t * step, lo, hi)
@@ -593,10 +591,10 @@ def find_zero_fss(
     whose solve fails are skipped.  Each mesh has one chain, whose solves
     are predicted from the one before, except the first solve of each
     refinement, at its seed, which starts from the seed's potential on
-    the seed mesh interpolated onto ``mesh``.  The seed mesh comes from
-    ``_seed_mesh``, the interpolation from ``_prolongation`` and both
-    systems from ``sheet_system``, so searches on one mesh and materials
-    share them; no solve is shared.  ``mesh`` must come from
+    the seed mesh interpolated onto ``mesh``.  The seed mesh and that
+    interpolation come from ``_seed_grid`` and both systems from
+    ``sheet_system``, so searches on one mesh and materials share them;
+    no solve is shared.  ``mesh`` must come from
     ``generate_mesh``, which records its geometry (a ``make_strip_mesh``
     mesh has none and raises ``ValueError``).  ``tol`` must be positive
     and finite, and ``bounds`` finite with lo < hi and within
@@ -612,9 +610,11 @@ def find_zero_fss(
     ``converged`` means only ``achieved_fss <= tol``; ``crossing_verified``
     is the eigenaxis test.  ``status`` says what the search found:
     ``above_tol`` when not converged, ``bound_minimum`` when converged and
-    the best run ends with a free terminal held on a bound (a minimum on
-    the bound, not a zero, such as the dot with zero-field splitting
-    (10.29, 1.95) ueV that ends on V_B = -1 V at 0.154 ueV), else ``zero``.
+    the best run ends with a free terminal held on a bound at a splitting
+    that a step within its x tolerance cannot remove (a minimum on the
+    bound, not a zero, such as the dot with zero-field splitting
+    (10.29, 1.95) ueV that ends on V_B = -1 V at 0.154 ueV), else ``zero``,
+    also for a zero on the bound.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -632,7 +632,7 @@ def find_zero_fss(
     if mesh.geometry is None:
         raise ValueError("mesh has no geometry to rank seeds on; use generate_mesh")
 
-    seed_mesh = _seed_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
+    seed_mesh, prolongation = _seed_grid(mesh)
     seed_chain = SolveChain(sheet_system(seed_mesh, materials), cfg)
     chain = SolveChain(sheet_system(mesh, materials), cfg)
     evals = 0
@@ -673,7 +673,7 @@ def find_zero_fss(
     for _, x0, seed_phi in scored[:_N_STARTS]:
         try:
             # the run's first solve, at x0, starts from the seed's coarse potential
-            chain.solve(bias_at(x0), phi0=_prolongation(mesh, seed_mesh) @ seed_phi)
+            chain.solve(bias_at(x0), phi0=prolongation @ seed_phi)
             x, f, active = _projected_newton(splitting, jacobian, x0, lo, hi)
         except SolverError:
             continue

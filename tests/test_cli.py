@@ -342,7 +342,7 @@ def test_vc_floating_is_told_apart_from_an_omitted_vc(
 
 
 def test_singular_factor_exits_3(fast_config, monkeypatch, capsys):
-    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+    monkeypatch.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
     code = main(["--config", fast_config, "solve", "--va", "3", "--vb", "3"])
     err = capsys.readouterr().err
     assert code == 3

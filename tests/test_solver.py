@@ -761,7 +761,7 @@ def test_newton_direction_matches_dense_solve(coarse_system, which):
 
 
 def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
-    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+    monkeypatch.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
     with pytest.raises(NumericalError, match="factorization failed"):
         coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
 

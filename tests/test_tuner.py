@@ -172,8 +172,7 @@ def _count_systems(monkeypatch) -> list:
 
 def _clear_caches() -> None:
     solver.sheet_system.cache_clear()
-    tuner._seed_mesh.cache_clear()
-    tuner._prolongation.cache_clear()
+    tuner._seed_grid.cache_clear()
 
 
 def test_sweeps_on_one_mesh_build_one_system(
@@ -210,8 +209,7 @@ def test_searches_on_one_mesh_build_two_systems(
     # the seed mesh, then the caller's, each meshed and assembled once
     assert len(built) == 2 and built[1] is coarse_mesh
     assert built[0].target_edge == 3.0 * coarse_mesh.target_edge
-    assert tuner._seed_mesh.cache_info().misses == 1
-    assert tuner._prolongation.cache_info().misses == 1
+    assert tuner._seed_grid.cache_info().misses == 1
     _clear_caches()
     assert search().to_dict() == second.to_dict()
     assert len(built) == 4
@@ -370,7 +368,7 @@ def test_cell_after_a_failure_is_a_fresh_cold_solve(
 def test_singular_factor_is_recorded_as_numerical_error(
     coarse_mesh, default_config, monkeypatch
 ):
-    monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+    monkeypatch.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
     # the zero-bias cell is solved exactly by phi = 0 and needs no factor
     spec = dataclasses.replace(
         SPEC,
@@ -539,6 +537,8 @@ def test_constructed_zero_found(coarse_mesh):
     result = _find_constructed_zero(coarse_mesh)
     assert result.converged
     assert result.achieved_fss < 0.05
+    # it ends on the (-1, -1) V corner, on the line of zeros V_A = V_B
+    assert result.status == "zero"
 
 
 def _fail_solves(monkeypatch, fails) -> None:
@@ -803,7 +803,8 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     assert all(m is seed_mesh for m, *_ in seed_phase)
     assert refinement and all(m is coarse_mesh for m, *_ in refinement)
     seed_phi = {bias: phi for _, bias, _, phi in seed_phase}
-    prolongation = tuner._prolongation(coarse_mesh, seed_mesh)
+    grid_mesh, prolongation = tuner._seed_grid(coarse_mesh)
+    assert grid_mesh is seed_mesh
     assert runs[0][0] == 10  # the first fine solve is the first run's start
     for mark, x0 in runs:
         _, bias, phi0, _ = solves[mark - 1]
@@ -865,12 +866,11 @@ def test_prolongation_interpolates_the_seed_mesh(request, mesh_fixture, n_outsid
     """The P1 interpolation onto the 2 um test mesh (seeds on 6 um) and the
     default 1 um mesh (3 um): exact on linear fields inside the seed mesh,
     clamped weights of the nearest cell outside it, every row a partition
-    of unity, the QD on the seed QD, built once per pair of meshes."""
+    of unity, the QD on the seed QD, built once per mesh."""
     mesh = request.getfixturevalue(mesh_fixture)
-    edge = tuner._SEED_EDGE_FACTOR * mesh.target_edge
-    seed_mesh = tuner._seed_mesh(mesh.geometry, edge)
-    prolongation = tuner._prolongation(mesh, seed_mesh)
-    assert tuner._prolongation(mesh, seed_mesh) is prolongation
+    seed_mesh, prolongation = tuner._seed_grid(mesh)
+    assert seed_mesh.target_edge == tuner._SEED_EDGE_FACTOR * mesh.target_edge
+    assert tuner._seed_grid(mesh)[1] is prolongation
     weights = prolongation.toarray()
     assert weights.shape == (mesh.n_nodes, seed_mesh.n_nodes)
     assert np.all(weights >= 0.0)
