@@ -28,11 +28,16 @@ diagonal and factors it with LAPACK's banded Cholesky (``dpbtrf``).  A
 solve holds its factor across steps and refactors only when the last step
 needed a line-search halving or shrank the residual by less than
 ``1 / _CHORD_CONTRACTION``; the steps in between are chord steps on the held
-factor (``dpbtrs``), still descent directions of the energy.  The last
-factor rides on the returned ``FieldSolution`` and never on the system, and
-no factor crosses solves, so a solve depends only on its bias, config and
-starting potential.  ``SolveChain`` runs a chain of solves, each predicted
-from the one before.
+factor (``dpbtrs``), still descent directions of the energy.  A solve
+factors into one band, the one it is given or else one it allocates at its
+first factorization, and returns it as ``FieldSolution.factor``; the system
+never holds a factor.  Given a band that holds a factor, a solve whose start
+already meets the residual-norm test, with only the Kirchhoff balance left,
+takes its first step on that factor instead of factoring.  A solve given no
+band depends only on its bias, config and starting potential.
+``SolveChain`` runs a chain of solves, each predicted from the one before,
+and its one band crosses its solves: an earlier ``FieldSolution.factor`` of
+a chain is valid only until that chain's next solve or tangent.
 """
 
 from __future__ import annotations
@@ -144,8 +149,10 @@ class FieldSolution:
     newton_iters: int                 # Newton steps, chord steps included
     residual: float                   # scaled infinity norm at convergence
     factorizations: int = 0           # Jacobians factored by the solve
-    # banded Cholesky of the last Jacobian factored (None: no step taken);
-    # a ``SolveChain`` may hold an earlier or a fresher one in its place
+    # the band the solve factored into or was given, holding the banded
+    # Cholesky factor of a Jacobian of the system (None: neither); in a
+    # ``SolveChain`` it is the chain's one band, valid only until the
+    # chain's next solve or tangent
     factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -333,17 +340,22 @@ class SheetSystem:
         e += 0.5 * float(g @ (phi - v) ** 2)
         return e
 
-    def jacobian(self, phi: np.ndarray, contacts) -> np.ndarray:
-        """A fresh lower band of the Jacobian in RCM order (``_build_band``).
+    def jacobian(self, phi: np.ndarray, contacts, out=None) -> np.ndarray:
+        """The lower band of the Jacobian in RCM order (``_build_band``).
 
-        A copy of the stiffness band with the junction and contact
-        conductances added to its diagonal, row 0.
+        The stiffness band with the junction and contact conductances added
+        to its diagonal, row 0, written into ``out`` (a band of this system,
+        such as an earlier ``jacobian`` result) when given, else into a new
+        array.
         """
         g, _ = contacts
         diag = _diode_conductance(self.materials, phi) * self.node_area + g
-        band = self._stiffness_band.copy(order="F")
-        band[0] += diag[self._perm]
-        return band
+        if out is None:
+            out = self._stiffness_band.copy(order="F")
+        else:
+            out[...] = self._stiffness_band
+        out[0] += diag[self._perm]
+        return out
 
     @staticmethod
     def _cholesky(band: np.ndarray) -> np.ndarray:
@@ -404,14 +416,18 @@ class SheetSystem:
             1e-3 * cfg.current_floor,
         )
 
-    def _newton(self, phi0: np.ndarray, cfg: SolverConfig, contacts):
+    def _newton(self, phi0: np.ndarray, cfg: SolverConfig, contacts, factor=None):
         """Damped Newton from ``phi0`` on the ``_contacts`` pair of one bias.
 
         Returns ``(phi, converged, iters, history, factor, factorizations)``.
-        A step factors the Jacobian at the current iterate (``_cholesky``)
-        when there is no factor yet, or when the last step needed a
-        line-search halving or left more than ``_CHORD_CONTRACTION`` of the
-        residual; otherwise it is a chord step on the held factor.  Either
+        ``factor``, when given, is a band holding the ``_cholesky`` factor of
+        a Jacobian of this system; every factorization of the solve writes
+        into it (into one band allocated by the first, when not given).  A
+        step factors the Jacobian at the current iterate when there is no
+        factor yet, when the first step starts outside the residual-norm
+        test, or when the last step needed a line-search halving or left
+        more than ``_CHORD_CONTRACTION`` of the residual; otherwise it is a
+        chord step on the held factor.  Either
         way the step solves against a positive definite matrix, so it
         descends the convex energy, and ``lambda`` is halved until
         ``phi + lambda d`` lowers it: Armijo on ``energy``, or the 1-D
@@ -419,7 +435,7 @@ class SheetSystem:
         the last steps where energy differences fall below rounding.
         Convergence is judged on the residual and the Kirchhoff balance
         alone.  ``iters`` counts chord and full steps alike; ``factor`` is
-        the last factor, None when no step was taken.
+        the band, None when none was given and no step was taken.
         """
         scale = self._residual_scale(contacts, cfg)
         tol = cfg.newton_tol * scale
@@ -433,13 +449,12 @@ class SheetSystem:
         history = [norm / scale]
 
         iters = factorizations = 0
-        factor = None
-        refactor = True
+        refactor = factor is None or norm > tol
         while iters < cfg.max_iters:
             if norm <= tol and abs(float(f.sum())) <= balance_tol:
                 return phi, True, iters, history, factor, factorizations
             if refactor:
-                factor = self._cholesky(self.jacobian(phi, contacts))
+                factor = self._cholesky(self.jacobian(phi, contacts, out=factor))
                 factorizations += 1
             delta = self._back_solve(factor, -f)
             if not np.all(np.isfinite(delta)):
@@ -473,11 +488,16 @@ class SheetSystem:
         bias: BiasPoint,
         cfg: SolverConfig,
         phi0: np.ndarray | None = None,
+        factor: np.ndarray | None = None,
     ) -> FieldSolution:
         """One damped Newton descent from ``phi0`` (zeros when omitted).
 
-        The result depends only on the arguments, and carries the last
-        band factor of the solve for ``SolveChain``.  Raises
+        ``factor`` is a band holding the factor of a Jacobian of this
+        system, such as an earlier solution's ``factor``: the solve factors
+        into it, and a start that already meets the residual-norm test
+        takes its first step on it.  With no band the solve allocates one
+        at its first factorization, and the result depends only on the
+        other arguments.  The band is returned as ``factor``.  Raises
         ``ConvergenceError`` with the residual history when
         ``cfg.max_iters`` steps do not converge, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
@@ -485,7 +505,7 @@ class SheetSystem:
         phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
         contacts = self._contacts(bias)
         phi, ok, iters, history, factor, factorizations = self._newton(
-            phi0, cfg, contacts
+            phi0, cfg, contacts, factor
         )
         if not ok:
             raise ConvergenceError(
@@ -536,12 +556,16 @@ class SolveChain:
     band factor, a Jacobian a few chord steps stale, so the predictor costs
     no factorization; with no factor held it starts cold (a held solution
     without a factor took no step from phi = 0), and a start the caller
-    gives replaces the prediction.  A solve that takes no step keeps the
-    held factor, and a failed one drops ``held``.
-    ``tangent`` factors J at the held potential, so through the linear QD
-    field it gives exact field derivatives, and the chain then holds that
-    factor.  ``newton_iters`` and ``factorizations`` total the chain's
-    solves.  The chain never writes to its system, so chains may share one.
+    gives replaces the prediction.  The solve is then given the held band,
+    factors into it and may step on it first (``SheetSystem.solve``), and
+    ``tangent`` refactors into it, so the chain owns one band from its
+    first factorization on: an earlier solution's ``factor`` is valid only
+    until the chain's next solve or tangent.  A failed solve drops
+    ``held``, band included.  ``tangent`` factors J at the held potential,
+    so through the linear QD field it gives exact field derivatives, and
+    the chain then holds that factor.  ``newton_iters`` and
+    ``factorizations`` total the chain's solves.  The chain never writes
+    to its system, so chains may share one.
     """
 
     def __init__(self, system: SheetSystem, cfg: SolverConfig):
@@ -556,18 +580,17 @@ class SolveChain:
         held, system = self.held, self.system
         if held is not None and held.bias == bias:
             return held
-        if phi0 is None and held is not None and held.factor is not None:
+        factor = None if held is None else held.factor
+        if phi0 is None and factor is not None:
             pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
             dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
             drive = system._terminal_drive(held.bias, dv)
-            phi0 = held.phi + system._back_solve(held.factor, drive)
+            phi0 = held.phi + system._back_solve(factor, drive)
         try:
-            sol = system.solve(bias, self.cfg, phi0=phi0)
+            sol = system.solve(bias, self.cfg, phi0=phi0, factor=factor)
         except SolverError:
             self.held = None
             raise
-        if sol.factor is None and held is not None:
-            sol = replace(sol, factor=held.factor)
         self.held = sol
         self.newton_iters += sol.newton_iters
         self.factorizations += sol.factorizations
@@ -576,14 +599,21 @@ class SolveChain:
     def tangent(self, dv) -> np.ndarray:
         """Exact first-order change of the held potential for terminal steps.
 
-        Factors J at the held solution once and solves J dphi = sum_k g_k
-        1_{pad k} dV_k; the steps of terminals floating in its bias are
-        ignored.  ``dv`` is one step (dV_A, dV_B, dV_C) or a stack of m
-        steps, which share the factorization and give dphi of shape (n, m).
+        Factors J at the held solution once, into the chain's band, and
+        solves J dphi = sum_k g_k 1_{pad k} dV_k; the steps of terminals
+        floating in its bias are ignored.  ``dv`` is one step (dV_A, dV_B,
+        dV_C) or a stack of m steps, which share the factorization and give
+        dphi of shape (n, m).  A failed factorization spoils the band, so it
+        drops ``held`` as a failed solve does.
         """
         held, system = self.held, self.system
         contacts = system._contacts(held.bias)
-        factor = system._cholesky(system.jacobian(held.phi, contacts))
+        try:
+            band = system.jacobian(held.phi, contacts, out=held.factor)
+            factor = system._cholesky(band)
+        except SolverError:
+            self.held = None
+            raise
         self.held = replace(held, factor=factor)
         return system._back_solve(factor, system._terminal_drive(held.bias, dv))
 

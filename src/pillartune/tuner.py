@@ -7,10 +7,10 @@ The zero-splitting search solves the smooth splitting vector delta(V) = 0
 by a projected Gauss-Newton iteration inside the bias window, with its
 exact Jacobian from the chain's tangent; its norm, the observable
 splitting, is not differentiable at the zero.  It is a two-grid search: a
-3-per-axis grid of seeds is ranked on a mesh of three times the edge, and
-the best seeds are refined on the caller's mesh, each refinement starting
-from its seed's coarse potential interpolated onto that mesh.  Each mesh
-has one chain.
+3-per-axis grid of seeds is solved in ascending drive and ranked on a mesh
+of three times the edge, and the best seeds are refined on the caller's
+mesh, each refinement starting from its seed's coarse potential
+interpolated onto that mesh.  Each mesh has one chain.
 """
 
 from __future__ import annotations
@@ -584,8 +584,10 @@ def find_zero_fss(
 
     Two grids: a 3-per-axis grid of seeds over ``bounds`` (the CLI passes
     ``SweepSpec.tune_bounds()``) is ranked on a mesh of the same geometry at
-    three times the edge, and the best seeds are refined on ``mesh`` in
-    turn by a projected Gauss-Newton iteration (``_projected_newton``,
+    three times the edge, its seeds solved in ascending sum of the free
+    voltages (ties in ``itertools.product`` order) so that each is
+    predicted from one of lower drive, and the best seeds are refined on
+    ``mesh`` in turn by a projected Gauss-Newton iteration (``_projected_newton``,
     exact Jacobian from the solution's tangent) on the smooth splitting
     vector delta(V), until one lands below ``tol / 4``; seeds and starts
     whose solve fails are skipped.  Each mesh has one chain, whose solves
@@ -655,7 +657,7 @@ def find_zero_fss(
 
     grid_axis = np.linspace(lo, hi, _GRID_POINTS)
     scored = []
-    for seed in itertools.product(grid_axis, repeat=len(free)):
+    for seed in sorted(itertools.product(grid_axis, repeat=len(free)), key=sum):
         x = np.array(seed)
         try:
             norm = math.hypot(*splitting(x, seed_chain))

@@ -546,9 +546,9 @@ def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
         iterates.append(evaluated[-1])
         return back_solve(chol, rhs)
 
-    def jacobian_spy(phi, contacts):
+    def jacobian_spy(phi, contacts, **kwargs):
         factored.append(phi)
-        return jacobian(phi, contacts)
+        return jacobian(phi, contacts, **kwargs)
 
     monkeypatch.setattr(system, "residual", residual_spy)
     monkeypatch.setattr(system, "_back_solve", back_solve_spy)
@@ -663,7 +663,7 @@ def test_tangent_matches_central_differences(coarse_system, monkeypatch, bias, d
     # the chain holds the exact factor: the next start is the tangent step
     starts = []
 
-    def spy(b, cfg, phi0=None):
+    def spy(b, cfg, phi0=None, **kwargs):
         starts.append(phi0)
         return again
 
@@ -678,7 +678,7 @@ def test_tangent_of_stacked_steps_equals_single_steps(coarse_system):
     chain.solve(BiasPoint(2.0, 1.0, 0.5))
     steps = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.3, -0.2, 0.7]])
     stacked = chain.tangent(steps)
-    factor = chain.held.factor
+    factor = chain.held.factor.copy()  # the chain refactors into this band
     assert stacked.shape == (coarse_system.n, len(steps))
     for column, dv in zip(stacked.T, steps):
         single = chain.tangent(dv)
@@ -709,7 +709,7 @@ def test_chain_drops_its_held_solution_when_a_solve_fails(coarse_system, monkeyp
     chain = SolveChain(coarse_system, CFG)
     first = chain.solve(BiasPoint(2.0, 1.0, None))
 
-    def fail(bias, cfg, phi0=None):
+    def fail(bias, cfg, phi0=None, **kwargs):
         raise ConvergenceError("forced failure")
 
     monkeypatch.setattr(coarse_system, "solve", fail)
@@ -719,6 +719,73 @@ def test_chain_drops_its_held_solution_when_a_solve_fails(coarse_system, monkeyp
     # only successful solves are counted
     assert chain.newton_iters == first.newton_iters
     assert chain.factorizations == first.factorizations
+
+
+def _record_factor_events(system, monkeypatch) -> list:
+    """("factor", band) for every ``_cholesky`` call of ``system``'s class and
+    ("step", None) for every ``_back_solve`` of ``system``, in call order."""
+    events = []
+    real_cholesky, real_back_solve = SheetSystem._cholesky, system._back_solve
+
+    def cholesky_spy(band):
+        events.append(("factor", band))
+        return real_cholesky(band)
+
+    def back_solve_spy(chol, rhs):
+        events.append(("step", None))
+        return real_back_solve(chol, rhs)
+
+    monkeypatch.setattr(SheetSystem, "_cholesky", staticmethod(cholesky_spy))
+    monkeypatch.setattr(system, "_back_solve", back_solve_spy)
+    return events
+
+
+def test_solves_and_tangents_of_a_chain_factor_into_one_band(coarse_system, monkeypatch):
+    events = _record_factor_events(coarse_system, monkeypatch)
+    cold = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    bands = [band for kind, band in events if kind == "factor"]
+    assert len(bands) == cold.factorizations >= 2
+    assert all(band is cold.factor for band in bands)
+
+    events.clear()
+    chain = SolveChain(coarse_system, CFG)
+    for va in (1.0, 1.35, 1.7):
+        chain.solve(BiasPoint(va, 2.0, None))
+    chain.tangent((1.0, 0.0, 0.0))
+    chain.solve(BiasPoint(2.05, 2.0, None))
+    bands = [band for kind, band in events if kind == "factor"]
+    assert len(bands) == chain.factorizations + 1  # the tangent's
+    assert all(band is chain.held.factor for band in bands)
+
+
+def test_a_start_inside_the_norm_test_steps_on_the_held_factor_first(
+    coarse_system, monkeypatch
+):
+    # the predicted start of the cell after (-1, 2) V, junction off,
+    # already meets the residual-norm test: only the balance is left
+    system = coarse_system
+    chain = SolveChain(system, CFG)
+    chain.solve(BiasPoint(-1.0, 2.0, None))
+    runs = []
+    real_newton = system._newton
+
+    def newton_spy(phi0, cfg, contacts, factor=None):
+        result = real_newton(phi0, cfg, contacts, factor)
+        runs.append((phi0, contacts, result))
+        return result
+
+    monkeypatch.setattr(system, "_newton", newton_spy)
+    events = _record_factor_events(system, monkeypatch)
+    sol = chain.solve(BiasPoint(-0.65, 2.0, None))
+    [(phi0, contacts, (_, ok, iters, history, _, factorizations))] = runs
+    assert history[0] <= CFG.newton_tol
+    assert ok and (iters, factorizations) == (sol.newton_iters, sol.factorizations) == (1, 0)
+    assert [kind for kind, _ in events] == ["step", "step"]  # prediction, chord step
+    # the same start with no band, and a cold solve, factor before their first step
+    for start in (phi0, None):
+        events.clear()
+        system.solve(sol.bias, CFG, phi0=start)
+        assert events[0][0] == "factor"
 
 
 def _strip_system():
@@ -764,6 +831,21 @@ def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
     monkeypatch.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
     with pytest.raises(NumericalError, match="factorization failed"):
         coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+
+
+def test_chain_drops_its_held_solution_when_a_tangent_fails(coarse_system, monkeypatch):
+    # the failed factorization wrote into the chain's band: nothing may
+    # predict or step on it, so the next solve is a cold one
+    chain = SolveChain(coarse_system, CFG)
+    chain.solve(BiasPoint(2.0, 1.0, None))
+    with monkeypatch.context() as m:
+        m.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        with pytest.raises(NumericalError, match="factorization failed"):
+            chain.tangent((1.0, 0.0, 0.0))
+    assert chain.held is None
+    bias = BiasPoint(2.2, 1.0, None)
+    sol, cold = chain.solve(bias), coarse_system.solve(bias, CFG)
+    assert sol.phi.tobytes() == cold.phi.tobytes()
 
 
 # every driven/floating pattern of the three terminals (one at least driven)

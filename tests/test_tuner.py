@@ -341,10 +341,10 @@ def test_cell_after_a_failure_is_a_fresh_cold_solve(
     phis = {}
     solve = SheetSystem.solve
 
-    def flaky(self, bias, cfg, phi0=None):
+    def flaky(self, bias, cfg, phi0=None, **kwargs):
         if bias == failing:
             raise ConvergenceError("forced failure")
-        sol = solve(self, bias, cfg, phi0)
+        sol = solve(self, bias, cfg, phi0, **kwargs)
         phis[bias] = sol.phi
         return sol
 
@@ -436,10 +436,15 @@ def test_splitting_reuses_the_held_solution(coarse_system, default_config, monke
     first = chain.solve(bias)
     monkeypatch.setattr(coarse_system, "solve", None)  # any further solve fails
     assert chain.solve(bias) is first
+    stale = first.factor.copy()  # from before the solve's last chord steps
     _splitting_jacobian(chain, default_config.exciton, ("A", "B"))
-    # the tangent swaps in its exact factor and keeps the solution
+    # the tangent refactors the band exactly at the solution and keeps it
     again = chain.solve(bias)
-    assert again.phi is first.phi and again.factor is not first.factor
+    exact = SheetSystem._cholesky(
+        coarse_system.jacobian(first.phi, coarse_system._contacts(bias))
+    )
+    assert again.phi is first.phi
+    assert again.factor.tobytes() == exact.tobytes() != stale.tobytes()
     assert chain.newton_iters == first.newton_iters
     assert chain.factorizations == first.factorizations
 
@@ -479,10 +484,12 @@ def test_warm_row_factors_less_than_once_per_newton_step(
 def test_solve_without_a_step_keeps_the_chains_factor(coarse_system, monkeypatch):
     chain = SolveChain(coarse_system, CFG)
     first = chain.solve(BiasPoint(2.0, 1.0, None))
+    kept = first.factor.copy()
     # a step far below the tolerance: the prediction is already converged
     again = chain.solve(BiasPoint(2.0, 1.0 + 1e-12, None))
     assert again.newton_iters == again.factorizations == 0
     assert again.factor is first.factor and chain.held is again
+    assert again.factor.tobytes() == kept.tobytes()
     callers = _count_factorizations(monkeypatch)
     # the prediction back-solves on the kept factor; only Newton factors
     sol = chain.solve(BiasPoint(2.2, 1.0, None))
@@ -781,8 +788,8 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     solves = []  # (mesh, bias, phi0, phi) of every SheetSystem.solve, in order
     real_solve = SheetSystem.solve
 
-    def spy_solve(self, bias, cfg, phi0=None):
-        sol = real_solve(self, bias, cfg, phi0=phi0)
+    def spy_solve(self, bias, cfg, phi0=None, **kwargs):
+        sol = real_solve(self, bias, cfg, phi0=phi0, **kwargs)
         solves.append((self.mesh, bias, phi0, sol.phi))
         return sol
 
@@ -822,8 +829,8 @@ def test_interpolated_start_saves_fine_factorizations(
     factorizations = []  # of every solve on the caller's mesh, in order
     real_solve = SheetSystem.solve
 
-    def spy_solve(self, bias, cfg, phi0=None):
-        sol = real_solve(self, bias, cfg, phi0=phi0)
+    def spy_solve(self, bias, cfg, phi0=None, **kwargs):
+        sol = real_solve(self, bias, cfg, phi0=phi0, **kwargs)
         if self.mesh is default_mesh:
             factorizations.append(sol.factorizations)
         return sol
@@ -833,6 +840,28 @@ def test_interpolated_start_saves_fine_factorizations(
     assert result.converged and result.crossing_verified
     assert factorizations[0] <= 2
     assert sum(factorizations) < 13
+
+
+def test_seeds_are_solved_in_ascending_drive(default_mesh, default_config, monkeypatch):
+    """The nine seed solves come in ascending V_A + V_B, ties in product
+    order, so each is predicted from a seed of lower drive.  On the default
+    calibration they take at most 19 factorizations (33 in product order)."""
+    seed_solves = []  # (bias, factorizations) of every seed-mesh solve
+    real_solve = SheetSystem.solve
+
+    def spy_solve(self, bias, cfg, phi0=None, **kwargs):
+        sol = real_solve(self, bias, cfg, phi0=phi0, **kwargs)
+        if self.mesh is not default_mesh:
+            seed_solves.append((bias, sol.factorizations))
+        return sol
+
+    monkeypatch.setattr(SheetSystem, "solve", spy_solve)
+    result = _tune_default(default_mesh, default_config)
+    assert result.converged
+    axis = np.linspace(*default_config.sweep.tune_bounds(), tuner._GRID_POINTS)
+    expected = sorted(itertools.product(axis, repeat=2), key=sum)
+    assert [(b.v_a, b.v_b) for b, _ in seed_solves] == [tuple(e) for e in expected]
+    assert sum(n for _, n in seed_solves) <= 19
 
 
 @pytest.fixture(scope="module")
@@ -953,9 +982,9 @@ def test_eigenaxis_probes_stay_inside_the_window(
     biases = []
     real_solve = SheetSystem.solve
 
-    def spy_solve(self, bias, cfg, phi0=None):
+    def spy_solve(self, bias, cfg, phi0=None, **kwargs):
         biases.append(bias)
-        return real_solve(self, bias, cfg, phi0=phi0)
+        return real_solve(self, bias, cfg, phi0=phi0, **kwargs)
 
     monkeypatch.setattr(SheetSystem, "solve", spy_solve)
     params = default_config.exciton
