@@ -91,6 +91,10 @@ class NumericalError(SolverError):
     """NaN or infinity appeared in the residual."""
 
 
+class NoHeldSolutionError(RuntimeError):
+    """A ``SolveChain`` was asked for a tangent before it held what one needs."""
+
+
 @dataclass(frozen=True)
 class BiasPoint:
     """Applied terminal potentials; ``None`` marks a floating terminal."""
@@ -551,21 +555,24 @@ class SolveChain:
 
     Terminal voltages enter only the contact rows, so the change of the
     converged potential with them, dphi/dV_k = J^-1 (g_k 1_{pad k}), is one
-    back-solve per step.  ``solve`` predicts its start from the held
-    solution ``held`` by that back-solve of the voltage change on the held
-    band factor, a Jacobian a few chord steps stale, so the predictor costs
-    no factorization; with no factor held it starts cold (a held solution
-    without a factor took no step from phi = 0), and a start the caller
-    gives replaces the prediction.  The solve is then given the held band,
-    factors into it and may step on it first (``SheetSystem.solve``), and
-    ``tangent`` refactors into it, so the chain owns one band from its
-    first factorization on: an earlier solution's ``factor`` is valid only
-    until the chain's next solve or tangent.  A failed solve drops
-    ``held``, band included.  ``tangent`` factors J at the held potential,
-    so through the linear QD field it gives exact field derivatives, and
-    the chain then holds that factor.  ``newton_iters`` and
-    ``factorizations`` total the chain's solves.  The chain never writes
-    to its system, so chains may share one.
+    back-solve per step.  Two tangents give it.  ``_chord_tangent``
+    back-solves on the held band factor, a Jacobian a few chord steps
+    stale, and factors nothing: ``solve`` predicts its start from the held
+    solution ``held`` by that back-solve of the voltage change, and the zero
+    search takes its splitting Jacobian from it.  With no factor held a
+    solve starts cold (a held solution without a factor took no step from
+    phi = 0), and a start the caller gives replaces the prediction.  The
+    solve is then given the held band, factors into it and may step on it
+    first (``SheetSystem.solve``), and ``tangent`` refactors into it, so the
+    chain owns one band from its first factorization on: an earlier
+    solution's ``factor`` is valid only until the chain's next solve or
+    tangent.  A failed solve drops ``held``, band included.  ``tangent``
+    factors J at the held potential, so through the linear QD field it
+    gives exact field derivatives, and the chain then holds that factor.
+    Either tangent raises ``NoHeldSolutionError`` on a chain that holds
+    nothing to differentiate.  ``newton_iters`` and ``factorizations``
+    total the chain's solves.  The chain never writes to its system, so
+    chains may share one.
     """
 
     def __init__(self, system: SheetSystem, cfg: SolverConfig):
@@ -584,8 +591,7 @@ class SolveChain:
         if phi0 is None and factor is not None:
             pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
             dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
-            drive = system._terminal_drive(held.bias, dv)
-            phi0 = held.phi + system._back_solve(factor, drive)
+            phi0 = held.phi + self._chord_tangent(dv)
         try:
             sol = system.solve(bias, self.cfg, phi0=phi0, factor=factor)
         except SolverError:
@@ -604,9 +610,12 @@ class SolveChain:
         floating in its bias are ignored.  ``dv`` is one step (dV_A, dV_B,
         dV_C) or a stack of m steps, which share the factorization and give
         dphi of shape (n, m).  A failed factorization spoils the band, so it
-        drops ``held`` as a failed solve does.
+        drops ``held`` as a failed solve does.  Raises
+        ``NoHeldSolutionError`` when the chain holds no solution.
         """
         held, system = self.held, self.system
+        if held is None:
+            raise NoHeldSolutionError("the chain holds no solution to differentiate")
         contacts = system._contacts(held.bias)
         try:
             band = system.jacobian(held.phi, contacts, out=held.factor)
@@ -616,6 +625,19 @@ class SolveChain:
             raise
         self.held = replace(held, factor=factor)
         return system._back_solve(factor, system._terminal_drive(held.bias, dv))
+
+    def _chord_tangent(self, dv) -> np.ndarray:
+        """``tangent`` by a back-solve on the held band factor, factoring nothing.
+
+        The factor is of the Jacobian at a potential a few chord steps
+        before the held one, so the change is first-order up to that
+        staleness.  Raises ``NoHeldSolutionError`` when the chain holds no
+        solution or one without a factor.
+        """
+        held, system = self.held, self.system
+        if held is None or held.factor is None:
+            raise NoHeldSolutionError("the chain holds no band factor to back-solve on")
+        return system._back_solve(held.factor, system._terminal_drive(held.bias, dv))
 
 
 def classify_regime(solution: FieldSolution, i_threshold: float) -> int:

@@ -4,13 +4,15 @@ Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
 that runs in ascending V_A, and rows are independent of each other, so
 row-parallel execution produces byte-identical output to a serial run.
 The zero-splitting search solves the smooth splitting vector delta(V) = 0
-by a projected Gauss-Newton iteration inside the bias window, with its
-exact Jacobian from the chain's tangent; its norm, the observable
-splitting, is not differentiable at the zero.  It is a two-grid search: a
-3-per-axis grid of seeds is solved in ascending drive and ranked on a mesh
-of three times the edge, and the best seeds are refined on the caller's
-mesh, each refinement starting from its seed's coarse potential
-interpolated onto that mesh.  Each mesh has one chain.
+by a projected Gauss-Newton iteration inside the bias window; its norm,
+the observable splitting, is not differentiable at the zero.  Its
+Jacobian is a back-solve on the band factor the chain holds, a few chord
+steps stale, which changes the iteration's rate but not its zero.  It is
+a two-grid search: a 3-per-axis grid of seeds is solved in ascending
+drive and ranked on a mesh of three times the edge, and the best seeds
+are refined on the caller's mesh, each refinement starting from its
+seed's coarse potential interpolated onto that mesh.  Each mesh has one
+chain.
 """
 
 from __future__ import annotations
@@ -498,16 +500,25 @@ def _eigenaxis_rotation(
 
 
 def _splitting_jacobian(
-    chain: SolveChain, params: ExcitonParams, free: tuple[str, ...]
+    chain: SolveChain,
+    params: ExcitonParams,
+    free: tuple[str, ...],
+    chord: bool = False,
 ) -> np.ndarray:
     """d(delta)/dV over the ``free`` terminals at the chain's held solution.
 
     (d(delta)/dE)(dE/dV): the constant matrix of the linear ``fss_vector``
-    times the QD field change of each free terminal's exact tangent, all
-    from one factorization, which the chain then holds.
+    times the QD field change of each free terminal's tangent.  The exact
+    tangent takes one factorization, which the chain then holds; with
+    ``chord`` the tangent back-solves on the factor the chain already
+    holds, a Jacobian a few chord steps stale, and only a solution held
+    without one is factored.
     """
     steps = [[float(t == name) for t in TERMINALS] for name in free]
-    d_phi = chain.tangent(steps)
+    if chord and chain.held is not None and chain.held.factor is not None:
+        d_phi = chain._chord_tangent(steps)
+    else:
+        d_phi = chain.tangent(steps)
     d_field = np.column_stack([chain.system.field_change_at_qd(d) for d in d_phi.T])
     return params.field_matrix() @ d_field
 
@@ -588,7 +599,8 @@ def find_zero_fss(
     voltages (ties in ``itertools.product`` order) so that each is
     predicted from one of lower drive, and the best seeds are refined on
     ``mesh`` in turn by a projected Gauss-Newton iteration (``_projected_newton``,
-    exact Jacobian from the solution's tangent) on the smooth splitting
+    its Jacobian a back-solve on the chain's held band factor, or the exact
+    tangent when no factor is held) on the smooth splitting
     vector delta(V), until one lands below ``tol / 4``; seeds and starts
     whose solve fails are skipped.  Each mesh has one chain, whose solves
     are predicted from the one before, except the first solve of each
@@ -650,7 +662,7 @@ def find_zero_fss(
 
     def jacobian(x) -> np.ndarray:
         chain.solve(bias_at(x))
-        return _splitting_jacobian(chain, exciton_params, free)
+        return _splitting_jacobian(chain, exciton_params, free, chord=True)
 
     def state_at(x) -> ExcitonState:
         return exciton_state(exciton_params, chain.solve(bias_at(x)).field)

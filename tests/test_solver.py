@@ -21,6 +21,7 @@ from pillartune.solver import (
     TERMINALS,
     BiasPoint,
     ConvergenceError,
+    NoHeldSolutionError,
     NumericalError,
     SheetSystem,
     SolveChain,
@@ -690,6 +691,48 @@ def test_tangent_ignores_floating_terminals(coarse_system):
     chain = SolveChain(coarse_system, CFG)
     chain.solve(BiasPoint(2.0, 1.0, None))
     assert np.array_equal(chain.tangent((1.0, 0.0, 5.0)), chain.tangent((1.0, 0.0, 0.0)))
+
+
+def test_chord_tangent_is_the_predictor_and_factors_nothing(coarse_system, monkeypatch):
+    system = coarse_system
+    chain = SolveChain(system, CFG)
+    sol = chain.solve(BiasPoint(2.0, 1.0, None))
+    # the solve ended on chord steps, so its held factor is stale at sol.phi
+    assert 0 < sol.factorizations < sol.newton_iters
+    band = sol.factor.copy()
+    dv = (2.1 - 2.0, 0.95 - 1.0, 0.0)  # to the next bias, as the chain rounds it
+    chord = chain._chord_tangent(dv)
+    assert chain.held is sol and sol.factor.tobytes() == band.tobytes()
+    # the exact tangent at the same potential factors afresh, so it differs
+    exact_chain = SolveChain(system, CFG)
+    exact_chain.held = dataclasses.replace(sol, factor=None)
+    assert not np.array_equal(chord, exact_chain.tangent(dv))
+    # the next solve starts from the same back-solve
+    starts = []
+
+    def spy(b, cfg, phi0=None, **kwargs):
+        starts.append(phi0)
+        return sol
+
+    monkeypatch.setattr(system, "solve", spy)
+    chain.solve(BiasPoint(2.1, 0.95, None))
+    assert np.array_equal(starts, [sol.phi + chord])
+
+
+def test_tangents_of_a_chain_that_holds_nothing_raise_a_typed_error(coarse_system):
+    chain = SolveChain(coarse_system, CFG)
+    with pytest.raises(NoHeldSolutionError, match="holds no solution"):
+        chain.tangent((1.0, 0.0, 0.0))
+    with pytest.raises(NoHeldSolutionError, match="holds no band factor"):
+        chain._chord_tangent((1.0, 0.0, 0.0))
+    # a solution held without a factor has nothing to back-solve on
+    sol = chain.solve(BiasPoint(1.0, 0.0, None))
+    chain.held = dataclasses.replace(sol, factor=None)
+    with pytest.raises(NoHeldSolutionError, match="holds no band factor"):
+        chain._chord_tangent((1.0, 0.0, 0.0))
+    assert chain.tangent((1.0, 0.0, 0.0)).shape == (coarse_system.n,)
+    # a misuse of the chain, not a failed solve that a caller may skip
+    assert not issubclass(NoHeldSolutionError, SolverError)
 
 
 def test_chain_after_a_solve_without_a_step_predicts_as_a_cold_start(coarse_system):

@@ -449,13 +449,15 @@ def test_splitting_reuses_the_held_solution(coarse_system, default_config, monke
     assert chain.factorizations == first.factorizations
 
 
-def _count_factorizations(monkeypatch) -> list[str]:
-    """The caller of every ``SheetSystem._cholesky`` call, in call order."""
+def _count_factorizations(monkeypatch, nodes=None) -> list[str]:
+    """The caller of every ``SheetSystem._cholesky`` call, in call order;
+    given ``nodes``, only of the calls on a band of that many nodes."""
     callers = []
     real_cholesky = SheetSystem._cholesky
 
     def spy(band):
-        callers.append(sys._getframe(1).f_code.co_name)
+        if nodes is None or band.shape[1] == nodes:
+            callers.append(sys._getframe(1).f_code.co_name)
         return real_cholesky(band)
 
     monkeypatch.setattr(SheetSystem, "_cholesky", staticmethod(spy))
@@ -862,6 +864,73 @@ def test_seeds_are_solved_in_ascending_drive(default_mesh, default_config, monke
     expected = sorted(itertools.product(axis, repeat=2), key=sum)
     assert [(b.v_a, b.v_b) for b, _ in seed_solves] == [tuple(e) for e in expected]
     assert sum(n for _, n in seed_solves) <= 19
+
+
+def test_chord_splitting_jacobian_is_near_the_exact_one(
+    coarse_mesh, default_config, monkeypatch
+):
+    """The search's splitting Jacobian, a back-solve on the held band factor,
+    is within 1e-2 in relative 2-norm of the exact one at every accepted
+    point of the default search on the 2 um mesh.  Measured there: at most
+    2.9e-3 over the 26 Jacobians of the default search and eight dots with
+    each splitting component scaled by 0.8, 1 or 1.2 (1.7e-3 at 1 um)."""
+    errors = []
+    real_jacobian = tuner._splitting_jacobian
+
+    def spy(chain, params, free, chord=False):
+        jac = real_jacobian(chain, params, free, chord=chord)
+        assert chord
+        # the exact Jacobian at the same potential, on a chain of its own
+        exact_chain = SolveChain(chain.system, chain.cfg)
+        exact_chain.held = dataclasses.replace(chain.held, factor=None)
+        exact = real_jacobian(exact_chain, params, free)
+        errors.append(np.linalg.norm(jac - exact, 2) / np.linalg.norm(exact, 2))
+        return jac
+
+    monkeypatch.setattr(tuner, "_splitting_jacobian", spy)
+    result = _tune_default(coarse_mesh, default_config)
+    assert result.converged and result.crossing_verified
+    assert errors and 0.0 < max(errors) <= 1e-2
+
+
+def test_default_search_factors_no_tangent(default_mesh, default_config, monkeypatch):
+    """On the default calibration and mesh every splitting Jacobian is a
+    back-solve on the factor the fine chain holds: the search factors only
+    in its solves there, at most 6 times (9 with the exact tangent)."""
+    tangents = []
+    monkeypatch.setattr(SolveChain, "tangent", lambda self, dv: tangents.append(dv))
+    fine = _count_factorizations(monkeypatch, nodes=default_mesh.n_nodes)
+    result = _tune_default(default_mesh, default_config)
+    assert result.converged and result.crossing_verified
+    assert result.status == "zero" and result.iterations <= 16
+    assert tangents == []
+    assert fine and set(fine) == {"_newton"} and len(fine) <= 6
+
+
+def test_search_factors_a_tangent_only_where_no_factor_is_held(
+    coarse_mesh, default_config, monkeypatch
+):
+    """With each run's start held without a factor, the run's first Jacobian
+    is the exact tangent, which leaves the factor its later ones back-solve on."""
+    starts, tangents = [], []
+    real_solve, real_tangent = SolveChain.solve, SolveChain.tangent
+
+    def spy_solve(self, bias, phi0=None):
+        sol = real_solve(self, bias, phi0)
+        if phi0 is not None:  # a run's start, from the seed's coarse potential
+            self.held = sol = dataclasses.replace(sol, factor=None)
+            starts.append(bias)
+        return sol
+
+    def spy_tangent(self, dv):
+        tangents.append((self.held.bias, self.held.factor is None))
+        return real_tangent(self, dv)
+
+    monkeypatch.setattr(SolveChain, "solve", spy_solve)
+    monkeypatch.setattr(SolveChain, "tangent", spy_tangent)
+    result = _tune_default(coarse_mesh, default_config)
+    assert result.converged and result.crossing_verified
+    assert starts and tangents == [(bias, True) for bias in starts]
 
 
 @pytest.fixture(scope="module")
