@@ -16,17 +16,23 @@ placed in a ridge-local frame, which keeps a 120-degree-symmetric layout
 symmetric to floating point rounding.
 
 ``DeviceGeometry`` and ``Mesh`` check themselves when built, so every
-layout and mesh that exists is valid.
+layout and mesh that exists is valid.  ``coarse_grid`` meshes the layout
+of a generated mesh again at three times its edge, with the interpolation
+from that grid onto the mesh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+_COARSE_EDGE_FACTOR = 3.0  # ``coarse_grid`` meshes at this times the edge
+_CACHED_COARSE_GRIDS = 4  # coarse grids ``coarse_grid`` keeps, the most recently used
 
 
 class GeometryError(ValueError):
@@ -394,6 +400,80 @@ def cell_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     area2 = 2.0 * cell_areas(mesh)[:, None]  # exact: undoes the halving
     nxt, prev = [1, 2, 0], [2, 0, 1]  # vertex i + 1 and i + 2
     return (y[:, nxt] - y[:, prev]) / area2, (x[:, prev] - x[:, nxt]) / area2
+
+
+@functools.lru_cache(maxsize=_CACHED_COARSE_GRIDS)
+def coarse_grid(mesh: Mesh):
+    """The 3x-edge mesh of ``mesh`` and its prolongation, built on first use.
+
+    The grid meshes ``mesh.geometry`` at ``_COARSE_EDGE_FACTOR`` times the
+    edge of ``mesh``, so ``mesh`` must come from ``generate_mesh``.  The
+    prolongation is the sparse (n, n_grid) P1 interpolation of grid
+    potentials onto ``mesh``: each node takes its barycentric weights in a
+    grid cell that holds it.  A node outside every grid cell (on the
+    pillar arc, which the coarser rim cuts inside) takes the weights of its
+    nearest cell, clamped to non-negative and renormalized.  Candidate
+    cells come from a grid of buckets as wide as the widest cell, a dozen
+    or so per node; only the few outside nodes are measured against every
+    cell.  A mesh (by identity) gets the same pair on every call, of the
+    ``_CACHED_COARSE_GRIDS`` most recently used.
+    """
+    from scipy.sparse import csr_matrix
+
+    grid = generate_mesh(mesh.geometry, _COARSE_EDGE_FACTOR * mesh.target_edge)
+    x, y = mesh.nodes.T
+    n = len(x)
+    cx, cy = grid.nodes[grid.cells].transpose(2, 0, 1)  # (cells, 3)
+    ax, ay = np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1)  # vertex i + 1
+    bx, by = np.roll(cx, 1, axis=1), np.roll(cy, 1, axis=1)  # vertex i + 2
+    gx, gy = (g.T for g in cell_gradients(grid))  # (3, cells) weight gradients
+
+    def weights(node, cell):
+        # from differences to vertex 0, so exact to rounding on linear fields
+        dx, dy = x[node] - cx[cell, 0], y[node] - cy[cell, 0]
+        return [gx[i, cell] * dx + gy[i, cell] * dy + float(i == 0) for i in range(3)]
+
+    # A cell holding a node has the lower-left corner of its bounding box in
+    # the node's bucket, the one left of it, below it or both.
+    lx, ly = cx.min(axis=1), cy.min(axis=1)
+    width = max(np.ptp(cx, axis=1).max(), np.ptp(cy, axis=1).max())
+
+    def bucket(px, py):
+        return (
+            np.floor((px - lx.min()) / width).astype(int),
+            np.floor((py - ly.min()) / width).astype(int),
+        )
+
+    ix, iy = bucket(lx, ly)
+    rows = iy.max() + 2
+    order = np.argsort(ix * rows + iy, kind="stable")
+    keys = (ix * rows + iy)[order]
+    jx, jy = bucket(x, y)
+    low = (jx[:, None] - [0, 1]) * rows + (jy - 1)[:, None]  # then row jy
+    start = np.searchsorted(keys, low).ravel()
+    count = np.searchsorted(keys, low + 1, side="right").ravel() - start
+    node = np.repeat(np.arange(n), count.reshape(n, 2).sum(axis=1))
+    offset = np.repeat(start - np.cumsum(count) + count, count)
+    cell = order[np.arange(count.sum()) + offset]
+    # in the cell, or on its edge to rounding
+    holds = np.logical_and.reduce([w >= -1e-12 for w in weights(node, cell)])
+    hit, first = np.unique(node[holds], return_index=True)
+    owner = np.full(n, -1)
+    owner[hit] = cell[holds][first]
+
+    # Nodes outside the grid: distance to each cell edge a -> b.
+    out = np.flatnonzero(owner < 0)
+    px, py = x[out, None, None], y[out, None, None]
+    ex, ey = bx - ax, by - ay
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    gap = np.hypot(px - ax - t * ex, py - ay - t * ey).min(axis=2)
+    owner[out] = gap.argmin(axis=1)
+
+    w = np.clip(np.column_stack(weights(np.arange(n), owner)), 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    indptr = np.arange(0, 3 * n + 1, 3)
+    cols = grid.cells[owner].ravel()
+    return grid, csr_matrix((w.ravel(), cols, indptr), shape=(n, grid.n_nodes))
 
 
 def make_strip_mesh(

@@ -34,7 +34,12 @@ first factorization, and returns it as ``FieldSolution.factor``; the system
 never holds a factor.  Given a band that holds a factor, a solve whose start
 already meets the residual-norm test, with only the Kirchhoff balance left,
 takes its first step on that factor instead of factoring.  A solve given no
-band depends only on its bias, config and starting potential.
+band depends only on its bias, config and starting potential.  A solve
+given no starting potential on a mesh that ``generate_mesh`` made starts
+from the same bias solved from zeros on the mesh's 3x-edge
+``device.coarse_grid`` and interpolated onto the mesh (nested iteration),
+and counts that solve's steps and factorizations as its own; on any
+other mesh, or when that solve fails, it starts from zeros.
 ``SolveChain`` runs a chain of solves, each predicted from the one before,
 and its one band crosses its solves: an earlier ``FieldSolution.factor`` of
 a chain is valid only until that chain's next solve or tangent.
@@ -48,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .device import MaterialParams, Mesh, cell_areas, cell_gradients
+from .device import MaterialParams, Mesh, cell_areas, cell_gradients, coarse_grid
 
 EXP_CLAMP = 40.0
 _E_CLAMP = math.exp(EXP_CLAMP)
@@ -67,8 +72,9 @@ _KIRCHHOFF_FRACTION = 1e-9
 # overflows), so a larger bias is an input error, not a solver failure.
 MAX_BIAS_V = 1e3
 
-# Assembled systems ``sheet_system`` keeps, the most recently used: a
-# search's two meshes and a sweep's one fit with room to spare.
+# Assembled systems ``sheet_system`` keeps, the most recently used: the
+# two meshes of a search, and of a sweep (its mesh and the coarse grid its
+# cold solves start from), which are the same two, fit with room to spare.
 _CACHED_SYSTEMS = 4
 
 TERMINALS = ("A", "B", "C")
@@ -487,6 +493,26 @@ class SheetSystem:
         converged = norm <= tol and abs(float(f.sum())) <= balance_tol
         return phi, converged, iters, history, factor, factorizations
 
+    def _coarse_start(self, bias: BiasPoint, cfg: SolverConfig):
+        """The start of a solve given none: ``(phi0, iters, factorizations)``.
+
+        On a mesh with a geometry it is ``bias`` solved from zeros on the
+        mesh's ``coarse_grid`` and interpolated onto the mesh by its
+        prolongation (nested iteration), with that solve's Newton steps and
+        factorizations.  On a mesh without one, or when that solve raises
+        ``SolverError``, it is zeros, with no work counted.
+        """
+        if self.mesh.geometry is None:
+            return np.zeros(self.n), 0, 0
+        grid, prolongation = coarse_grid(self.mesh)
+        try:
+            coarse = sheet_system(grid, self.materials).solve(
+                bias, cfg, phi0=np.zeros(grid.n_nodes)
+            )
+        except SolverError:
+            return np.zeros(self.n), 0, 0
+        return prolongation @ coarse.phi, coarse.newton_iters, coarse.factorizations
+
     def solve(
         self,
         bias: BiasPoint,
@@ -494,22 +520,29 @@ class SheetSystem:
         phi0: np.ndarray | None = None,
         factor: np.ndarray | None = None,
     ) -> FieldSolution:
-        """One damped Newton descent from ``phi0`` (zeros when omitted).
+        """One damped Newton descent from ``phi0``.
 
-        ``factor`` is a band holding the factor of a Jacobian of this
-        system, such as an earlier solution's ``factor``: the solve factors
-        into it, and a start that already meets the residual-norm test
-        takes its first step on it.  With no band the solve allocates one
-        at its first factorization, and the result depends only on the
-        other arguments.  The band is returned as ``factor``.  Raises
+        With ``phi0`` omitted the descent starts from ``bias`` solved on the
+        mesh's 3x-edge ``coarse_grid`` and interpolated, or from zeros on a
+        mesh without a geometry or when that coarse solve fails
+        (``_coarse_start``); ``newton_iters`` and ``factorizations`` count
+        the coarse solve's work too.  ``factor`` is a band holding the
+        factor of a Jacobian of this system, such as an earlier solution's
+        ``factor``: the solve factors into it, and a start that already
+        meets the residual-norm test takes its first step on it.  With no
+        band the solve allocates one at its first factorization, and the
+        result depends only on the other arguments.  The band is returned
+        as ``factor``.  Raises
         ``ConvergenceError`` with the residual history when
         ``cfg.max_iters`` steps do not converge, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
         """
-        phi0 = np.zeros(self.n) if phi0 is None else np.asarray(phi0, float)
         contacts = self._contacts(bias)
+        coarse_iters = coarse_factorizations = 0
+        if phi0 is None:
+            phi0, coarse_iters, coarse_factorizations = self._coarse_start(bias, cfg)
         phi, ok, iters, history, factor, factorizations = self._newton(
-            phi0, cfg, contacts, factor
+            np.asarray(phi0, float), cfg, contacts, factor
         )
         if not ok:
             raise ConvergenceError(
@@ -532,9 +565,9 @@ class SheetSystem:
             i_b=i_b,
             i_c=i_c,
             i_junction=i_j,
-            newton_iters=iters,
+            newton_iters=coarse_iters + iters,
             residual=history[-1],
-            factorizations=factorizations,
+            factorizations=coarse_factorizations + factorizations,
             factor=factor,
         )
 
@@ -559,9 +592,10 @@ class SolveChain:
     back-solves on the held band factor, a Jacobian a few chord steps
     stale, and factors nothing: ``solve`` predicts its start from the held
     solution ``held`` by that back-solve of the voltage change, and the zero
-    search takes its splitting Jacobian from it.  With no factor held a
-    solve starts cold (a held solution without a factor took no step from
-    phi = 0), and a start the caller gives replaces the prediction.  The
+    search takes its splitting Jacobian from it.  With no factor held (a
+    held solution without one took no step from its start) a solve starts
+    cold, from the coarse grid (``SheetSystem.solve``), and a start the
+    caller gives replaces the prediction.  The
     solve is then given the held band, factors into it and may step on it
     first (``SheetSystem.solve``), and ``tangent`` refactors into it, so the
     chain owns one band from its first factorization on: an earlier

@@ -18,7 +18,6 @@ chain.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import time
@@ -27,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import MaterialParams, Mesh, cell_gradients, generate_mesh
+from .device import MaterialParams, Mesh, coarse_grid
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -406,87 +405,12 @@ def read_sweep_csv(path: str) -> list[CellRecord]:
 # -- zero-splitting search ---------------------------------------------------
 
 _GRID_POINTS = 3     # seed grid points per free terminal, spanning the bounds
-_SEED_EDGE_FACTOR = 3.0  # the seed grid is ranked on a mesh of this times the edge
 _N_STARTS = 3        # best seeds refined by the projected Newton iteration
 _PROBE_STEP = 0.05   # V either side of the optimum for the eigenaxis swap
 _XTOL = 1e-8         # a run ends on an accepted step below _XTOL * (_XTOL + |x|)
 _AHEAD_FRACTION = 0.01  # ... or on a predicted next step below this times that
 _MIN_STEP_FRACTION = 2.0**-6  # a run ends when backtracking halves below this
 _MAX_EVALS = 30      # splitting evaluations of one run, its start included
-_CACHED_SEED_GRIDS = 4  # seed grids ``_seed_grid`` keeps, the most recently used
-
-
-@functools.lru_cache(maxsize=_CACHED_SEED_GRIDS)
-def _seed_grid(mesh: Mesh):
-    """The seed-ranking mesh of ``mesh`` and its prolongation, built on first use.
-
-    The seed mesh meshes ``mesh.geometry`` at ``_SEED_EDGE_FACTOR`` times
-    the edge of ``mesh``.  The prolongation is the sparse (n, n_seed) P1
-    interpolation of seed-mesh potentials onto ``mesh``: each node takes
-    its barycentric weights in a seed cell that holds it.  A node outside
-    every seed cell (on the pillar arc, which the coarser seed rim cuts
-    inside) takes the weights of its nearest cell, clamped to non-negative
-    and renormalized.  Candidate cells come from a grid of buckets as wide
-    as the widest cell, a dozen or so per node; only the few outside nodes
-    are measured against every cell.
-    """
-    from scipy.sparse import csr_matrix  # already loaded by the solver
-
-    seed_mesh = generate_mesh(mesh.geometry, _SEED_EDGE_FACTOR * mesh.target_edge)
-    x, y = mesh.nodes.T
-    n = len(x)
-    cx, cy = seed_mesh.nodes[seed_mesh.cells].transpose(2, 0, 1)  # (cells, 3)
-    ax, ay = np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1)  # vertex i + 1
-    bx, by = np.roll(cx, 1, axis=1), np.roll(cy, 1, axis=1)  # vertex i + 2
-    gx, gy = (g.T for g in cell_gradients(seed_mesh))  # (3, cells) weight gradients
-
-    def weights(node, cell):
-        # from differences to vertex 0, so exact to rounding on linear fields
-        dx, dy = x[node] - cx[cell, 0], y[node] - cy[cell, 0]
-        return [gx[i, cell] * dx + gy[i, cell] * dy + float(i == 0) for i in range(3)]
-
-    # A cell holding a node has the lower-left corner of its bounding box in
-    # the node's bucket, the one left of it, below it or both.
-    lx, ly = cx.min(axis=1), cy.min(axis=1)
-    width = max(np.ptp(cx, axis=1).max(), np.ptp(cy, axis=1).max())
-
-    def bucket(px, py):
-        return (
-            np.floor((px - lx.min()) / width).astype(int),
-            np.floor((py - ly.min()) / width).astype(int),
-        )
-
-    ix, iy = bucket(lx, ly)
-    rows = iy.max() + 2
-    order = np.argsort(ix * rows + iy, kind="stable")
-    keys = (ix * rows + iy)[order]
-    jx, jy = bucket(x, y)
-    low = (jx[:, None] - [0, 1]) * rows + (jy - 1)[:, None]  # then row jy
-    start = np.searchsorted(keys, low).ravel()
-    count = np.searchsorted(keys, low + 1, side="right").ravel() - start
-    node = np.repeat(np.arange(n), count.reshape(n, 2).sum(axis=1))
-    offset = np.repeat(start - np.cumsum(count) + count, count)
-    cell = order[np.arange(count.sum()) + offset]
-    # in the cell, or on its edge to rounding
-    holds = np.logical_and.reduce([w >= -1e-12 for w in weights(node, cell)])
-    hit, first = np.unique(node[holds], return_index=True)
-    owner = np.full(n, -1)
-    owner[hit] = cell[holds][first]
-
-    # Nodes outside the seed mesh: distance to each cell edge a -> b.
-    out = np.flatnonzero(owner < 0)
-    px, py = x[out, None, None], y[out, None, None]
-    ex, ey = bx - ax, by - ay
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    gap = np.hypot(px - ax - t * ex, py - ay - t * ey).min(axis=2)
-    owner[out] = gap.argmin(axis=1)
-
-    w = np.clip(np.column_stack(weights(np.arange(n), owner)), 0.0, None)
-    w /= w.sum(axis=1, keepdims=True)
-    indptr = np.arange(0, 3 * n + 1, 3)
-    cols = seed_mesh.cells[owner].ravel()
-    shape = (n, seed_mesh.n_nodes)
-    return seed_mesh, csr_matrix((w.ravel(), cols, indptr), shape=shape)
 
 
 def _eigenaxis_rotation(
@@ -605,11 +529,12 @@ def find_zero_fss(
     whose solve fails are skipped.  Each mesh has one chain, whose solves
     are predicted from the one before, except the first solve of each
     refinement, at its seed, which starts from the seed's potential on
-    the seed mesh interpolated onto ``mesh``.  The seed mesh and that
-    interpolation come from ``_seed_grid`` and both systems from
-    ``sheet_system``, so searches on one mesh and materials share them;
-    no solve is shared.  ``mesh`` must come from
-    ``generate_mesh``, which records its geometry (a ``make_strip_mesh``
+    the seed mesh interpolated onto ``mesh``.  A seed that cannot be
+    predicted starts from zeros.  The seed mesh and that interpolation are
+    ``device.coarse_grid(mesh)``, the grid a cold solve on ``mesh`` also
+    starts from, and both systems come from ``sheet_system``, so searches
+    on one mesh and materials share them; no solve is shared.  ``mesh``
+    must come from ``generate_mesh``, which records its geometry (a ``make_strip_mesh``
     mesh has none and raises ``ValueError``).  ``tol`` must be positive
     and finite, and ``bounds`` finite with lo < hi and within
     +-``MAX_BIAS_V``; ``start`` gives the voltages of the terminals that
@@ -646,7 +571,7 @@ def find_zero_fss(
     if mesh.geometry is None:
         raise ValueError("mesh has no geometry to rank seeds on; use generate_mesh")
 
-    seed_mesh, prolongation = _seed_grid(mesh)
+    seed_mesh, prolongation = coarse_grid(mesh)
     seed_chain = SolveChain(sheet_system(seed_mesh, materials), cfg)
     chain = SolveChain(sheet_system(mesh, materials), cfg)
     evals = 0
@@ -655,10 +580,10 @@ def find_zero_fss(
         values = dict(zip(free, map(float, x)))
         return BiasPoint(*(values.get(t, start.terminal(t)) for t in TERMINALS))
 
-    def splitting(x, on: SolveChain = chain) -> np.ndarray:
+    def splitting(x, on: SolveChain = chain, phi0=None) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return np.array(fss_vector(exciton_params, on.solve(bias_at(x)).field))
+        return np.array(fss_vector(exciton_params, on.solve(bias_at(x), phi0).field))
 
     def jacobian(x) -> np.ndarray:
         chain.solve(bias_at(x))
@@ -668,11 +593,16 @@ def find_zero_fss(
         return exciton_state(exciton_params, chain.solve(bias_at(x)).field)
 
     grid_axis = np.linspace(lo, hi, _GRID_POINTS)
+    zeros = np.zeros(seed_mesh.n_nodes)
     scored = []
     for seed in sorted(itertools.product(grid_axis, repeat=len(free)), key=sum):
         x = np.array(seed)
+        # a seed the chain cannot predict starts from zeros, not from a solve
+        # on the seed mesh's own coarse grid: ranking uses the seed mesh alone
+        held = seed_chain.held
+        phi0 = zeros if held is None or held.factor is None else None
         try:
-            norm = math.hypot(*splitting(x, seed_chain))
+            norm = math.hypot(*splitting(x, seed_chain, phi0))
         except SolverError:
             continue
         scored.append((norm, x, seed_chain.held.phi))

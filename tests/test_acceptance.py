@@ -411,6 +411,39 @@ def test_golden_sweep_within_tolerance(cfg, default_sweep):
     _ok(f"golden PASS: worst column-scaled difference {worst[name]:.1e} ({name})")
 
 
+# Largest splitting difference between the 0.35 V subgrid swept at 2 um and
+# the same cells of the default 1 um map: 0.0398 ueV measured (at V_A = V_B =
+# 6 V, where the splitting is 11.7 ueV); the bound leaves half that again.
+MESH_FSS_ATOL_UEV = 0.06
+
+
+def test_regime_map_is_not_a_mesh_artifact(cfg, default_sweep):
+    """The 0.35 V subgrid swept at twice the default edge has the default
+    map's region in every cell and its splitting within MESH_FSS_ATOL_UEV.
+    The sign of algebraic_fss is not compared: near its zero the meshes may
+    disagree on it."""
+    spec = dataclasses.replace(
+        cfg.sweep, va_step=2.0 * cfg.sweep.va_step, vb_step=2.0 * cfg.sweep.vb_step
+    )
+    mesh = generate_mesh(cfg.geometry, 2.0 * cfg.mesh_edge)
+    edge2 = run_bias_sweep(spec, mesh, cfg.materials, cfg.exciton, cfg.solver).records
+    n_vb, n_va = default_sweep.grid_shape()
+    cells = [
+        default_sweep.record(i_vb, i_va)
+        for i_vb in range(0, n_vb, 2)
+        for i_va in range(0, n_va, 2)
+    ]
+    assert [(r.va, r.vb) for r in edge2] == [(r.va, r.vb) for r in cells]
+    assert all(r.ok for r in edge2)
+    assert [r.region for r in edge2] == [r.region for r in cells]
+    worst = max(abs(a.fss - b.fss) for a, b in zip(edge2, cells))
+    assert worst <= MESH_FSS_ATOL_UEV
+    _ok(
+        f"mesh PASS: {len(cells)} regions equal at {mesh.target_edge:g} um, "
+        f"fss within {worst:.3f} ueV"
+    )
+
+
 def test_iso_fss_pairs_available(default_sweep):
     """Companion check: equal-splitting pairs at well-separated energies
     exist in the default map (target 5 ueV, separation 30 ueV)."""

@@ -13,6 +13,7 @@ from pillartune.device import (
     Mesh,
     MeshError,
     cell_areas,
+    coarse_grid,
     generate_mesh,
     make_strip_mesh,
 )
@@ -601,6 +602,86 @@ def test_solve_is_independent_of_earlier_solves(coarse_system, coarse_mesh, defa
     assert again.phi.tobytes() == fresh.phi.tobytes()
 
 
+def test_repeated_cold_solves_are_byte_identical(coarse_system, coarse_mesh, default_config):
+    bias = BiasPoint(3.0, 2.0, None)
+    first = coarse_system.solve(bias, CFG)
+    for other in (BiasPoint(-1.0, 4.0, None), BiasPoint(5.0, 0.5, 1.0)):
+        coarse_system.solve(other, CFG)
+    fresh = SheetSystem(coarse_mesh, default_config.materials)
+    for sol in (coarse_system.solve(bias, CFG), fresh.solve(bias, CFG)):
+        assert sol.phi.tobytes() == first.phi.tobytes()
+        assert (sol.newton_iters, sol.factorizations) == (
+            first.newton_iters, first.factorizations
+        )
+
+
+def _record_newton_runs(monkeypatch) -> list:
+    """(system, phi0, iters, factorizations, phi) of every ``_newton`` from now on."""
+    runs = []
+    real_newton = SheetSystem._newton
+
+    def spy(self, phi0, cfg, contacts, factor=None):
+        result = real_newton(self, phi0, cfg, contacts, factor)
+        phi, _, iters, _, _, factorizations = result
+        runs.append((self, phi0, iters, factorizations, phi))
+        return result
+
+    monkeypatch.setattr(SheetSystem, "_newton", spy)
+    return runs
+
+
+def test_cold_solve_counts_its_coarse_start(coarse_mesh, default_config, monkeypatch):
+    runs = _record_newton_runs(monkeypatch)
+    fine = SheetSystem(coarse_mesh, default_config.materials)
+    sol = fine.solve(BiasPoint(3.0, 2.0, None), CFG)
+    [(grid_system, zeros, *_, grid_phi), (system, phi0, *_)] = runs
+    grid, prolongation = coarse_grid(coarse_mesh)
+    assert grid_system.mesh is grid and not zeros.any()
+    assert system is fine
+    np.testing.assert_array_equal(phi0, prolongation @ grid_phi)
+    assert all(iters > 0 for _, _, iters, _, _ in runs)
+    assert sol.newton_iters == sum(iters for _, _, iters, _, _ in runs)
+    assert sol.factorizations == sum(n for *_, n, _ in runs)
+
+
+def test_strip_mesh_solve_starts_from_zeros(monkeypatch):
+    # a mesh without a geometry has no coarse grid to start from
+    system = SheetSystem(make_strip_mesh(20.0, 6.0, 1.0, **STACK), DEFAULT.materials)
+    bias = BiasPoint(1.0, 0.5, None)
+    zeros = system.solve(bias, CFG, np.zeros(system.n))
+    monkeypatch.setattr(solver, "coarse_grid", None)  # any call fails
+    cold = system.solve(bias, CFG)
+    assert cold.phi.tobytes() == zeros.phi.tobytes()
+    assert (cold.newton_iters, cold.factorizations) == (
+        zeros.newton_iters, zeros.factorizations
+    )
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, NumericalError])
+def test_failed_coarse_start_falls_back_to_zeros(
+    coarse_system, coarse_mesh, monkeypatch, error
+):
+    bias = BiasPoint(3.0, 2.0, None)
+    zeros = coarse_system.solve(bias, CFG, np.zeros(coarse_system.n))
+    real_solve = SheetSystem.solve
+    failed = []
+
+    def flaky(self, bias, cfg, phi0=None, factor=None):
+        if self.mesh is not coarse_mesh:
+            failed.append(self.mesh)
+            raise error("forced coarse failure")
+        return real_solve(self, bias, cfg, phi0, factor)
+
+    monkeypatch.setattr(SheetSystem, "solve", flaky)
+    cold = coarse_system.solve(bias, CFG)
+    assert failed == [coarse_grid(coarse_mesh)[0]]
+    assert cold.phi.tobytes() == zeros.phi.tobytes()
+    assert (cold.newton_iters, cold.factorizations) == (
+        zeros.newton_iters, zeros.factorizations
+    )
+    assert kirchhoff_error(cold) <= kirchhoff_bound(cold, CFG)
+
+
 @pytest.mark.parametrize("bias", [BiasPoint(3.0, 2.0, None), BiasPoint(6.0, 6.0, 6.0)])
 def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
     # every residual, energy, Jacobian and terminal current of a solve
@@ -619,7 +700,7 @@ def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
 
     monkeypatch.setattr(system, "_contacts", contacts_spy)
     monkeypatch.setattr(system, "energy", energy_spy)
-    cold = system.solve(bias, CFG)
+    cold = system.solve(bias, CFG, np.zeros(system.n))  # a descent from zero
     assert cold.newton_iters > 0 and energies  # the line search ran too
     assert contacts == [bias]
     again = system.solve(bias, CFG, cold.phi)
@@ -783,12 +864,29 @@ def _record_factor_events(system, monkeypatch) -> list:
     return events
 
 
+def _bands_by_mesh(events, system):
+    """The factored bands of ``system``'s mesh, and those of its coarse grid."""
+    bands = [band for kind, band in events if kind == "factor"]
+    fine = [band for band in bands if band.shape[1] == system.n]
+    return fine, [band for band in bands if band.shape[1] != system.n]
+
+
 def test_solves_and_tangents_of_a_chain_factor_into_one_band(coarse_system, monkeypatch):
     events = _record_factor_events(coarse_system, monkeypatch)
-    cold = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    zeros = np.zeros(coarse_system.n)
+    cold = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG, zeros)
     bands = [band for kind, band in events if kind == "factor"]
     assert len(bands) == cold.factorizations >= 2
     assert all(band is cold.factor for band in bands)
+
+    # a solve started on the coarse grid factors into one band there and
+    # one on the mesh, which it returns
+    events.clear()
+    sol = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    fine, grid = _bands_by_mesh(events, coarse_system)
+    assert fine and grid and len(fine) + len(grid) == sol.factorizations
+    assert all(band is sol.factor for band in fine)
+    assert all(band is grid[0] for band in grid)
 
     events.clear()
     chain = SolveChain(coarse_system, CFG)
@@ -796,9 +894,10 @@ def test_solves_and_tangents_of_a_chain_factor_into_one_band(coarse_system, monk
         chain.solve(BiasPoint(va, 2.0, None))
     chain.tangent((1.0, 0.0, 0.0))
     chain.solve(BiasPoint(2.05, 2.0, None))
-    bands = [band for kind, band in events if kind == "factor"]
-    assert len(bands) == chain.factorizations + 1  # the tangent's
-    assert all(band is chain.held.factor for band in bands)
+    fine, grid = _bands_by_mesh(events, coarse_system)
+    assert len(fine) + len(grid) == chain.factorizations + 1  # the tangent's
+    assert all(band is chain.held.factor for band in fine)
+    assert all(band is grid[0] for band in grid)  # the first solve's coarse start
 
 
 def test_a_start_inside_the_norm_test_steps_on_the_held_factor_first(

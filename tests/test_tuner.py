@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pillartune import solver, tuner
+from pillartune import device, solver, tuner
 from pillartune.config import load_run_config
 from pillartune.device import generate_mesh, make_strip_mesh
 from pillartune.exciton import ExcitonParams, fss_vector
@@ -172,7 +172,7 @@ def _count_systems(monkeypatch) -> list:
 
 def _clear_caches() -> None:
     solver.sheet_system.cache_clear()
-    tuner._seed_grid.cache_clear()
+    device.coarse_grid.cache_clear()
 
 
 def test_sweeps_on_one_mesh_build_one_system(
@@ -183,7 +183,8 @@ def test_sweeps_on_one_mesh_build_one_system(
     args = (coarse_mesh, default_config.materials, default_config.exciton, CFG)
     first = run_bias_sweep(_small_spec(), *args)
     second = run_bias_sweep(_small_spec(), *args)
-    assert built == [coarse_mesh]
+    # the mesh's, then its coarse grid's for the cold starts, each built once
+    assert built == [coarse_mesh, device.coarse_grid(coarse_mesh)[0]]
     assert second.records == first.records
 
 
@@ -209,10 +210,28 @@ def test_searches_on_one_mesh_build_two_systems(
     # the seed mesh, then the caller's, each meshed and assembled once
     assert len(built) == 2 and built[1] is coarse_mesh
     assert built[0].target_edge == 3.0 * coarse_mesh.target_edge
-    assert tuner._seed_grid.cache_info().misses == 1
+    assert device.coarse_grid.cache_info().misses == 1
     _clear_caches()
     assert search().to_dict() == second.to_dict()
     assert len(built) == 4
+
+
+def test_cold_solves_after_a_search_reuse_its_seed_mesh(
+    coarse_mesh, default_config, monkeypatch
+):
+    # the search's seed mesh is the coarse grid a cold solve starts from
+    _clear_caches()
+    built = _count_systems(monkeypatch)
+    args = (coarse_mesh, default_config.materials, default_config.exciton, CFG)
+    find_zero_fss(
+        BiasPoint(0.0, 0.0, None), ("A", "B"), 1.5, *args, bounds=SPEC.tune_bounds()
+    )
+    run_bias_sweep(_small_spec(), *args)
+    solver.sheet_system(coarse_mesh, default_config.materials).solve(
+        BiasPoint(0.8, 0.4, None), CFG
+    )
+    assert built == [device.coarse_grid(coarse_mesh)[0], coarse_mesh]
+    assert device.coarse_grid.cache_info().misses == 1
 
 
 def test_sweep_rejects_jobs_below_one(coarse_mesh, default_config):
@@ -336,16 +355,17 @@ def test_cell_after_a_failure_is_a_fresh_cold_solve(
     coarse_mesh, default_config, monkeypatch
 ):
     # a failed cell drops the row's warm start, so the next cell is bit
-    # for bit what a fresh system solves from zero
+    # for bit what a fresh system solves cold
     failing = BiasPoint(1.0, 1.0, None)
-    phis = {}
+    phis = {}  # of the solves on the swept mesh, not those of its coarse starts
     solve = SheetSystem.solve
 
     def flaky(self, bias, cfg, phi0=None, **kwargs):
         if bias == failing:
             raise ConvergenceError("forced failure")
         sol = solve(self, bias, cfg, phi0, **kwargs)
-        phis[bias] = sol.phi
+        if self.mesh is coarse_mesh:
+            phis[bias] = sol.phi
         return sol
 
     monkeypatch.setattr(SheetSystem, "solve", flaky)
@@ -812,7 +832,7 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     assert all(m is seed_mesh for m, *_ in seed_phase)
     assert refinement and all(m is coarse_mesh for m, *_ in refinement)
     seed_phi = {bias: phi for _, bias, _, phi in seed_phase}
-    grid_mesh, prolongation = tuner._seed_grid(coarse_mesh)
+    grid_mesh, prolongation = device.coarse_grid(coarse_mesh)
     assert grid_mesh is seed_mesh
     assert runs[0][0] == 10  # the first fine solve is the first run's start
     for mark, x0 in runs:
@@ -917,7 +937,9 @@ def test_search_factors_a_tangent_only_where_no_factor_is_held(
 
     def spy_solve(self, bias, phi0=None):
         sol = real_solve(self, bias, phi0)
-        if phi0 is not None:  # a run's start, from the seed's coarse potential
+        # a run's start, from the seed's coarse potential; the seed chain's
+        # first solve is given zeros
+        if phi0 is not None and self.system.mesh is coarse_mesh:
             self.held = sol = dataclasses.replace(sol, factor=None)
             starts.append(bias)
         return sol
@@ -966,9 +988,9 @@ def test_prolongation_interpolates_the_seed_mesh(request, mesh_fixture, n_outsid
     clamped weights of the nearest cell outside it, every row a partition
     of unity, the QD on the seed QD, built once per mesh."""
     mesh = request.getfixturevalue(mesh_fixture)
-    seed_mesh, prolongation = tuner._seed_grid(mesh)
-    assert seed_mesh.target_edge == tuner._SEED_EDGE_FACTOR * mesh.target_edge
-    assert tuner._seed_grid(mesh)[1] is prolongation
+    seed_mesh, prolongation = device.coarse_grid(mesh)
+    assert seed_mesh.target_edge == device._COARSE_EDGE_FACTOR * mesh.target_edge
+    assert device.coarse_grid(mesh)[1] is prolongation
     weights = prolongation.toarray()
     assert weights.shape == (mesh.n_nodes, seed_mesh.n_nodes)
     assert np.all(weights >= 0.0)
@@ -1022,7 +1044,7 @@ def test_seed_mesh_ranks_the_seeds_as_the_default_mesh_does(
         default_config.exciton, zero_field_splitting=(d0[0] * scale[0], d0[1] * scale[1])
     )
     seed_mesh = generate_mesh(
-        default_mesh.geometry, tuner._SEED_EDGE_FACTOR * default_mesh.target_edge
+        default_mesh.geometry, device._COARSE_EDGE_FACTOR * default_mesh.target_edge
     )
     fine = _seed_norms(default_mesh, default_config, params)
     coarse = _seed_norms(seed_mesh, default_config, params)
