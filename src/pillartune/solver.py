@@ -24,22 +24,27 @@ from step to step.  In reverse Cuthill-McKee order it is a narrow band
 (half-bandwidth 54 on the 2,140-node default mesh), and that band is the
 only form it takes: the stiffness band is built once per system, and a
 factorization copies it, adds the junction and contact conductances to its
-diagonal and factors it with LAPACK's banded Cholesky (``dpbtrf``).  A
-solve holds its factor across steps and refactors only when the last step
-needed a line-search halving or shrank the residual by less than
+diagonal, factors it with LAPACK's banded Cholesky (``dpbtrf``) and
+reverses it, which leaves the factor in LAPACK's upper band storage, where
+its back-solves (``dtbtrs``) run twice as fast as on the lower factor
+(``_cholesky``).  A solve holds its factor across steps and refactors only
+when the last step, taken outside the residual-norm test, needed a
+line-search halving or shrank the residual by less than
 ``1 / _CHORD_CONTRACTION``; the steps in between are chord steps on the held
-factor (``dpbtrs``), still descent directions of the energy.  A solve
+factor, still descent directions of the energy.  A solve
 factors into one band, the one it is given or else one it allocates at its
 first factorization, and returns it as ``FieldSolution.factor``; the system
-never holds a factor.  Given a band that holds a factor, a solve whose start
-already meets the residual-norm test, with only the Kirchhoff balance left,
-takes its first step on that factor instead of factoring.  A solve given no
-band depends only on its bias, config and starting potential.  A solve
-given no starting potential on a mesh that ``generate_mesh`` made starts
-from the same bias solved from zeros on the mesh's 3x-edge
-``device.coarse_grid`` and interpolated onto the mesh (nested iteration),
-and counts that solve's steps and factorizations as its own; on any
-other mesh, or when that solve fails, it starts from zeros.
+never holds a factor.  A step taken from an iterate that already meets the
+residual-norm test, with only the Kirchhoff balance left, never factors:
+given a band that holds a factor, a solve whose start meets that test
+steps on it from the first step on.  A solve given no band depends only
+on its bias, config and starting potential.  A solve given no starting
+potential on a mesh that ``generate_mesh`` made starts from the same bias
+solved from zeros on the mesh's 3x-edge ``device.coarse_grid`` and
+interpolated onto the mesh (nested iteration), and counts that solve's
+steps and factorizations as its own; on any other mesh, or when that
+solve fails, it starts from zeros, and still counts the work of a coarse
+solve that did not converge.
 ``SolveChain`` runs a chain of solves, each predicted from the one before,
 and its one band crosses its solves: an earlier ``FieldSolution.factor`` of
 a chain is valid only until that chain's next solve or tangent.
@@ -86,11 +91,19 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """Newton iteration did not reach tolerance; carries the residual history."""
+    """Newton iteration did not reach tolerance.
 
-    def __init__(self, message: str, residual_history=None):
+    Carries the residual history and the Newton steps and factorizations
+    the failed solve spent.
+    """
+
+    def __init__(
+        self, message: str, residual_history=None, newton_iters=0, factorizations=0
+    ):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+        self.newton_iters = newton_iters
+        self.factorizations = factorizations
 
 
 class NumericalError(SolverError):
@@ -369,20 +382,38 @@ class SheetSystem:
 
     @staticmethod
     def _cholesky(band: np.ndarray) -> np.ndarray:
-        """Banded Cholesky factor of a ``jacobian`` band, computed in place."""
+        """Banded Cholesky factor of a ``jacobian`` band, computed in place.
+
+        ``dpbtrf`` factors the lower band, J = L L^T in RCM order.  Reversing
+        the band's memory then leaves in it, in LAPACK's upper band storage,
+        the upper triangular U = R L R with R J R = U U^T, R the reversal of
+        the order.  ``_back_solve``'s two triangular solves with U run about
+        twice as fast in OpenBLAS as ``dpbtrs`` on L, whose solve with L^T is
+        slow.  ``dpbtrf`` on the upper band gives an upper factor directly,
+        but ran ten times slower with more than one BLAS thread.
+        """
         chol, info = _lapack().dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"Jacobian factorization failed: dpbtrf info {info}")
+        flat = chol.reshape(-1, order="F")  # a view: the factor is F-contiguous
+        # reverse by swapping halves, faster than an overlapping flat[::-1]
+        half = flat.size // 2
+        head = flat[:half].copy()
+        flat[:half] = flat[: -half - 1 : -1]
+        flat[-half:] = head[::-1]
         return chol
 
     def _back_solve(self, chol: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``J^{-1} b`` in node order from the ``_cholesky`` factor of J.
 
-        ``b`` is one right-hand side or one per column.
+        ``b`` is one right-hand side or one per column.  In reversed RCM
+        order J = U U^T, so the solve is U y = b, then U^T x = y.
         """
-        x, _ = _lapack().dpbtrs(chol, b[self._perm], lower=1)
+        dtbtrs, order = _lapack().dtbtrs, self._perm[::-1]
+        y, _ = dtbtrs(chol, b[order], uplo="U", trans="N", overwrite_b=1)
+        x, _ = dtbtrs(chol, y, uplo="U", trans="T", overwrite_b=1)
         out = np.empty(b.shape)
-        out[self._perm] = x
+        out[order] = x
         return out
 
     def _terminal_drive(self, bias: BiasPoint, dv) -> np.ndarray:
@@ -435,9 +466,12 @@ class SheetSystem:
         into it (into one band allocated by the first, when not given).  A
         step factors the Jacobian at the current iterate when there is no
         factor yet, when the first step starts outside the residual-norm
-        test, or when the last step needed a line-search halving or left
-        more than ``_CHORD_CONTRACTION`` of the residual; otherwise it is a
-        chord step on the held factor.  Either
+        test, or when the last step started outside it and needed a
+        line-search halving or left more than ``_CHORD_CONTRACTION`` of the
+        residual; otherwise it is a chord step on the held factor.  Once an
+        iterate meets the residual-norm test only the Kirchhoff balance is
+        left, and a fresh factor cannot better a step at rounding level, so
+        no later step factors.  Either
         way the step solves against a positive definite matrix, so it
         descends the convex energy, and ``lambda`` is halved until
         ``phi + lambda d`` lowers it: Armijo on ``energy``, or the 1-D
@@ -485,7 +519,9 @@ class SheetSystem:
                 if lam < 2.0**-24:
                     return phi, False, iters, history, factor, factorizations
             norm_try = float(np.max(np.abs(f_try)))
-            refactor = lam < cfg.damping or norm_try > _CHORD_CONTRACTION * norm
+            refactor = norm > tol and (
+                lam < cfg.damping or norm_try > _CHORD_CONTRACTION * norm
+            )
             phi, f, norm = phi_try, f_try, norm_try
             iters += 1
             history.append(norm / scale)
@@ -499,8 +535,9 @@ class SheetSystem:
         On a mesh with a geometry it is ``bias`` solved from zeros on the
         mesh's ``coarse_grid`` and interpolated onto the mesh by its
         prolongation (nested iteration), with that solve's Newton steps and
-        factorizations.  On a mesh without one, or when that solve raises
-        ``SolverError``, it is zeros, with no work counted.
+        factorizations.  On a mesh without one it is zeros, with no work
+        counted; when that solve raises ``SolverError`` it is zeros, with
+        the work a ``ConvergenceError`` carries.
         """
         if self.mesh.geometry is None:
             return np.zeros(self.n), 0, 0
@@ -509,6 +546,8 @@ class SheetSystem:
             coarse = sheet_system(grid, self.materials).solve(
                 bias, cfg, phi0=np.zeros(grid.n_nodes)
             )
+        except ConvergenceError as err:
+            return np.zeros(self.n), err.newton_iters, err.factorizations
         except SolverError:
             return np.zeros(self.n), 0, 0
         return prolongation @ coarse.phi, coarse.newton_iters, coarse.factorizations
@@ -533,8 +572,9 @@ class SheetSystem:
         band the solve allocates one at its first factorization, and the
         result depends only on the other arguments.  The band is returned
         as ``factor``.  Raises
-        ``ConvergenceError`` with the residual history when
-        ``cfg.max_iters`` steps do not converge, and ``NumericalError``
+        ``ConvergenceError`` with the residual history and the work spent,
+        counted as on success, when ``cfg.max_iters`` steps do not converge
+        or the line search stalls, and ``NumericalError``
         when a residual, a step or a Jacobian factorization breaks down.
         """
         contacts = self._contacts(bias)
@@ -549,6 +589,8 @@ class SheetSystem:
                 f"no convergence at bias {bias} after {iters} Newton iterations "
                 f"(last residual {history[-1]:.3e})",
                 history,
+                coarse_iters + iters,
+                coarse_factorizations + factorizations,
             )
         i_a, i_b, i_c, i_j = self.terminal_currents(phi, contacts)
         ex, ey = self.field_at_qd(phi)

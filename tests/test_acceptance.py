@@ -196,6 +196,15 @@ def test_criterion_05_conservation_and_laplace_limit(cfg, default_sweep):
     _ok(f"5 PASS: Kirchhoff within bound (worst {worst:.2e} of bound), strip E=dV/L")
 
 
+def test_default_sweep_factors_at_most_1700_times(default_sweep):
+    """No failed cell, and no factorization from a step inside the norm test
+    (1,667 factorizations for 5,124 Newton steps; 1,780 when such steps factored)."""
+    meta = default_sweep.metadata
+    assert meta["n_failed"] == 0
+    assert meta["factorizations"] <= 1700
+    _ok(f"sweep factorizations {meta['factorizations']} for {meta['newton_iters']} steps")
+
+
 def test_criterion_06_exciton_oracle_equivalence():
     """Closed-form splitting and axis match dense eigensolves to 1e-10."""
     rng = np.random.default_rng(20260401)

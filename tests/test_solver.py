@@ -682,6 +682,43 @@ def test_failed_coarse_start_falls_back_to_zeros(
     assert kirchhoff_error(cold) <= kirchhoff_bound(cold, CFG)
 
 
+def test_failed_coarse_start_counts_its_work(coarse_mesh, default_config, monkeypatch):
+    # the coarse Newton takes its real steps, then reports no convergence:
+    # the cold solve starts from zeros and counts the coarse work as its own
+    fine = SheetSystem(coarse_mesh, default_config.materials)
+    bias = BiasPoint(3.0, 2.0, None)
+    zeros = fine.solve(bias, CFG, np.zeros(fine.n))
+    runs = []  # (system, iters, factorizations) of every _newton
+    real_newton = SheetSystem._newton
+
+    def spy(self, phi0, cfg, contacts, factor=None):
+        phi, ok, iters, history, factor, factorizations = real_newton(
+            self, phi0, cfg, contacts, factor
+        )
+        runs.append((self, iters, factorizations))
+        return phi, ok and self is fine, iters, history, factor, factorizations
+
+    monkeypatch.setattr(SheetSystem, "_newton", spy)
+    cold = fine.solve(bias, CFG)
+    [(grid_system, grid_iters, grid_factorizations), (system, *_)] = runs
+    assert grid_system.mesh is coarse_grid(coarse_mesh)[0] and system is fine
+    assert grid_iters > 0 and grid_factorizations > 0
+    assert cold.phi.tobytes() == zeros.phi.tobytes()
+    assert (cold.newton_iters, cold.factorizations) == (
+        grid_iters + zeros.newton_iters,
+        grid_factorizations + zeros.factorizations,
+    )
+
+
+def test_convergence_error_carries_the_work_spent(coarse_system):
+    cfg = dataclasses.replace(CFG, max_iters=2)
+    with pytest.raises(ConvergenceError) as err:
+        coarse_system.solve(BiasPoint(3.0, 2.0, None), cfg, np.zeros(coarse_system.n))
+    assert err.value.newton_iters == 2
+    assert 1 <= err.value.factorizations <= 2
+    assert len(err.value.residual_history) == 3
+
+
 @pytest.mark.parametrize("bias", [BiasPoint(3.0, 2.0, None), BiasPoint(6.0, 6.0, 6.0)])
 def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
     # every residual, energy, Jacobian and terminal current of a solve
@@ -969,10 +1006,69 @@ def test_newton_direction_matches_dense_solve(coarse_system, which):
     assert np.max(np.abs(delta - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("which", ["coarse", "strip"])
+def test_factor_is_the_upper_band_of_the_reversed_order_cholesky_factor(
+    coarse_system, which
+):
+    system = coarse_system if which == "coarse" else _strip_system()
+    phi = _forward_biased(system)
+    band = system.jacobian(phi, system._contacts(BiasPoint(2.0, 0.5, None)))
+    jac = _band_to_dense(system, band)
+    chol = system._cholesky(band.copy(order="F"))
+    assert chol.shape == band.shape and chol.flags.f_contiguous
+    # LAPACK's upper band storage: entry (i, j), i <= j, at chol[kd + i - j, j]
+    n, kd = system.n, chol.shape[0] - 1
+    upper = np.zeros((n, n))
+    for d in range(kd + 1):
+        upper[np.arange(n - d), np.arange(d, n)] = chol[kd - d, d:]
+    assert np.all(np.diag(upper) > 0.0)
+    # U U^T is J in reversed RCM order, and U the reversed lower factor
+    order = system._perm[::-1]
+    reference = jac[np.ix_(order, order)]
+    assert np.max(np.abs(upper @ upper.T - reference)) <= 1e-12 * np.max(np.abs(reference))
+    lower = np.linalg.cholesky(jac[np.ix_(system._perm, system._perm)])
+    assert np.max(np.abs(upper - lower[::-1, ::-1])) <= 1e-12 * np.max(np.abs(lower))
+
+
 def test_singular_factor_raises_numerical_error(coarse_system, monkeypatch):
     monkeypatch.setattr(solver._lapack(), "dpbtrf", lambda ab, **kwargs: (ab, 1))
     with pytest.raises(NumericalError, match="factorization failed"):
         coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+
+
+def test_a_step_from_inside_the_norm_test_never_factors(
+    coarse_mesh, default_config, monkeypatch
+):
+    # a start inside the residual-norm test but off the Kirchhoff balance,
+    # on a band factored one 0.35 V step away: its chord steps need
+    # line-search halvings, and still none of them factors
+    system = SheetSystem(coarse_mesh, default_config.materials)  # spied on below
+    bias = BiasPoint(3.0, 2.0, None)
+    contacts = system._contacts(bias)
+    converged = system.solve(bias, CFG).phi
+    tol = CFG.newton_tol * system._residual_scale(contacts, CFG)
+    # the stiffness does not see a uniform shift; the conductances do
+    start = converged + 0.5 * tol / np.max(_conductance_diagonal(system, converged, bias))
+    f = system.residual(start, contacts)
+    assert np.max(np.abs(f)) <= tol
+    assert abs(f.sum()) > solver._KIRCHHOFF_FRACTION * CFG.current_floor
+    stale = system.solve(BiasPoint(2.65, 2.0, None), CFG, np.zeros(system.n)).factor
+
+    residuals = []
+    real_residual = system.residual
+
+    def residual_spy(phi, contacts):
+        residuals.append(phi)
+        return real_residual(phi, contacts)
+
+    monkeypatch.setattr(system, "residual", residual_spy)
+    events = _record_factor_events(system, monkeypatch)
+    sol = system.solve(bias, CFG, phi0=start, factor=stale)
+    assert sol.factor is stale and sol.newton_iters > 0
+    assert len(residuals) > 1 + sol.newton_iters  # a trial point was halved
+    assert sol.factorizations == 0
+    assert [kind for kind, _ in events] == ["step"] * sol.newton_iters
+    assert kirchhoff_error(sol) <= kirchhoff_bound(sol, CFG)
 
 
 def test_chain_drops_its_held_solution_when_a_tangent_fails(coarse_system, monkeypatch):
