@@ -12,6 +12,7 @@ the reader of standard output closed it early (no traceback).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -39,6 +40,7 @@ from .tuner import (
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
+    regime_summary,
     run_bias_sweep,
     write_sweep_csv,
 )
@@ -151,11 +153,18 @@ def cmd_sweep(args) -> int:
     result = run_bias_sweep(
         cfg.sweep, mesh, cfg.materials, cfg.exciton, cfg.solver, jobs=args.jobs
     )
-    result.metadata.update(config_hash=cfg.config_hash, version=__version__)
+    summary = regime_summary(result, cfg.geometry, cfg.solver.regime_threshold)
+    result.metadata.update(
+        config_hash=cfg.config_hash,
+        version=__version__,
+        regime_summary=dataclasses.asdict(summary),
+    )
     _atomic_write(csv_path, lambda tmp: write_sweep_csv(result, tmp))
     _write_json(meta_path, result.metadata)
     print(f"sweep written to {csv_path}")
     print(f"metadata written to {meta_path}")
+    for key, value in result.metadata["regime_summary"].items():
+        print(f"{key} = {'undefined' if value is None else value}")
     failed = result.metadata["n_failed"]
     if failed:
         print(f"warning: {failed} cells failed to converge", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Bias-space orchestration: grid sweeps and zero-splitting search.
+"""Bias-space orchestration: grid sweeps, their regime summary, zero-splitting search.
 
 Sweeps walk the (V_A, V_B) grid row by row.  Each row is one ``SolveChain``
 that runs in ascending V_A, and rows are independent of each other, so
@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .device import MaterialParams, Mesh, coarse_grid
+from .device import DeviceGeometry, MaterialParams, Mesh, coarse_grid
 from .exciton import (
     ExcitonParams,
     ExcitonState,
@@ -424,22 +424,19 @@ def _eigenaxis_rotation(
 
 
 def _splitting_jacobian(
-    chain: SolveChain,
-    params: ExcitonParams,
-    free: tuple[str, ...],
-    chord: bool = False,
+    chain: SolveChain, params: ExcitonParams, free: tuple[str, ...]
 ) -> np.ndarray:
     """d(delta)/dV over the ``free`` terminals at the chain's held solution.
 
     (d(delta)/dE)(dE/dV): the constant matrix of the linear ``fss_vector``
-    times the QD field change of each free terminal's tangent.  The exact
-    tangent takes one factorization, which the chain then holds; with
-    ``chord`` the tangent back-solves on the factor the chain already
-    holds, a Jacobian a few chord steps stale, and only a solution held
-    without one is factored.
+    times the QD field change of each free terminal's tangent.  The tangent
+    back-solves on the band factor the chain holds, a Jacobian a few chord
+    steps stale; only a solution held without a factor takes the exact
+    ``SolveChain.tangent``, which factors once and leaves the chain
+    holding that factor.
     """
     steps = [[float(t == name) for t in TERMINALS] for name in free]
-    if chord and chain.held is not None and chain.held.factor is not None:
+    if chain.held is not None and chain.held.factor is not None:
         d_phi = chain._chord_tangent(steps)
     else:
         d_phi = chain.tangent(steps)
@@ -587,7 +584,7 @@ def find_zero_fss(
 
     def jacobian(x) -> np.ndarray:
         chain.solve(bias_at(x))
-        return _splitting_jacobian(chain, exciton_params, free, chord=True)
+        return _splitting_jacobian(chain, exciton_params, free)
 
     def state_at(x) -> ExcitonState:
         return exciton_state(exciton_params, chain.solve(bias_at(x)).field)
@@ -713,3 +710,65 @@ def iso_fss_points(
             )
         )
     return pairs
+
+
+# -- regime summary ----------------------------------------------------------
+
+_BLOCKED_CELLS = 20  # strongest reverse-quadrant region-1 cells scored against C
+
+
+@dataclass(frozen=True)
+class RegimeSummary:
+    """Acceptance criteria 1-4 read off a sweep; None where the grid has no figure."""
+
+    region_counts: tuple[int, int, int, int]  # ok cells of regions 1-4
+    reverse_quadrant_blocked: bool | None  # every ok cell with V_A, V_B <= 0 in region 1
+    region2_exact: bool | None  # region 2 is the set with I_A and I_B >= threshold
+    blocked_deviation_deg: float | None  # worst field angle off the normal to ridge C
+    region2_span_pi: float | None  # direction span of the region-2 fields, in pi
+    field_ratio: float | None  # strongest |E| of regions 2-4 over that of region 1
+    peak_current_a: float | None  # largest |I_A| + |I_B|
+
+
+def regime_summary(
+    result: SweepResult, geometry: DeviceGeometry, i_threshold: float
+) -> RegimeSummary:
+    """The regime map of the ok cells of ``result``; failed cells are skipped.
+
+    The deviation is taken over the ``_BLOCKED_CELLS`` reverse-quadrant
+    region-1 cells of strongest field, however weak: no floor drops the
+    cells with V_A = V_B, whose field is of rounding size.  The span is 2 pi
+    less the widest gap between the sorted region-2 field directions.  A
+    figure is None when its cells are missing: fewer than ``_BLOCKED_CELLS``
+    candidates for the deviation, an empty set for the others, and for the
+    ratio also a zero strongest field in region 1.
+    """
+    recs = [r for r in result.records if r.ok]
+    region = np.array([r.region for r in recs], dtype=int)
+    va, vb, ex, ey, ia, ib = np.array(
+        [(r.va, r.vb, r.ex, r.ey, r.ia, r.ib) for r in recs], dtype=float
+    ).reshape(-1, 6).T
+    strength = np.hypot(ex, ey)
+    quadrant = (va <= 0.0) & (vb <= 0.0)
+    blocked = region == 1
+    candidates = np.flatnonzero(quadrant & blocked)
+    top = candidates[np.argsort(-strength[candidates], kind="stable")][:_BLOCKED_CELLS]
+    deviation = None
+    if top.size == _BLOCKED_CELLS:
+        c = geometry.ridge_angles[2]
+        along = np.abs(ex[top] * math.cos(c) + ey[top] * math.sin(c)) / strength[top]
+        deviation = float(np.degrees(np.arcsin(np.minimum(along, 1.0))).max())
+    angles = np.sort(np.mod(np.arctan2(ey[region == 2], ex[region == 2]), 2.0 * math.pi))
+    gaps = np.diff(angles, append=angles[:1] + 2.0 * math.pi)
+    has_ratio = blocked.any() and not blocked.all() and strength[blocked].max() > 0.0
+    both = (ia >= i_threshold) & (ib >= i_threshold)
+    return RegimeSummary(
+        region_counts=tuple(int(np.sum(region == k)) for k in (1, 2, 3, 4)),
+        reverse_quadrant_blocked=bool(blocked[quadrant].all()) if quadrant.any() else None,
+        region2_exact=bool(np.array_equal(region == 2, both)) if recs else None,
+        blocked_deviation_deg=deviation,
+        region2_span_pi=float((2.0 * math.pi - gaps.max()) / math.pi) if angles.size else None,
+        field_ratio=float(strength[~blocked].max() / strength[blocked].max())
+        if has_ratio else None,
+        peak_current_a=float(np.max(np.abs(ia) + np.abs(ib))) if recs else None,
+    )

@@ -33,6 +33,7 @@ from pillartune.tuner import (
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
+    regime_summary,
     run_bias_sweep,
     write_sweep_csv,
 )
@@ -79,20 +80,21 @@ def tuned(cfg, mesh):
     )
 
 
-def test_criterion_01_regime_map(cfg, default_sweep):
+@pytest.fixture(scope="module")
+def summary(cfg, default_sweep):
+    return regime_summary(default_sweep, cfg.geometry, cfg.solver.regime_threshold)
+
+
+def test_criterion_01_regime_map(default_sweep, summary):
     """41x41 map: all four regimes, region 1 fills the mutually
     reverse-biased quadrant, region 2 is exactly the both-over-threshold
     set, all cells converged, runtime within budget."""
     recs = default_sweep.records
     assert len(recs) == 41 * 41
     assert all(r.ok for r in recs), "all cells must converge"
-    regions = {k: sum(1 for r in recs if r.region == k) for k in (1, 2, 3, 4)}
-    assert all(regions[k] > 0 for k in (1, 2, 3, 4)), regions
-    i_th = cfg.solver.regime_threshold
-    for r in recs:
-        if r.va <= 0.0 and r.vb <= 0.0:
-            assert r.region == 1, (r.va, r.vb, r.region)
-        assert (r.region == 2) == (r.ia >= i_th and r.ib >= i_th)
+    regions = dict(zip((1, 2, 3, 4), summary.region_counts))
+    assert all(n > 0 for n in regions.values()), regions
+    assert summary.reverse_quadrant_blocked is True and summary.region2_exact is True
     wall = default_sweep.metadata["wall_s"]
     assert wall <= 300.0
     _ok(
@@ -101,65 +103,25 @@ def test_criterion_01_regime_map(cfg, default_sweep):
     )
 
 
-def test_criterion_02_region1_field_normal_to_ridge_c(cfg, default_sweep):
+def test_criterion_02_region1_field_normal_to_ridge_c(summary):
     """>= 20 blocked-regime points with the in-plane field normal to the
     unconnected ridge C within 5 degrees."""
-    uc = np.array(
-        [
-            math.cos(cfg.geometry.ridge_angles[2]),
-            math.sin(cfg.geometry.ridge_angles[2]),
-        ]
-    )
-    quadrant = [
-        r
-        for r in default_sweep.records
-        if r.ok and r.region == 1 and r.va <= 0.0 and r.vb <= 0.0
-    ]
-    quadrant.sort(key=lambda r: -np.hypot(r.ex, r.ey))
-    top = quadrant[:20]
-    assert len(top) >= 20
-    worst = 0.0
-    for r in top:
-        e = np.array([r.ex, r.ey])
-        e /= np.linalg.norm(e)
-        worst = max(worst, math.degrees(math.asin(min(abs(float(e @ uc)), 1.0))))
-    assert worst <= 5.0
+    worst = summary.blocked_deviation_deg  # None with fewer than 20 points
+    assert worst is not None and worst <= 5.0
     _ok(f"2 PASS: 20 region-1 points normal to ridge C (worst {worst:.2f} deg)")
 
 
-def test_criterion_03_region2_angular_coverage(default_sweep):
+def test_criterion_03_region2_angular_coverage(summary):
     """Directions accessible in the two-diode passing regime span >= 0.8 pi."""
-    angles = np.sort(
-        np.mod(
-            [
-                math.atan2(r.ey, r.ex)
-                for r in default_sweep.records
-                if r.ok and r.region == 2
-            ],
-            2.0 * math.pi,
-        )
-    )
-    assert len(angles) > 10
-    gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
-    span = 2.0 * math.pi - gaps.max()
-    assert span >= 0.8 * math.pi
-    _ok(f"3 PASS: region-2 direction span {span / math.pi:.3f} pi")
+    span = summary.region2_span_pi
+    assert summary.region_counts[1] > 10 and span >= 0.8
+    _ok(f"3 PASS: region-2 direction span {span:.3f} pi")
 
 
-def test_criterion_04_field_magnitude_ratio(default_sweep):
+def test_criterion_04_field_magnitude_ratio(summary):
     """Max passing-regime field over max blocked-regime field in [2, 8]."""
-    passing = max(
-        np.hypot(r.ex, r.ey)
-        for r in default_sweep.records
-        if r.ok and r.region in (2, 3, 4)
-    )
-    blocked = max(
-        np.hypot(r.ex, r.ey)
-        for r in default_sweep.records
-        if r.ok and r.region == 1
-    )
-    ratio = passing / blocked
-    assert 2.0 <= ratio <= 8.0
+    ratio = summary.field_ratio
+    assert ratio is not None and 2.0 <= ratio <= 8.0
     _ok(f"4 PASS: passing/blocked field ratio {ratio:.2f}")
 
 

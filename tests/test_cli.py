@@ -150,7 +150,8 @@ def test_sweep_outputs_are_deterministic(fast_config, tmp_path, capsys):
     cfg = load_run_config(fast_config)
     for prefix in ("one", "two"):
         assert main(["--config", fast_config, "sweep", "--out", prefix]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("region_counts = (") and out[8].startswith("peak_current_a = ")
     csv_a = (tmp_path / f"one_{cfg.config_hash}.csv").read_bytes()
     csv_b = (tmp_path / f"two_{cfg.config_hash}.csv").read_bytes()
     assert csv_a == csv_b
@@ -163,6 +164,7 @@ def test_sweep_outputs_are_deterministic(fast_config, tmp_path, capsys):
     assert meta["config_hash"] == cfg.config_hash
     assert meta["version"] == pillartune.__version__
     assert meta["grid"] == [4, 4]
+    assert meta["regime_summary"]["region2_exact"] is True
 
 
 def test_synth_scan_then_fit_round_trip(fast_config, tmp_path, capsys):
@@ -282,6 +284,7 @@ def test_sweep_with_failed_cells_warns_and_exits_0(tmp_path, monkeypatch, capsys
     meta = json.loads((tmp_path / f"sweep_{config_hash}.meta.json").read_text())
     rows = (tmp_path / f"sweep_{config_hash}.csv").read_text().splitlines()[1:]
     assert meta["n_failed"] == sum(",ok," not in row for row in rows) == 15
+    assert meta["regime_summary"]["blocked_deviation_deg"] is None  # one ok cell
     assert "warning: 15 cells failed to converge" in err
 
 

@@ -491,21 +491,19 @@ def test_warm_start_agrees_with_cold_start(coarse_system):
     assert np.max(np.abs(warm.phi - cold.phi)) <= 10.0 * CFG.newton_tol * v_scale
 
 
-def test_starved_newton_gives_up_after_max_iters(coarse_system, monkeypatch):
+def test_starved_newton_gives_up_after_max_iters(own_system, monkeypatch):
     spent = []
-    newton = coarse_system._newton
+    newton = own_system._newton
 
     def counted(*args):
         result = newton(*args)
         spent.append(result[2])
         return result
 
-    monkeypatch.setattr(coarse_system, "_newton", counted)
+    monkeypatch.setattr(own_system, "_newton", counted)
     starved = dataclasses.replace(CFG, max_iters=1)
     with pytest.raises(ConvergenceError, match="after 1 Newton iterations") as err:
-        coarse_system.solve(
-            BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(coarse_system.n)
-        )
+        own_system.solve(BiasPoint(4.0, 4.0, None), starved, phi0=np.zeros(own_system.n))
     # one descent run, no retry, and no more steps than max_iters
     assert spent == [1]
     assert len(err.value.residual_history) == starved.max_iters + 1
@@ -533,10 +531,10 @@ def test_energy_gradient_is_the_residual(coarse_system):
 @pytest.mark.parametrize(
     "bias", [BiasPoint(3.0, 2.0, None), BiasPoint(-1.0, -1.0, None), BiasPoint(6.0, 6.0, 6.0)]
 )
-def test_cold_newton_descends_the_energy(coarse_system, monkeypatch, bias):
+def test_cold_newton_descends_the_energy(own_system, monkeypatch, bias):
     # one Jacobian per factorization, each at an accepted iterate: the
     # iterate of a step is the last residual evaluated before its back-solve
-    system = coarse_system
+    system = own_system
     evaluated, iterates, factored = [], [], []
     residual, back_solve, jacobian = system.residual, system._back_solve, system.jacobian
 
@@ -720,10 +718,10 @@ def test_convergence_error_carries_the_work_spent(coarse_system):
 
 
 @pytest.mark.parametrize("bias", [BiasPoint(3.0, 2.0, None), BiasPoint(6.0, 6.0, 6.0)])
-def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
+def test_solve_computes_its_contacts_once(own_system, monkeypatch, bias):
     # every residual, energy, Jacobian and terminal current of a solve
     # reads the one pair of contact vectors the solve computed
-    system = coarse_system
+    system = own_system
     contacts, energies = [], []
     real_contacts, real_energy = system._contacts, system.energy
 
@@ -757,8 +755,8 @@ def test_solve_computes_its_contacts_once(coarse_system, monkeypatch, bias):
     "bias, dv",
     [(BiasPoint(2.0, 1.0, None), (1.0, 0.0, 0.0)), (BiasPoint(2.0, 1.0, 0.5), (0.0, 0.0, 1.0))],
 )
-def test_tangent_matches_central_differences(coarse_system, monkeypatch, bias, dv):
-    system = coarse_system
+def test_tangent_matches_central_differences(own_system, monkeypatch, bias, dv):
+    system = own_system
     chain = SolveChain(system, CFG)
     sol = chain.solve(bias)
     # the solve ended on chord steps, so its held factor is stale at sol.phi
@@ -811,8 +809,8 @@ def test_tangent_ignores_floating_terminals(coarse_system):
     assert np.array_equal(chain.tangent((1.0, 0.0, 5.0)), chain.tangent((1.0, 0.0, 0.0)))
 
 
-def test_chord_tangent_is_the_predictor_and_factors_nothing(coarse_system, monkeypatch):
-    system = coarse_system
+def test_chord_tangent_is_the_predictor_and_factors_nothing(own_system, monkeypatch):
+    system = own_system
     chain = SolveChain(system, CFG)
     sol = chain.solve(BiasPoint(2.0, 1.0, None))
     # the solve ended on chord steps, so its held factor is stale at sol.phi
@@ -866,14 +864,14 @@ def test_chain_after_a_solve_without_a_step_predicts_as_a_cold_start(coarse_syst
     assert (sol.newton_iters, sol.factorizations) == (cold.newton_iters, cold.factorizations)
 
 
-def test_chain_drops_its_held_solution_when_a_solve_fails(coarse_system, monkeypatch):
-    chain = SolveChain(coarse_system, CFG)
+def test_chain_drops_its_held_solution_when_a_solve_fails(own_system, monkeypatch):
+    chain = SolveChain(own_system, CFG)
     first = chain.solve(BiasPoint(2.0, 1.0, None))
 
     def fail(bias, cfg, phi0=None, **kwargs):
         raise ConvergenceError("forced failure")
 
-    monkeypatch.setattr(coarse_system, "solve", fail)
+    monkeypatch.setattr(own_system, "solve", fail)
     with pytest.raises(ConvergenceError):
         chain.solve(BiasPoint(2.2, 1.0, None))
     assert chain.held is None
@@ -908,10 +906,10 @@ def _bands_by_mesh(events, system):
     return fine, [band for band in bands if band.shape[1] != system.n]
 
 
-def test_solves_and_tangents_of_a_chain_factor_into_one_band(coarse_system, monkeypatch):
-    events = _record_factor_events(coarse_system, monkeypatch)
-    zeros = np.zeros(coarse_system.n)
-    cold = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG, zeros)
+def test_solves_and_tangents_of_a_chain_factor_into_one_band(own_system, monkeypatch):
+    events = _record_factor_events(own_system, monkeypatch)
+    zeros = np.zeros(own_system.n)
+    cold = own_system.solve(BiasPoint(3.0, 2.0, None), CFG, zeros)
     bands = [band for kind, band in events if kind == "factor"]
     assert len(bands) == cold.factorizations >= 2
     assert all(band is cold.factor for band in bands)
@@ -919,30 +917,30 @@ def test_solves_and_tangents_of_a_chain_factor_into_one_band(coarse_system, monk
     # a solve started on the coarse grid factors into one band there and
     # one on the mesh, which it returns
     events.clear()
-    sol = coarse_system.solve(BiasPoint(3.0, 2.0, None), CFG)
-    fine, grid = _bands_by_mesh(events, coarse_system)
+    sol = own_system.solve(BiasPoint(3.0, 2.0, None), CFG)
+    fine, grid = _bands_by_mesh(events, own_system)
     assert fine and grid and len(fine) + len(grid) == sol.factorizations
     assert all(band is sol.factor for band in fine)
     assert all(band is grid[0] for band in grid)
 
     events.clear()
-    chain = SolveChain(coarse_system, CFG)
+    chain = SolveChain(own_system, CFG)
     for va in (1.0, 1.35, 1.7):
         chain.solve(BiasPoint(va, 2.0, None))
     chain.tangent((1.0, 0.0, 0.0))
     chain.solve(BiasPoint(2.05, 2.0, None))
-    fine, grid = _bands_by_mesh(events, coarse_system)
+    fine, grid = _bands_by_mesh(events, own_system)
     assert len(fine) + len(grid) == chain.factorizations + 1  # the tangent's
     assert all(band is chain.held.factor for band in fine)
     assert all(band is grid[0] for band in grid)  # the first solve's coarse start
 
 
 def test_a_start_inside_the_norm_test_steps_on_the_held_factor_first(
-    coarse_system, monkeypatch
+    own_system, monkeypatch
 ):
     # the predicted start of the cell after (-1, 2) V, junction off,
     # already meets the residual-norm test: only the balance is left
-    system = coarse_system
+    system = own_system
     chain = SolveChain(system, CFG)
     chain.solve(BiasPoint(-1.0, 2.0, None))
     runs = []

@@ -25,6 +25,7 @@ from pillartune.tuner import (
     ALL_OUTPUTS,
     CellRecord,
     IsoFssPair,
+    RegimeSummary,
     SweepResult,
     TunerError,
     _eigenaxis_rotation,
@@ -32,6 +33,7 @@ from pillartune.tuner import (
     find_zero_fss,
     iso_fss_points,
     read_sweep_csv,
+    regime_summary,
     run_bias_sweep,
     write_sweep_csv,
 )
@@ -441,6 +443,7 @@ def test_splitting_jacobian_matches_central_differences(coarse_system, default_c
 
     x = np.array([1.0, 2.0, 0.5][: len(free)])
     splitting(x)
+    chain.held = dataclasses.replace(chain.held, factor=None)  # the exact tangent
     jac = _splitting_jacobian(chain, params, free)
     assert jac.shape == (2, len(free))
     h = 1e-4
@@ -450,19 +453,18 @@ def test_splitting_jacobian_matches_central_differences(coarse_system, default_c
     assert np.max(np.abs(jac - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
-def test_splitting_reuses_the_held_solution(coarse_system, default_config, monkeypatch):
-    chain = SolveChain(coarse_system, CFG)
+def test_splitting_reuses_the_held_solution(own_system, default_config, monkeypatch):
+    chain = SolveChain(own_system, CFG)
     bias = BiasPoint(1.0, 2.0, None)
     first = chain.solve(bias)
-    monkeypatch.setattr(coarse_system, "solve", None)  # any further solve fails
+    monkeypatch.setattr(own_system, "solve", None)  # any further solve fails
     assert chain.solve(bias) is first
     stale = first.factor.copy()  # from before the solve's last chord steps
+    chain.held = dataclasses.replace(first, factor=None)  # the exact tangent
     _splitting_jacobian(chain, default_config.exciton, ("A", "B"))
-    # the tangent refactors the band exactly at the solution and keeps it
+    # the tangent factors the band exactly at the solution and keeps it
     again = chain.solve(bias)
-    exact = SheetSystem._cholesky(
-        coarse_system.jacobian(first.phi, coarse_system._contacts(bias))
-    )
+    exact = SheetSystem._cholesky(own_system.jacobian(first.phi, own_system._contacts(bias)))
     assert again.phi is first.phi
     assert again.factor.tobytes() == exact.tobytes() != stale.tobytes()
     assert chain.newton_iters == first.newton_iters
@@ -897,9 +899,9 @@ def test_chord_splitting_jacobian_is_near_the_exact_one(
     errors = []
     real_jacobian = tuner._splitting_jacobian
 
-    def spy(chain, params, free, chord=False):
-        jac = real_jacobian(chain, params, free, chord=chord)
-        assert chord
+    def spy(chain, params, free):
+        assert chain.held.factor is not None  # the back-solve, not the tangent
+        jac = real_jacobian(chain, params, free)
         # the exact Jacobian at the same potential, on a chain of its own
         exact_chain = SolveChain(chain.system, chain.cfg)
         exact_chain.held = dataclasses.replace(chain.held, factor=None)
@@ -1319,6 +1321,48 @@ def _record(idx, fss, energy):
         va=float(idx), vb=0.0, vc=None, status="ok",
         fss=fss, mean_energy=energy,
     )
+
+
+def _cell(va, vb, region, magnitude, angle, ia=0.0, ib=0.0):
+    """An ok cell with an in-plane field of ``magnitude`` at ``angle`` (rad)."""
+    ex, ey = magnitude * math.cos(angle), magnitude * math.sin(angle)
+    return CellRecord(va=va, vb=vb, vc=None, ex=ex, ey=ey, ia=ia, ib=ib, region=region)
+
+
+def test_regime_summary_of_a_hand_built_map():
+    th, normal = CFG.regime_threshold, DEFAULT.geometry.ridge_angles[2] + math.pi / 2
+    # 21 region-1 cells in the reverse quadrant, at the given angles (deg) on
+    # either side of the normal to C: the weakest is not among the 20
+    # strongest, and the next, at 1e-9 of the strongest field, is
+    degrees = [60.0, 40.0, *(0.1 * k for k in range(1, 20))]
+    strengths = [1e-12, 1e-9, *range(1, 20)]
+    cells = [
+        _cell(-k / 10, -1.0, 1, m, normal + (-1) ** k * math.radians(d))
+        for k, (m, d) in enumerate(zip(strengths, degrees))
+    ]
+    cells += [
+        _cell(1.0, -1.0, 1, 30.0, 0.3, ia=-7 * th, ib=-th),  # outside the quadrant
+        *(_cell(2.0, 2.0, 2, 60.0, a, ia=2 * th, ib=2 * th) for a in (0.1, 0.5, 2.0)),
+        _cell(3.0, 0.0, 3, 90.0, 1.0, ia=5 * th),
+        _cell(0.0, 3.0, 4, 10.0, 1.0, ib=5 * th),
+    ]
+    s = regime_summary(SweepResult(SPEC, cells), DEFAULT.geometry, th)
+    exact = [pytest.approx(x, rel=1e-12) for x in (40.0, 1.9 / math.pi, 90.0 / 30.0, 8 * th)]
+    assert s == RegimeSummary((22, 3, 1, 1), True, True, *exact)
+    # a quadrant cell in region 2 without both currents breaks both tests
+    cells[5] = dataclasses.replace(cells[5], region=2)
+    s = regime_summary(SweepResult(SPEC, cells), DEFAULT.geometry, th)
+    assert s.reverse_quadrant_blocked is False and s.region2_exact is False
+
+
+def test_regime_summary_leaves_what_a_sparse_failed_grid_lacks_undefined():
+    th = CFG.regime_threshold
+    failed = CellRecord(va=-1.0, vb=-1.0, vc=None, status="error:ConvergenceError")
+    cells = [failed, _cell(1.0, 0.0, 1, 2.0, 0.0), _cell(2.0, 1.0, 3, 5.0, 0.0, ia=2 * th)]
+    s = regime_summary(SweepResult(SPEC, cells), DEFAULT.geometry, th)
+    assert s == RegimeSummary((1, 0, 1, 0), None, True, None, None, 2.5, 2 * th)
+    s = regime_summary(SweepResult(SPEC, [failed]), DEFAULT.geometry, th)
+    assert s == RegimeSummary((0, 0, 0, 0), None, None, None, None, None, None)
 
 
 def test_iso_fss_pairs_on_synthetic_sweep():
