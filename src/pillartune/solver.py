@@ -466,12 +466,13 @@ class SheetSystem:
         into it (into one band allocated by the first, when not given).  A
         step factors the Jacobian at the current iterate when there is no
         factor yet, when the first step starts outside the residual-norm
-        test, or when the last step started outside it and needed a
-        line-search halving or left more than ``_CHORD_CONTRACTION`` of the
-        residual; otherwise it is a chord step on the held factor.  Once an
-        iterate meets the residual-norm test only the Kirchhoff balance is
-        left, and a fresh factor cannot better a step at rounding level, so
-        no later step factors.  Either
+        test, when the last step started outside it and needed a line-search
+        halving or left more than ``_CHORD_CONTRACTION`` of the residual, or
+        when the last step started inside it and did not reduce the balance
+        |sum f|; otherwise it is a chord step on the held factor.  Inside the
+        norm test only the Kirchhoff balance is left, and a fresh factor
+        cannot better a step at rounding level, but a factor from far away
+        (a band given from another bias) can stall the balance.  Either
         way the step solves against a positive definite matrix, so it
         descends the convex energy, and ``lambda`` is halved until
         ``phi + lambda d`` lowers it: Armijo on ``energy``, or the 1-D
@@ -519,9 +520,10 @@ class SheetSystem:
                 if lam < 2.0**-24:
                     return phi, False, iters, history, factor, factorizations
             norm_try = float(np.max(np.abs(f_try)))
-            refactor = norm > tol and (
-                lam < cfg.damping or norm_try > _CHORD_CONTRACTION * norm
-            )
+            if norm > tol:
+                refactor = lam < cfg.damping or norm_try > _CHORD_CONTRACTION * norm
+            else:  # a stale factor that no longer moves the balance is renewed
+                refactor = abs(float(f_try.sum())) >= abs(float(f.sum()))
             phi, f, norm = phi_try, f_try, norm_try
             iters += 1
             history.append(norm / scale)
@@ -634,13 +636,13 @@ class SolveChain:
     back-solves on the held band factor, a Jacobian a few chord steps
     stale, and factors nothing: ``solve`` predicts its start from the held
     solution ``held`` by that back-solve of the voltage change, and the zero
-    search takes its splitting Jacobian from it.  With no factor held (a
-    held solution without one took no step from its start) a solve starts
-    cold, from the coarse grid (``SheetSystem.solve``), and a start the
-    caller gives replaces the prediction.  The
-    solve is then given the held band, factors into it and may step on it
-    first (``SheetSystem.solve``), and ``tangent`` refactors into it, so the
-    chain owns one band from its first factorization on: an earlier
+    search takes its splitting Jacobian from it.  A solution held without
+    a factor took no step from its start, so the next solve starts from its
+    potential as it is; with nothing held a solve starts cold, from the
+    coarse grid (``SheetSystem.solve``).  A start the caller gives replaces
+    either.  The solve is then given the held band, factors into it and may
+    step on it first (``SheetSystem.solve``), and ``tangent`` refactors into
+    it, so the chain owns one band from its first factorization on: an earlier
     solution's ``factor`` is valid only until the chain's next solve or
     tangent.  A failed solve drops ``held``, band included.  ``tangent``
     factors J at the held potential, so through the linear QD field it
@@ -664,10 +666,12 @@ class SolveChain:
         if held is not None and held.bias == bias:
             return held
         factor = None if held is None else held.factor
-        if phi0 is None and factor is not None:
-            pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
-            dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
-            phi0 = held.phi + self._chord_tangent(dv)
+        if phi0 is None and held is not None:
+            phi0 = held.phi
+            if factor is not None:
+                pairs = ((held.bias.terminal(t), bias.terminal(t)) for t in TERMINALS)
+                dv = [0.0 if a is None or b is None else b - a for a, b in pairs]
+                phi0 = phi0 + self._chord_tangent(dv)
         try:
             sol = system.solve(bias, self.cfg, phi0=phi0, factor=factor)
         except SolverError:

@@ -10,9 +10,9 @@ Jacobian is a back-solve on the band factor the chain holds, a few chord
 steps stale, which changes the iteration's rate but not its zero.  It is
 a two-grid search: a 3-per-axis grid of seeds is solved in ascending
 drive and ranked on a mesh of three times the edge, and the best seeds
-are refined on the caller's mesh, each refinement starting from its
-seed's coarse potential interpolated onto that mesh.  Each mesh has one
-chain.
+are refined by nested iteration: each is run on that mesh until the
+search would accept it, then once on the caller's mesh from the run's
+end point and its coarse potential interpolated onto that mesh.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ class TuneResult:
     mean_energy: float
     iterations: int
     newton_iters: int
+    coarse_iterations: int    # of ``iterations``, those on the seed mesh
+    coarse_newton_iters: int  # of ``newton_iters``, those on the seed mesh
     converged: bool
     status: str  # "zero", "bound_minimum" or "above_tol", see find_zero_fss
 
@@ -215,6 +217,8 @@ class TuneResult:
             "mean_energy_ev": self.mean_energy,
             "iterations": self.iterations,
             "newton_iters": self.newton_iters,
+            "coarse_iterations": self.coarse_iterations,
+            "coarse_newton_iters": self.coarse_newton_iters,
             "converged": self.converged,
             "status": self.status,
         }
@@ -444,26 +448,28 @@ def _splitting_jacobian(
     return params.field_matrix() @ d_field
 
 
-def _projected_newton(fun, jac, x0, lo: float, hi: float):
+def _projected_newton(fun, jac, x0, lo: float, hi: float, target=0.0, f0=None):
     """Gauss-Newton on ``fun(x) = 0`` with every variable in [lo, hi].
 
     Each iteration takes ``jac`` at the accepted point, holds each
     variable that sits on a bound while its step points out of the box,
     and solves for the others by ``lstsq``, so the system may be square,
     under- or over-determined.  The step is clipped to the box and halved
-    until |fun| decreases.  A run stops when |fun| is zero, on a zero step,
-    on an accepted step shorter than ``_XTOL * (_XTOL + |x|)`` or a next
-    step, predicted on the same Jacobian, shorter than ``_AHEAD_FRACTION``
-    of that, when the halving falls below ``_MIN_STEP_FRACTION``, or after
-    ``_MAX_EVALS`` evaluations of ``fun``.  Returns x, fun(x) and the
-    active-bound mask of the last iteration: -1 for a variable held on
+    until |fun| decreases.  A run stops when |fun| is at most ``target``
+    (zero by default), on a zero step, on an accepted step shorter than
+    ``_XTOL * (_XTOL + |x|)`` or a next step, predicted on the same
+    Jacobian, shorter than ``_AHEAD_FRACTION`` of that, when the halving
+    falls below ``_MIN_STEP_FRACTION``, or after ``_MAX_EVALS``
+    evaluations of ``fun``.  ``f0``, when given, is fun at
+    the start, which the run then does not evaluate.  Returns x, fun(x) and
+    the active-bound mask of the last iteration: -1 for a variable held on
     ``lo``, +1 on ``hi``, if |fun| > ||J||_2 ``_XTOL * (_XTOL + |x|)``.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f = fun(x)
-    evals = 1
+    f = fun(x) if f0 is None else np.asarray(f0, dtype=float)
+    evals = int(f0 is None)
     active = np.zeros(x.size, dtype=int)
-    while evals < _MAX_EVALS and np.any(f != 0.0):
+    while evals < _MAX_EVALS and math.hypot(*f) > target:
         J = jac(x)
         held = np.zeros(x.size, dtype=bool)
         step = np.zeros(x.size)
@@ -518,19 +524,26 @@ def find_zero_fss(
     ``SweepSpec.tune_bounds()``) is ranked on a mesh of the same geometry at
     three times the edge, its seeds solved in ascending sum of the free
     voltages (ties in ``itertools.product`` order) so that each is
-    predicted from one of lower drive, and the best seeds are refined on
-    ``mesh`` in turn by a projected Gauss-Newton iteration (``_projected_newton``,
-    its Jacobian a back-solve on the chain's held band factor, or the exact
-    tangent when no factor is held) on the smooth splitting
-    vector delta(V), until one lands below ``tol / 4``; seeds and starts
-    whose solve fails are skipped.  Each mesh has one chain, whose solves
-    are predicted from the one before, except the first solve of each
-    refinement, at its seed, which starts from the seed's potential on
-    the seed mesh interpolated onto ``mesh``.  A seed that cannot be
-    predicted starts from zeros.  The seed mesh and that interpolation are
-    ``device.coarse_grid(mesh)``, the grid a cold solve on ``mesh`` also
-    starts from, and both systems come from ``sheet_system``, so searches
-    on one mesh and materials share them; no solve is shared.  ``mesh``
+    predicted from one of lower drive, and the best seeds are refined in
+    turn by a projected Gauss-Newton iteration (``_projected_newton``, its
+    Jacobian a back-solve on the chain's held band factor, or the exact
+    tangent when no factor is held) on the smooth splitting vector
+    delta(V), until one lands below ``tol / 4``.  Each refinement is nested
+    iteration: a run on the seed mesh from the seed, its start value the
+    seed's splitting and its chain its own, held at the seed's solution
+    without a factor so that its first Jacobian is the exact tangent, stops
+    once |delta| <= ``tol / 4``; one run on ``mesh`` then starts from its
+    end point, with every stop of a full run, so the zero reported is the
+    zero on ``mesh``.  Seeds whose solve fails, and refinements whose
+    solve fails on either mesh, are skipped.  Every chain's solves are
+    predicted from the one before, except a chain's first: a seed that
+    cannot be predicted starts from zeros, a coarse run from the seed's
+    potential, and the first solve of each run on ``mesh`` from the coarse
+    run's potential at its start interpolated onto ``mesh``.  The seed
+    mesh and that interpolation are ``device.coarse_grid(mesh)``, the grid
+    a cold solve on ``mesh`` also starts from, and both systems come from
+    ``sheet_system``, so searches on one mesh and materials share them; no
+    solve is shared.  ``mesh``
     must come from ``generate_mesh``, which records its geometry (a ``make_strip_mesh``
     mesh has none and raises ``ValueError``).  ``tol`` must be positive
     and finite, and ``bounds`` finite with lo < hi and within
@@ -542,7 +555,9 @@ def find_zero_fss(
     at least pi/2 - 0.1 rad.
     A failed search returns the best candidate with ``converged=False``;
     ``iterations`` counts the splitting evaluations of the search and
-    ``newton_iters`` the Newton steps of all its solves, on both meshes.
+    ``newton_iters`` the Newton steps of all its solves, on both meshes,
+    and ``coarse_iterations`` and ``coarse_newton_iters`` the part of each
+    on the seed mesh.
     ``converged`` means only ``achieved_fss <= tol``; ``crossing_verified``
     is the eigenaxis test.  ``status`` says what the search found:
     ``above_tol`` when not converged, ``bound_minimum`` when converged and
@@ -571,20 +586,19 @@ def find_zero_fss(
     seed_mesh, prolongation = coarse_grid(mesh)
     seed_chain = SolveChain(sheet_system(seed_mesh, materials), cfg)
     chain = SolveChain(sheet_system(mesh, materials), cfg)
-    evals = 0
+    evals = [0, 0]  # splitting evaluations on the seed mesh and on ``mesh``
 
     def bias_at(x) -> BiasPoint:
         values = dict(zip(free, map(float, x)))
         return BiasPoint(*(values.get(t, start.terminal(t)) for t in TERMINALS))
 
     def splitting(x, on: SolveChain = chain, phi0=None) -> np.ndarray:
-        nonlocal evals
-        evals += 1
+        evals[on is chain] += 1
         return np.array(fss_vector(exciton_params, on.solve(bias_at(x), phi0).field))
 
-    def jacobian(x) -> np.ndarray:
-        chain.solve(bias_at(x))
-        return _splitting_jacobian(chain, exciton_params, free)
+    def jacobian(x, on: SolveChain = chain) -> np.ndarray:
+        on.solve(bias_at(x))
+        return _splitting_jacobian(on, exciton_params, free)
 
     def state_at(x) -> ExcitonState:
         return exciton_state(exciton_params, chain.solve(bias_at(x)).field)
@@ -596,28 +610,37 @@ def find_zero_fss(
         x = np.array(seed)
         # a seed the chain cannot predict starts from zeros, not from a solve
         # on the seed mesh's own coarse grid: ranking uses the seed mesh alone
-        held = seed_chain.held
-        phi0 = zeros if held is None or held.factor is None else None
+        phi0 = zeros if seed_chain.held is None else None
         try:
-            norm = math.hypot(*splitting(x, seed_chain, phi0))
+            f = splitting(x, seed_chain, phi0)
         except SolverError:
             continue
-        scored.append((norm, x, seed_chain.held.phi))
+        scored.append((math.hypot(*f), f, x, seed_chain.held.phi))
     scored.sort(key=lambda t: t[0])
 
     # Coarse norms only rank the seeds: any refined run beats them.  With
     # every seed failed the search reports the first seed, solved on ``mesh``.
     best_f = math.inf
-    best_x = scored[0][1] if scored else np.full(len(free), lo)
+    best_x = scored[0][2] if scored else np.full(len(free), lo)
     on_bound = False
     approach = None
-    for _, x0, seed_phi in scored[:_N_STARTS]:
+    coarse_newton_iters = seed_chain.newton_iters
+    for _, f0, x0, seed_phi in scored[:_N_STARTS]:
+        # nested iteration: a run on the seed mesh, on a chain of its own
+        # that holds the seed's solution without a factor, then one on ``mesh``
+        run = SolveChain(seed_chain.system, cfg)
         try:
-            # the run's first solve, at x0, starts from the seed's coarse potential
-            chain.solve(bias_at(x0), phi0=prolongation @ seed_phi)
-            x, f, active = _projected_newton(splitting, jacobian, x0, lo, hi)
+            run.solve(bias_at(x0), phi0=seed_phi)
+            x1, _, _ = _projected_newton(
+                lambda x: splitting(x, run), lambda x: jacobian(x, run),
+                x0, lo, hi, target=0.25 * tol, f0=f0,
+            )
+            chain.solve(bias_at(x1), phi0=prolongation @ run.solve(bias_at(x1)).phi)
+            x, f, active = _projected_newton(splitting, jacobian, x1, lo, hi)
         except SolverError:
             continue
+        finally:
+            coarse_newton_iters += run.newton_iters
         f = math.hypot(*f)
         if f < best_f:
             best_f, best_x, approach = f, x, x - x0
@@ -651,8 +674,10 @@ def find_zero_fss(
         rotation=rotation,
         crossing_verified=rotation is not None and rotation >= 0.5 * math.pi - 0.1,
         mean_energy=best_state.mean_energy,
-        iterations=evals,
-        newton_iters=seed_chain.newton_iters + chain.newton_iters,
+        iterations=sum(evals),
+        newton_iters=coarse_newton_iters + chain.newton_iters,
+        coarse_iterations=evals[0],
+        coarse_newton_iters=coarse_newton_iters,
         converged=converged,
         status=status if converged else "above_tol",
     )

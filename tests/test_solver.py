@@ -851,17 +851,30 @@ def test_tangents_of_a_chain_that_holds_nothing_raise_a_typed_error(coarse_syste
     assert not issubclass(NoHeldSolutionError, SolverError)
 
 
-def test_chain_after_a_solve_without_a_step_predicts_as_a_cold_start(coarse_system):
+def test_chain_after_a_solve_without_a_step_starts_from_its_potential(
+    coarse_system, monkeypatch
+):
+    coarse_starts = []
+    real_coarse_start = SheetSystem._coarse_start
+
+    def spy(self, bias, cfg):
+        coarse_starts.append(bias)
+        return real_coarse_start(self, bias, cfg)
+
+    monkeypatch.setattr(SheetSystem, "_coarse_start", spy)
     # at V = 0 the zero potential is already converged: no step, no factor
     chain = SolveChain(coarse_system, CFG)
     first = chain.solve(BiasPoint(0.0, 0.0))
     assert first.newton_iters == 0 and first.factor is None
     assert chain.held.phi.tobytes() == np.zeros(coarse_system.n).tobytes()
+    assert coarse_starts == [first.bias]  # the chain's one cold start
+    # the next solve starts from the held potential, not from the coarse grid
     bias = BiasPoint(2.0, 1.0)
     sol = chain.solve(bias)
-    cold = coarse_system.solve(bias, CFG)
-    assert sol.phi.tobytes() == cold.phi.tobytes()
-    assert (sol.newton_iters, sol.factorizations) == (cold.newton_iters, cold.factorizations)
+    assert coarse_starts == [first.bias]
+    held = coarse_system.solve(bias, CFG, phi0=first.phi)
+    assert sol.phi.tobytes() == held.phi.tobytes()
+    assert (sol.newton_iters, sol.factorizations) == (held.newton_iters, held.factorizations)
 
 
 def test_chain_drops_its_held_solution_when_a_solve_fails(own_system, monkeypatch):
@@ -963,6 +976,35 @@ def test_a_start_inside_the_norm_test_steps_on_the_held_factor_first(
         events.clear()
         system.solve(sol.bias, CFG, phi0=start)
         assert events[0][0] == "factor"
+
+
+@pytest.mark.parametrize(
+    "band_va, shift", [(0.5, 0.3), (0.5, -0.3), (0.0, -0.1)]
+)
+def test_a_start_inside_the_norm_test_renews_a_stale_factor(
+    coarse_system, band_va, shift
+):
+    # the converged potential at (3, 2) V, shifted uniformly by a fraction of
+    # the norm tolerance over the largest junction-plus-contact conductance:
+    # inside the norm test, off the Kirchhoff balance.  On the band of a
+    # (band_va, 2) V solve, chord steps alone took 80 steps and failed.
+    system, bias = coarse_system, BiasPoint(3.0, 2.0, None)
+    converged = system.solve(bias, CFG)
+    contacts = system._contacts(bias)
+    tol = CFG.newton_tol * system._residual_scale(contacts, CFG)
+    conductance = (
+        solver._diode_conductance(system.materials, converged.phi) * system.node_area
+        + contacts[0]
+    )
+    phi0 = converged.phi + shift * tol / conductance.max()
+    f0 = system.residual(phi0, contacts)
+    assert np.max(np.abs(f0)) <= tol
+    assert abs(f0.sum()) > solver._KIRCHHOFF_FRACTION * CFG.current_floor
+    band = system.solve(BiasPoint(band_va, 2.0, None), CFG).factor
+    sol = system.solve(bias, CFG, phi0=phi0, factor=band)
+    # measured: at most 10 steps over 36 such starts, 80 before
+    assert sol.factorizations >= 1 and sol.newton_iters <= 12
+    assert kirchhoff_error(sol) <= kirchhoff_bound(sol, CFG)
 
 
 def _strip_system():

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -585,20 +586,30 @@ def _fail_solves(monkeypatch, fails) -> None:
 
 
 def _record_runs(monkeypatch) -> list:
-    """``[start, finished]`` of every projected Newton run, in call order;
-    ``finished`` is None while the run goes on and False once it raised."""
+    """Every projected Newton run, in call order: its ``start``, ``coarse``
+    (a run on the seed mesh, the one given its start value), ``evals`` of
+    its ``fun`` and ``finished``, None while the run goes on and False once
+    it raised."""
     runs = []
     real_projected_newton = tuner._projected_newton
 
-    def spy(fun, jac, x0, lo, hi):
-        run = [tuple(x0.tolist()), None]
+    def spy(fun, jac, x0, lo, hi, **kwargs):
+        run = SimpleNamespace(
+            start=tuple(x0.tolist()), coarse=kwargs.get("f0") is not None,
+            evals=0, finished=None,
+        )
         runs.append(run)
+
+        def counted(x):
+            run.evals += 1
+            return fun(x)
+
         try:
-            result = real_projected_newton(fun, jac, x0, lo, hi)
+            result = real_projected_newton(counted, jac, x0, lo, hi, **kwargs)
         except SolverError:
-            run[1] = False
+            run.finished = False
             raise
-        run[1] = True
+        run.finished = True
         return result
 
     monkeypatch.setattr(tuner, "_projected_newton", spy)
@@ -613,7 +624,9 @@ def test_seeds_whose_solve_fails_are_skipped(coarse_mesh, monkeypatch):
     )
     runs = _record_runs(monkeypatch)
     result = _find_constructed_zero(coarse_mesh)
-    assert runs and all(start[0] != 1.0 for start, _ in runs)
+    # each seed's run starts on the seed mesh at the seed
+    assert runs and runs[0].coarse
+    assert all(run.start[0] != 1.0 for run in runs if run.coarse)
     assert result.converged
 
 
@@ -630,30 +643,37 @@ def test_with_every_seed_failed_the_first_seed_is_reported(coarse_mesh, monkeypa
 
 def test_a_refinement_run_that_fails_is_skipped(coarse_mesh, monkeypatch):
     runs = _record_runs(monkeypatch)
-    # every solve of the first run, on the caller's mesh, fails
+    # every solve of the first refinement run, on the caller's mesh, fails
     _fail_solves(
         monkeypatch, lambda chain, bias: chain.system.mesh is coarse_mesh
-        and len(runs) == 1 and runs[0][1] is None,
+        and len(runs) == 2 and runs[1].finished is None,
     )
     result = _find_constructed_zero(coarse_mesh)
-    assert len(runs) >= 2 and runs[0][1] is False
-    assert all(finished for _, finished in runs[1:])
+    assert runs[0].coarse and runs[0].finished
+    assert not runs[1].coarse and runs[1].finished is False
+    # the next seed is run on the seed mesh and refined
+    assert [run.coarse for run in runs[2:4]] == [True, False]
+    assert all(run.finished for run in runs[2:])
     assert result.converged
 
 
 def test_failed_probe_solves_leave_the_crossing_unverified(coarse_mesh, monkeypatch):
     runs = _record_runs(monkeypatch)
-    after = []  # biases asked of the caller's mesh once every run has finished
+    after = []  # biases asked of the caller's mesh once a refinement has finished
 
     def probing(chain, bias):
-        if chain.system.mesh is not coarse_mesh or not runs or not runs[-1][1]:
+        if chain.system.mesh is not coarse_mesh or not runs:
+            return False
+        if runs[-1].coarse or not runs[-1].finished:
             return False
         after.append(bias)
         return len(after) > 1  # the probe may be clipped onto the optimum's bias
 
     _fail_solves(monkeypatch, probing)
     result = _find_constructed_zero(coarse_mesh)
-    # the optimum is solved, its first probe fails and the second is not tried
+    # the first refinement ends the search: the optimum is solved, its first
+    # probe fails and the second is not tried
+    assert [run.coarse for run in runs] == [True, False]
     assert len(after) == 2
     assert result.bias == (after[0].v_a, after[0].v_b, None)
     assert result.converged
@@ -767,14 +787,14 @@ def test_tuner_never_claims_convergence_above_tol(coarse_mesh):
     assert result.achieved_fss == pytest.approx(40.0, rel=1e-6)
 
 
-def _record_newton_steps(monkeypatch) -> list[int]:
-    """Newton steps of every successful ``SheetSystem.solve``, in call order."""
+def _record_newton_steps(monkeypatch) -> list[tuple]:
+    """(mesh, Newton steps) of every successful ``SheetSystem.solve``, in call order."""
     steps = []
     real_solve = SheetSystem.solve
 
     def spy(self, *args, **kwargs):
         sol = real_solve(self, *args, **kwargs)
-        steps.append(sol.newton_iters)
+        steps.append((self.mesh, sol.newton_iters))
         return sol
 
     monkeypatch.setattr(SheetSystem, "solve", spy)
@@ -798,17 +818,37 @@ def test_tune_newton_iters_totals_every_solve(coarse_mesh, default_config, monke
     steps = _record_newton_steps(monkeypatch)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged
-    assert result.newton_iters == sum(steps) > 0
-    assert result.to_dict()["newton_iters"] == result.newton_iters
+    assert result.newton_iters == sum(n for _, n in steps) > 0
+    coarse = sum(n for mesh, n in steps if mesh is not coarse_mesh)
+    assert result.coarse_newton_iters == coarse > 0
+    report = result.to_dict()
+    assert report["newton_iters"] == result.newton_iters
+    assert report["coarse_newton_iters"] == result.coarse_newton_iters
+
+
+def test_tune_iterations_split_between_the_meshes(coarse_mesh, default_config, monkeypatch):
+    """``coarse_iterations`` counts the nine seed evaluations and those of the
+    runs on the seed mesh; the rest of ``iterations`` are the refinements'."""
+    runs = _record_runs(monkeypatch)
+    result = _tune_default(coarse_mesh, default_config)
+    assert result.converged
+    coarse = sum(run.evals for run in runs if run.coarse)
+    fine = sum(run.evals for run in runs if not run.coarse)
+    assert result.coarse_iterations == 9 + coarse
+    assert result.iterations - result.coarse_iterations == fine > 0
+    assert result.to_dict()["coarse_iterations"] == result.coarse_iterations
 
 
 def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
     coarse_mesh, default_config, monkeypatch
 ):
-    """The seed grid solves on a mesh of three times the caller's edge; every
-    later solve is on the caller's mesh.  Each projected Newton run starts
-    at its seed, whose solve on the caller's mesh is made just before the
-    run and starts from the seed's coarse potential interpolated onto it."""
+    """The seed grid solves on a mesh of three times the caller's edge.  Each
+    seed's run then starts on that mesh from the seed's own potential, and
+    the refinement on the caller's mesh that follows starts at the run's end
+    point, whose solve there, made just before it, starts from the coarse
+    potential at that point interpolated onto the mesh.  Solves on the seed
+    mesh belong to the seed grid and the coarse runs, every other solve to
+    the caller's mesh."""
     solves = []  # (mesh, bias, phi0, phi) of every SheetSystem.solve, in order
     real_solve = SheetSystem.solve
 
@@ -817,31 +857,76 @@ def test_seeds_are_ranked_on_three_times_the_edge_and_refined_on_the_mesh(
         solves.append((self.mesh, bias, phi0, sol.phi))
         return sol
 
-    runs = []  # (solves made before the run started, its start x0)
+    runs = []  # (solves made before the run started, its start x0, coarse)
     real_projected_newton = tuner._projected_newton
 
-    def spy_projected_newton(fun, jac, x0, lo, hi):
-        runs.append((len(solves), tuple(x0.tolist())))
-        return real_projected_newton(fun, jac, x0, lo, hi)
+    def spy_projected_newton(fun, jac, x0, lo, hi, **kwargs):
+        runs.append((len(solves), tuple(x0.tolist()), "f0" in kwargs))
+        return real_projected_newton(fun, jac, x0, lo, hi, **kwargs)
 
     monkeypatch.setattr(SheetSystem, "solve", spy_solve)
     monkeypatch.setattr(tuner, "_projected_newton", spy_projected_newton)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged
-    seed_phase, refinement = solves[:9], solves[9:]
+    seed_phase = solves[:9]
     seed_mesh = seed_phase[0][0]
     assert seed_mesh.target_edge == 3.0 * coarse_mesh.target_edge
     assert all(m is seed_mesh for m, *_ in seed_phase)
-    assert refinement and all(m is coarse_mesh for m, *_ in refinement)
     seed_phi = {bias: phi for _, bias, _, phi in seed_phase}
     grid_mesh, prolongation = device.coarse_grid(coarse_mesh)
     assert grid_mesh is seed_mesh
-    assert runs[0][0] == 10  # the first fine solve is the first run's start
-    for mark, x0 in runs:
-        _, bias, phi0, _ = solves[mark - 1]
+    # runs pair up: one on the seed mesh, then its refinement
+    assert runs and [coarse for *_, coarse in runs] == [True, False] * (len(runs) // 2)
+    assert runs[0][0] == 10  # the first run's start is the first solve after the seeds
+    marks = [mark for mark, *_ in runs] + [len(solves) + 1]
+    for (mark, x0, coarse), end in zip(runs, marks[1:]):
+        mesh, bias, phi0, phi = solves[mark - 1]
         assert (bias.v_a, bias.v_b) == x0
-        np.testing.assert_array_equal(phi0, prolongation @ seed_phi[bias])
-    assert all(mark > runs[0][0] for mark, _ in runs[1:])  # made by run 1
+        if coarse:
+            # given the seed's solution: the solve takes no step
+            assert mesh is seed_mesh and phi0 is seed_phi[bias]
+            np.testing.assert_array_equal(phi, phi0)
+        else:
+            last = [phi for m, b, _, phi in solves[: mark - 1] if m is seed_mesh and b == bias]
+            assert mesh is coarse_mesh and last
+            np.testing.assert_array_equal(phi0, prolongation @ last[-1])
+        # every solve until the next run's start is on the run's mesh
+        assert all(m is mesh for m, *_ in solves[mark - 1 : end - 1])
+
+
+def test_search_zero_is_the_zero_of_a_run_on_the_mesh_alone(coarse_mesh, default_config):
+    """Oracle: the one-grid flow, a projected Newton run on the caller's mesh
+    alone from the seed the search refined, lands on the search's zero
+    within 1e-8 V on the default calibration at 2 um."""
+    runs = []
+    real_projected_newton = tuner._projected_newton
+
+    def spy(fun, jac, x0, lo, hi, **kwargs):
+        runs.append((x0, "f0" in kwargs))
+        return real_projected_newton(fun, jac, x0, lo, hi, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tuner, "_projected_newton", spy)
+        result = _tune_default(coarse_mesh, default_config)
+    assert result.converged and result.status == "zero"
+    seed = [x0 for x0, coarse in runs if coarse][-1]
+
+    params, free = default_config.exciton, ("A", "B")
+    chain = SolveChain(SheetSystem(coarse_mesh, default_config.materials), CFG)
+
+    def bias_at(x):
+        return BiasPoint(float(x[0]), float(x[1]), default_config.sweep.vc)
+
+    def fun(x):
+        return np.array(fss_vector(params, chain.solve(bias_at(x)).field))
+
+    def jac(x):
+        chain.solve(bias_at(x))
+        return _splitting_jacobian(chain, params, free)
+
+    x, f, _ = real_projected_newton(fun, jac, seed, *default_config.sweep.tune_bounds())
+    assert np.linalg.norm(f) < 0.25 * 1.5
+    assert np.abs(np.array(result.bias[:2]) - x).max() <= 1e-8
 
 
 def test_interpolated_start_saves_fine_factorizations(
@@ -867,9 +952,10 @@ def test_interpolated_start_saves_fine_factorizations(
 
 
 def test_seeds_are_solved_in_ascending_drive(default_mesh, default_config, monkeypatch):
-    """The nine seed solves come in ascending V_A + V_B, ties in product
-    order, so each is predicted from a seed of lower drive.  On the default
-    calibration they take at most 19 factorizations (33 in product order)."""
+    """The nine seed solves, the first on the seed mesh, come in ascending
+    V_A + V_B, ties in product order, so each is predicted from a seed of
+    lower drive.  On the default calibration they take at most 19
+    factorizations (33 in product order)."""
     seed_solves = []  # (bias, factorizations) of every seed-mesh solve
     real_solve = SheetSystem.solve
 
@@ -884,8 +970,9 @@ def test_seeds_are_solved_in_ascending_drive(default_mesh, default_config, monke
     assert result.converged
     axis = np.linspace(*default_config.sweep.tune_bounds(), tuner._GRID_POINTS)
     expected = sorted(itertools.product(axis, repeat=2), key=sum)
-    assert [(b.v_a, b.v_b) for b, _ in seed_solves] == [tuple(e) for e in expected]
-    assert sum(n for _, n in seed_solves) <= 19
+    seeds = seed_solves[:9]
+    assert [(b.v_a, b.v_b) for b, _ in seeds] == [tuple(e) for e in expected]
+    assert sum(n for _, n in seeds) <= 19
 
 
 def test_chord_splitting_jacobian_is_near_the_exact_one(
@@ -893,14 +980,18 @@ def test_chord_splitting_jacobian_is_near_the_exact_one(
 ):
     """The search's splitting Jacobian, a back-solve on the held band factor,
     is within 1e-2 in relative 2-norm of the exact one at every accepted
-    point of the default search on the 2 um mesh.  Measured there: at most
-    2.9e-3 over the 26 Jacobians of the default search and eight dots with
-    each splitting component scaled by 0.8, 1 or 1.2 (1.7e-3 at 1 um)."""
-    errors = []
+    point of the default search on the 2 um mesh, on both meshes; the first
+    Jacobian of a run on the seed mesh, held without a factor, is the exact
+    one.  Measured there: at most 1.5e-3 over the 28 chord Jacobians of the
+    default search and eight dots with each splitting component scaled by
+    0.8, 1 or 1.2 (1.6e-3 over 27 at 1 um)."""
+    errors, exact_firsts = [], []
     real_jacobian = tuner._splitting_jacobian
 
     def spy(chain, params, free):
-        assert chain.held.factor is not None  # the back-solve, not the tangent
+        if chain.held.factor is None:  # the exact tangent
+            exact_firsts.append(chain.system.mesh)
+            return real_jacobian(chain, params, free)
         jac = real_jacobian(chain, params, free)
         # the exact Jacobian at the same potential, on a chain of its own
         exact_chain = SolveChain(chain.system, chain.cfg)
@@ -912,37 +1003,57 @@ def test_chord_splitting_jacobian_is_near_the_exact_one(
     monkeypatch.setattr(tuner, "_splitting_jacobian", spy)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged and result.crossing_verified
+    assert exact_firsts and all(m is not coarse_mesh for m in exact_firsts)
     assert errors and 0.0 < max(errors) <= 1e-2
 
 
+def _record_tangents(monkeypatch) -> list:
+    """The mesh of every ``SolveChain.tangent`` call, in call order."""
+    meshes = []
+    real_tangent = SolveChain.tangent
+
+    def spy(self, dv):
+        meshes.append(self.system.mesh)
+        return real_tangent(self, dv)
+
+    monkeypatch.setattr(SolveChain, "tangent", spy)
+    return meshes
+
+
 def test_default_search_factors_no_tangent(default_mesh, default_config, monkeypatch):
-    """On the default calibration and mesh every splitting Jacobian is a
-    back-solve on the factor the fine chain holds: the search factors only
-    in its solves there, at most 6 times (9 with the exact tangent)."""
-    tangents = []
-    monkeypatch.setattr(SolveChain, "tangent", lambda self, dv: tangents.append(dv))
+    """On the default calibration and mesh every splitting Jacobian there is
+    a back-solve on the factor the fine chain holds: the search factors only
+    in its solves there, at most twice (measured once; 5 when each run went
+    all the way on the mesh, 9 with the exact tangent).  The exact tangents
+    are the first Jacobians of the runs on the seed mesh, one per run."""
+    tangents = _record_tangents(monkeypatch)
+    runs = _record_runs(monkeypatch)
     fine = _count_factorizations(monkeypatch, nodes=default_mesh.n_nodes)
     result = _tune_default(default_mesh, default_config)
     assert result.converged and result.crossing_verified
     assert result.status == "zero" and result.iterations <= 16
-    assert tangents == []
-    assert fine and set(fine) == {"_newton"} and len(fine) <= 6
+    assert default_mesh not in tangents
+    assert len(tangents) == sum(run.coarse for run in runs) > 0
+    assert fine and set(fine) == {"_newton"} and len(fine) <= 2
 
 
 def test_search_factors_a_tangent_only_where_no_factor_is_held(
     coarse_mesh, default_config, monkeypatch
 ):
     """With each run's start held without a factor, the run's first Jacobian
-    is the exact tangent, which leaves the factor its later ones back-solve on."""
+    is the exact tangent, which leaves the factor its later ones back-solve
+    on.  A run on the seed mesh starts so by itself; a refinement is made to."""
     starts, tangents = [], []
     real_solve, real_tangent = SolveChain.solve, SolveChain.tangent
 
     def spy_solve(self, bias, phi0=None):
         sol = real_solve(self, bias, phi0)
-        # a run's start, from the seed's coarse potential; the seed chain's
-        # first solve is given zeros
-        if phi0 is not None and self.system.mesh is coarse_mesh:
-            self.held = sol = dataclasses.replace(sol, factor=None)
+        # a run's start: on the seed mesh from the seed's potential, on the
+        # caller's mesh from the coarse one interpolated; and the search's
+        # first solve, the seed chain's, given zeros
+        if phi0 is not None:
+            if self.system.mesh is coarse_mesh:
+                self.held = sol = dataclasses.replace(sol, factor=None)
             starts.append(bias)
         return sol
 
@@ -954,7 +1065,8 @@ def test_search_factors_a_tangent_only_where_no_factor_is_held(
     monkeypatch.setattr(SolveChain, "tangent", spy_tangent)
     result = _tune_default(coarse_mesh, default_config)
     assert result.converged and result.crossing_verified
-    assert starts and tangents == [(bias, True) for bias in starts]
+    assert len(starts) >= 3  # the seed chain's first, a run and its refinement
+    assert tangents == [(bias, True) for bias in starts[1:]]
 
 
 @pytest.fixture(scope="module")
@@ -1217,6 +1329,42 @@ def test_projected_newton_stops_within_its_evaluation_cap():
     )
     assert fun.evals == tuner._MAX_EVALS
     assert np.all((0.0 < x) & (x < 2.0)) and np.all(f == x - 2.0)
+
+
+def test_projected_newton_stops_once_fun_is_within_its_target():
+    # the nonlinear map above, which takes 6 evaluations to its zero: |fun|
+    # is 7.07 at the start, 1.36 after one step and 0.14 after two
+    fun = _Counted(lambda x: (x[0] ** 2 - 2.0, x[1] - 1.0))
+    x, f, _ = tuner._projected_newton(
+        fun, lambda x: np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]), [3.0, 0.0],
+        0.0, 4.0, target=0.5,
+    )
+    assert fun.evals == 3
+    assert 0.1 < np.linalg.norm(f) <= 0.5
+    assert np.array_equal(f, fun(x))
+    # a start within the target takes no Jacobian and no step
+    fun.evals = 0
+    x, f, _ = tuner._projected_newton(fun, None, [1.5, 1.0], 0.0, 4.0, target=0.5)
+    assert x.tolist() == [1.5, 1.0] and fun.evals == 1
+
+
+def test_projected_newton_given_its_start_value_does_not_evaluate_it():
+    a = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    c = np.array([-4.0, 5.0])
+    points = []
+
+    def fun(x):
+        points.append(x.tolist())
+        return a @ x + c
+
+    x0 = np.array([0.5, 0.5])
+    x, f, _ = tuner._projected_newton(fun, lambda x: a, x0, -5.0, 5.0, f0=a @ x0 + c)
+    assert np.allclose(x, np.linalg.solve(a, -c), rtol=0, atol=1e-14)
+    assert points == [x.tolist()]  # the full step alone
+    # the first step is taken from the value given, even a wrong one
+    points.clear()
+    tuner._projected_newton(fun, lambda x: a, x0, -5.0, 5.0, f0=a @ x0 + 2.0 * c)
+    assert np.allclose(points[0], x0 - np.linalg.solve(a, a @ x0 + 2.0 * c))
 
 
 def test_find_zero_input_validation(coarse_mesh, default_config):
